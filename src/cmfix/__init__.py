@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .arith import CyclotomicNumber, Rational, cyclotomic_mul, embed, zeta
+from .arith import CyclotomicNumber, Rational, embed, zeta
 from .partitions import (
     core,
     enumerate_core_tuples,

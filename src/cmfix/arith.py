@@ -7,6 +7,12 @@ Q(zeta_m): a ``CyclotomicNumber`` stores its coordinates in the power basis
 ``1, zeta, ..., zeta^(phi(m)-1)`` reduced modulo the m-th cyclotomic
 polynomial, so equality is coefficient-wise and always decidable.
 
+Powers of zeta are reduced in one place: ``_power_reductions(m)`` tabulates
+zeta^t in the power basis for every exponent below max(m, 2*phi(m) - 1), and
+``_reduce`` folds a coefficient vector indexed by exponent through that
+table.  Products, inverses, ``zeta`` (one table row), ``galois`` and
+``embed`` (the substitution zeta^t -> zeta_m^f(t)) all go through it.
+
 No floats, ever.
 """
 
@@ -25,7 +31,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "CyclotomicNumber",
     "zeta",
-    "cyclotomic_mul",
     "embed",
 ]
 
@@ -85,29 +90,36 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _euler_phi(m: int) -> int:
-    return sum(1 for j in range(1, m + 1) if gcd(j, m) == 1)
-
-
 @lru_cache(maxsize=None)
-def _power_reductions(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    # zeta^t for t = 0 .. 2*(phi-1), written in the power basis
+def _power_reductions(m: int) -> tuple[tuple[int, ...], ...]:
+    # zeta^t for t = 0 .. max(m, 2*phi - 1) - 1, written in the power basis
     phi_coeffs = cyclotomic_polynomial(m)
     deg = len(phi_coeffs) - 1
     # x^deg = -(phi[0] + phi[1] x + ... + phi[deg-1] x^(deg-1))
-    top = [Fraction(-c) for c in phi_coeffs[:deg]]
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [Fraction(0)] * deg
-    cur[0] = Fraction(1)
-    rows.append(tuple(cur))
-    for _ in range(max(0, 2 * deg - 2)):
-        carry = cur[deg - 1]
-        nxt = [Fraction(0)] + cur[: deg - 1]
+    top = [-c for c in phi_coeffs[:deg]]
+    cur = [1] + [0] * (deg - 1)
+    rows = [tuple(cur)]
+    for _ in range(1, max(m, 2 * deg - 1)):
+        carry = cur[-1]
+        cur = [0] + cur[:-1]
         if carry:
-            nxt = [a + carry * b for a, b in zip(nxt, top)]
-        rows.append(tuple(nxt))
-        cur = nxt
+            cur = [a + carry * b for a, b in zip(cur, top)]
+        rows.append(tuple(cur))
     return tuple(rows)
+
+
+def _reduce(m: int, coeffs) -> list:
+    """Power-basis coordinates of sum_t coeffs[t] * zeta_m^t."""
+    red = _power_reductions(m)
+    deg = len(red[0])
+    out = list(coeffs[:deg]) + [0] * (deg - len(coeffs))
+    for t in range(deg, len(coeffs)):
+        c = coeffs[t]
+        if c:
+            for idx, r in enumerate(red[t]):
+                if r:
+                    out[idx] += c * r
+    return out
 
 
 class CyclotomicNumber:
@@ -121,7 +133,7 @@ class CyclotomicNumber:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        deg = _euler_phi(order)
+        deg = len(cyclotomic_polynomial(order)) - 1
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > deg:
             raise ValueError(f"too many coefficients for order {order}")
@@ -149,23 +161,7 @@ class CyclotomicNumber:
     @classmethod
     def zeta_power(cls, order: int, e: int) -> "CyclotomicNumber":
         """zeta_m^e in canonical form (e taken modulo m)."""
-        e %= order
-        deg = _euler_phi(order)
-        if e < deg:
-            cs = [Fraction(0)] * deg
-            cs[e] = Fraction(1)
-            return cls(order, cs)
-        # shift-and-reduce x^e modulo the cyclotomic polynomial
-        phi = cyclotomic_polynomial(order)
-        top = [Fraction(-c) for c in phi[:deg]]
-        cur = [Fraction(0)] * deg
-        cur[0] = Fraction(1)
-        for _ in range(e):
-            carry = cur[deg - 1]
-            cur = [Fraction(0)] + cur[: deg - 1]
-            if carry:
-                cur = [a + carry * b for a, b in zip(cur, top)]
-        return cls(order, cur)
+        return cls(order, _power_reductions(order)[e % order])
 
     # -- basic structure ---------------------------------------------------
 
@@ -233,16 +229,7 @@ class CyclotomicNumber:
             for j, b in enumerate(o.coeffs):
                 if b:
                     prod[i + j] += a * b
-        red = _power_reductions(self.order)
-        out = [Fraction(0)] * deg
-        for t, c in enumerate(prod):
-            if c == 0:
-                continue
-            row = red[t]
-            for idx in range(deg):
-                if row[idx]:
-                    out[idx] += c * row[idx]
-        return CyclotomicNumber(self.order, out)
+        return CyclotomicNumber(self.order, _reduce(self.order, prod))
 
     __rmul__ = __mul__
 
@@ -290,20 +277,7 @@ class CyclotomicNumber:
             r0, r1 = r1, rr
             s0, s1 = s1, news
         const = r1[0]
-        inv = [c / const for c in s1]
-        red = _power_reductions(self.order)
-        deg = len(self.coeffs)
-        out = [Fraction(0)] * deg
-        for t, c in enumerate(inv):
-            if c == 0:
-                continue
-            if t < deg:
-                out[t] += c
-            else:
-                row = red[t]
-                for idx in range(deg):
-                    out[idx] += c * row[idx]
-        return CyclotomicNumber(self.order, out)
+        return CyclotomicNumber(self.order, _reduce(self.order, [c / const for c in s1]))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -344,11 +318,7 @@ class CyclotomicNumber:
         m = self.order
         if gcd(j % m, m) != 1:
             raise ValueError(f"{j} is not invertible modulo {m}")
-        out = CyclotomicNumber.zero(m)
-        for t, c in enumerate(self.coeffs):
-            if c:
-                out = out + CyclotomicNumber.zeta_power(m, (t * j) % m) * c
-        return out
+        return _substitute(self, m, j)
 
     # -- comparisons / hashing / display -----------------------------------
 
@@ -395,13 +365,6 @@ def zeta(m: int, e: int = 1) -> CyclotomicNumber:
     return CyclotomicNumber.zeta_power(m, e)
 
 
-def cyclotomic_mul(x: CyclotomicNumber, y: CyclotomicNumber) -> CyclotomicNumber:
-    """Exact product; both operands must share the same order."""
-    if x.order != y.order:
-        raise ValueError(f"order mismatch: {x.order} vs {y.order}; embed first")
-    return x * y
-
-
 def embed(x: CyclotomicNumber, m: int) -> CyclotomicNumber:
     """Image of x under the ring embedding Q(zeta_l) -> Q(zeta_m), l | m.
 
@@ -410,9 +373,12 @@ def embed(x: CyclotomicNumber, m: int) -> CyclotomicNumber:
     l = x.order
     if m % l != 0:
         raise ValueError(f"{l} does not divide {m}")
-    step = m // l
-    out = CyclotomicNumber.zero(m)
+    return _substitute(x, m, m // l)
+
+
+def _substitute(x: CyclotomicNumber, m: int, j: int) -> CyclotomicNumber:
+    # the ring map zeta_l^t -> zeta_m^(t*j), l = x.order
+    coeffs = [0] * m
     for t, c in enumerate(x.coeffs):
-        if c:
-            out = out + CyclotomicNumber.zeta_power(m, (t * step) % m) * c
-    return out
+        coeffs[t * j % m] += c
+    return CyclotomicNumber(m, _reduce(m, coeffs))

@@ -21,12 +21,12 @@ from .parameters import ParamSet, smooth_gl1n, transport
 from .partitions import (
     Multipartition,
     beta_flat_k_gamma_inverse,
+    check_core_tuple,
     core_multi,
     enumerate_core_tuples,
     enumerate_multipartitions,
     flip,
     from_core_and_quotient,
-    is_l_core,
     msize,
     residue_to_core,
     residues,
@@ -77,19 +77,9 @@ def delta_map(d, l: int) -> Multipartition:
 
 def delta_inverse(gamma: Multipartition, k: int, l: int, n: int) -> tuple[int, ...]:
     """d = Res_m(nu) + r*delta_m with nu rebuilt from gamma, r = (n-|gamma|)/k."""
-    if len(gamma) != l:
-        raise ValueError(f"gamma must have {l} components")
-    for g in gamma:
-        if not is_l_core(g, k):
-            raise ValueError(f"component {g} is not a {k}-core")
-    sz = msize(gamma)
-    if sz > n or (n - sz) % k != 0:
-        raise ValueError(f"|gamma|={sz} violates the size/congruence constraint")
-    m = k * l
-    r = (n - sz) // k
+    r = check_core_tuple(gamma, k, l, n)
     nu = from_core_and_quotient((), gamma, l)
-    res = residues(nu, m)
-    return tuple(x + r for x in res)
+    return tuple(x + r for x in residues(nu, k * l))
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,18 @@ Shape-carrying so that 0-row / 0-column matrices compose correctly (dimension
 vectors of quiver representations routinely contain zeros).  Entries are any
 exact scalars supporting +, -, *, /, == 0: int, Fraction, CyclotomicNumber.
 
-Rank uses fraction-free (Bareiss) elimination; nullspace and inverse use
-plain Gauss-Jordan with exact division.
+All elimination goes through one routine, ``insert_row``: it reduces a new
+row against rows already in reduced echelon form and inserts it when it is
+independent.  ``rref`` inserts the rows one by one and sorts them by pivot;
+``rank`` is the pivot count; ``nullspace`` and ``inverse`` read the rref;
+``quiver`` spins subrepresentations with the same routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Mat"]
+__all__ = ["Mat", "insert_row"]
 
 
 class Mat:
@@ -124,62 +127,16 @@ class Mat:
     # -- exact elimination ----------------------------------------------------
 
     def rank(self) -> int:
-        """Rank via fraction-free (Bareiss) elimination.
-
-        Integer matrices stay integer throughout (divisions are exact by
-        Bareiss' theorem); field entries divide exactly anyway.
-        """
-        m = [list(r) for r in self.data]
-        rows, cols = self.rows, self.cols
-        prev = 1
-        piv_r = 0
-        for piv_c in range(cols):
-            pr = None
-            for r in range(piv_r, rows):
-                if m[r][piv_c] != 0:
-                    pr = r
-                    break
-            if pr is None:
-                continue
-            if pr != piv_r:
-                m[piv_r], m[pr] = m[pr], m[piv_r]
-            p = m[piv_r][piv_c]
-            for r in range(piv_r + 1, rows):
-                for c in range(piv_c + 1, cols):
-                    m[r][c] = _exact_div(p * m[r][c] - m[r][piv_c] * m[piv_r][c], prev)
-                m[r][piv_c] = 0 * p
-            prev = p
-            piv_r += 1
-            if piv_r == rows:
-                break
-        return piv_r
+        """Number of pivots of the reduced row echelon form."""
+        return len(_echelon(self.data)[1])
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form and the pivot column list."""
-        m = [[_as_field(x) for x in r] for r in self.data]
-        rows, cols = self.rows, self.cols
-        piv_cols = []
-        piv_r = 0
-        for c in range(cols):
-            pr = None
-            for r in range(piv_r, rows):
-                if m[r][c] != 0:
-                    pr = r
-                    break
-            if pr is None:
-                continue
-            m[piv_r], m[pr] = m[pr], m[piv_r]
-            pv = m[piv_r][c]
-            m[piv_r] = [x / pv for x in m[piv_r]]
-            for r in range(rows):
-                if r != piv_r and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[piv_r])]
-            piv_cols.append(c)
-            piv_r += 1
-            if piv_r == rows:
-                break
-        return Mat(rows, cols, m), piv_cols
+        rows, pivots = _echelon(self.data)
+        order = sorted(range(len(rows)), key=pivots.__getitem__)
+        zero = (Fraction(0),) * self.cols
+        data = [rows[i] for i in order] + [zero] * (self.rows - len(rows))
+        return Mat(self.rows, self.cols, data), [pivots[i] for i in order]
 
     def nullspace(self) -> list[tuple]:
         """Basis of the right kernel, as tuples of length self.cols."""
@@ -212,9 +169,36 @@ def _as_field(x):
     return Fraction(x) if isinstance(x, int) else x
 
 
-def _exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        assert r == 0
-        return q
-    return a / b
+def insert_row(rows: list[tuple], pivots: list[int], vec) -> bool:
+    """Add vec to the reduced echelon basis (rows, pivots) if independent.
+
+    Each row has a 1 in its own pivot column and a 0 in every other row's;
+    rows stay in insertion order.  ints become Fractions so that division
+    stays exact.  Returns False, changing nothing, when vec is in the span.
+    """
+    v = [_as_field(x) for x in vec]
+    for row, p in zip(rows, pivots):
+        f = v[p]
+        if f != 0:
+            v = [a - f * b for a, b in zip(v, row)]
+    piv = next((c for c, x in enumerate(v) if x != 0), None)
+    if piv is None:
+        return False
+    pv = v[piv]
+    v = tuple(x / pv for x in v)
+    for idx, row in enumerate(rows):
+        f = row[piv]
+        if f != 0:
+            rows[idx] = tuple(a - f * b for a, b in zip(row, v))
+    rows.append(v)
+    pivots.append(piv)
+    return True
+
+
+def _echelon(data) -> tuple[list[tuple], list[int]]:
+    rows: list[tuple] = []
+    pivots: list[int] = []
+    for r in data:
+        insert_row(rows, pivots, r)
+    return rows, pivots
+

@@ -16,6 +16,10 @@ is component ``j`` of the quotient.  The l-core is obtained by pushing every
 runner down to its charge's ground state.  Cores biject with charge vectors,
 and the residue vector of a core determines the charges through
 ``Res_i - Res_{i+1} = s_i`` (cyclically).
+
+This is the only abacus in the package: ``wreath``'s rim-hook removal moves
+beads of the same B(lam), floored at ``-len(lam)``, and rebuilds partitions
+with ``_partition_from_beads``.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "residue_to_core",
     "flip",
     "core_multi",
+    "check_core_tuple",
     "beta_k_gamma",
     "beta_flat_k_gamma",
     "beta_k_gamma_inverse",
@@ -220,6 +225,22 @@ def core_multi(lam: Multipartition, k: int) -> Multipartition:
     return tuple(core(c, k)[0] for c in lam)
 
 
+def check_core_tuple(gamma: Multipartition, k: int, l: int, n: int) -> int:
+    """Validate gamma as a component index: an l-tuple of k-cores with
+    |gamma| <= n and |gamma| = n mod k.  Returns the rank r = (n-|gamma|)/k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if len(gamma) != l:
+        raise ValueError(f"gamma must have {l} components")
+    for g in gamma:
+        if not is_l_core(g, k):
+            raise ValueError(f"component {g} is not a {k}-core")
+    sz = msize(gamma)
+    if sz > n or (n - sz) % k != 0:
+        raise ValueError(f"|gamma|={sz} violates the size/congruence constraint")
+    return (n - sz) // k
+
+
 # ---------------------------------------------------------------------------
 # interleaved quotient bijections for tuples of partitions
 # ---------------------------------------------------------------------------
@@ -235,6 +256,15 @@ def _check_beta_args(lam: Multipartition, k: int, gamma: Multipartition):
             )
 
 
+def _interleave(lam: Multipartition, k: int) -> Multipartition:
+    l = len(lam)
+    mu: list[Partition] = [()] * (k * l)
+    for i, c in enumerate(lam):
+        for t, q in enumerate(quotient(c, k)):
+            mu[i + t * l] = q
+    return tuple(mu)
+
+
 def beta_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
     """Interleave the k-quotients of the components of lam into an m-tuple.
 
@@ -242,25 +272,14 @@ def beta_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Multipar
     i, i+l, ..., i+(k-1)l of the result (m = k*l).
     """
     _check_beta_args(lam, k, gamma)
-    l = len(lam)
-    mu: list[Partition] = [()] * (k * l)
-    for i, c in enumerate(lam):
-        q = quotient(c, k)
-        for t in range(k):
-            mu[i + t * l] = q[t]
-    return tuple(mu)
+    return _interleave(lam, k)
 
 
 def beta_flat_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
-    """Slot-reversed variant: component i fills slots i+(k-1)l, ..., i+l, i."""
+    """Slot-reversed variant, flip . beta_k_gamma . flip: component i fills
+    slots i+(k-1)l, ..., i+l, i."""
     _check_beta_args(lam, k, gamma)
-    l = len(lam)
-    mu: list[Partition] = [()] * (k * l)
-    for i, c in enumerate(lam):
-        q = quotient(c, k)
-        for t in range(k):
-            mu[i + (k - 1 - t) * l] = q[t]
-    return tuple(mu)
+    return flip(_interleave(flip(lam), k))
 
 
 def beta_k_gamma_inverse(mu: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
@@ -274,15 +293,7 @@ def beta_k_gamma_inverse(mu: Multipartition, k: int, gamma: Multipartition) -> M
 
 
 def beta_flat_k_gamma_inverse(mu: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
-    l = len(gamma)
-    if len(mu) != k * l:
-        raise ValueError("length mismatch")
-    return tuple(
-        from_core_and_quotient(
-            gamma[i], tuple(mu[i + (k - 1 - t) * l] for t in range(k)), k
-        )
-        for i in range(l)
-    )
+    return flip(beta_k_gamma_inverse(flip(mu), k, flip(gamma)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +304,8 @@ def beta_flat_k_gamma_inverse(mu: Multipartition, k: int, gamma: Multipartition)
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, lex descending: (n) first, (1,...,1) last."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
     def gen(n: int, cap: int) -> Iterator[Partition]:
         if n == 0:
@@ -323,6 +336,8 @@ def enumerate_multipartitions(l: int, n: int) -> list[Multipartition]:
     """All l-multipartitions of n; deterministic component-lex order."""
     if l < 1:
         raise ValueError("l must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
     def gen(comps: int, budget: int) -> Iterator[Multipartition]:
         if comps == 1:
@@ -341,6 +356,8 @@ def enumerate_core_tuples(k: int, l: int, n: int) -> list[Multipartition]:
     """All l-tuples of k-cores with |gamma| <= n and |gamma| = n mod k."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
 
     def gen(comps: int, budget: int, total: int) -> Iterator[Multipartition]:
         if comps == 0:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat
+from .linalg import Mat, insert_row
 
 __all__ = [
     "QuiverRep",
@@ -74,10 +74,21 @@ class QuiverRep:
     def from_json(cls, obj: dict) -> "QuiverRep":
         from .arith import CyclotomicNumber, parse_rational
 
+        if not isinstance(obj, dict) or not {"d", "X", "Y"} <= obj.keys():
+            raise ValueError('a representation needs the keys "d", "X" and "Y"')
+        if not isinstance(obj["d"], list):
+            raise ValueError('"d" must be a list of dimensions')
         d = tuple(obj["d"])
         l = len(d)
+        if obj.get("l", l) != l:
+            raise ValueError(f'"l" is {obj["l"]} but "d" has {l} entries')
+        for key in ("X", "Y"):
+            if not isinstance(obj[key], list) or len(obj[key]) != l:
+                raise ValueError(f'"{key}" must hold one matrix per vertex ({l})')
 
         def dec(rows, shape):
+            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+                raise ValueError("a matrix must be a list of rows")
             data = []
             for row in rows:
                 r = []
@@ -214,31 +225,11 @@ def _spin(rep: QuiverRep, seeds) -> list[list[tuple]]:
     """
     l = rep.l
     bases: list[list[tuple]] = [[] for _ in range(l)]
-
-    def insert(i, vec) -> bool:
-        # reduce vec against basis rows at vertex i; append if independent
-        v = [Fraction(x) if isinstance(x, int) else x for x in vec]
-        for row in bases[i]:
-            # find pivot of row
-            piv = next(c for c, x in enumerate(row) if x != 0)
-            if v[piv] != 0:
-                f = v[piv] / row[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        if all(x == 0 for x in v):
-            return False
-        piv = next(c for c, x in enumerate(v) if x != 0)
-        pv = v[piv]
-        v = [x / pv for x in v]
-        for idx, row in enumerate(bases[i]):
-            if row[piv] != 0:
-                bases[i][idx] = tuple(a - row[piv] * b for a, b in zip(row, v))
-        bases[i].append(tuple(v))
-        return True
-
+    pivots: list[list[int]] = [[] for _ in range(l)]
     work = [(i, tuple(v)) for i, v in seeds]
     while work:
         i, v = work.pop()
-        if not insert(i, v):
+        if not insert_row(bases[i], pivots[i], v):
             continue
         # push through the arrows out of vertex i
         if rep.d[(i + 1) % rep.l]:

@@ -28,8 +28,10 @@ from .arith import CyclotomicNumber, embed, zeta
 from .partitions import (
     Multipartition,
     Partition,
+    _partition_from_beads,
     beta_flat_k_gamma,
     beta_k_gamma,
+    check_core_tuple,
     core_multi,
     enumerate_multipartitions,
     msize,
@@ -96,22 +98,21 @@ def inverse_class(ctype: Multipartition) -> Multipartition:
 
 
 def _rim_hooks(lam: Partition, a: int) -> list[tuple[Partition, int]]:
-    """All removals of a rim hook of size a: (smaller partition, sign)."""
-    L = len(lam)
-    if a > sum(lam):
-        return []
-    beads = [lam[i] - (i + 1) + L for i in range(L)]  # distinct, >= 0
-    bead_set = set(beads)
+    """All removals of a rim hook of size a: (smaller partition, sign).
+
+    A hook is a bead of B(lam) moved a steps down to an empty position
+    (abacus of ``partitions``, floor -len(lam)); its sign is the parity of
+    the beads it passes.
+    """
+    beads = [p - i for i, p in enumerate(lam, start=1)]
+    floor = -len(lam)
     out = []
     for b in beads:
         nb = b - a
-        if nb < 0 or nb in bead_set:
+        if nb < floor or nb in beads:
             continue
         height = sum(1 for c in beads if nb < c < b)
-        new_beads = sorted((bead_set - {b}) | {nb}, reverse=True)
-        new_lam = tuple(
-            p for p in (new_beads[i] - L + i + 1 for i in range(L)) if p
-        )
+        new_lam = _partition_from_beads([nb if c == b else c for c in beads], floor)
         out.append((new_lam, -1 if height % 2 else 1))
     return out
 
@@ -323,12 +324,7 @@ def i_gamma_star(z: CentralElement, gamma: Multipartition, k: int, flat: bool = 
     variant.
     """
     l, n = z.l, z.n
-    if len(gamma) != l:
-        raise ValueError("gamma has the wrong number of components")
-    sz = msize(gamma)
-    if sz > n or (n - sz) % k != 0:
-        raise ValueError("gamma violates the size/congruence constraint")
-    r = (n - sz) // k
+    r = check_core_tuple(gamma, k, l, n)
     m = k * l
     t = character_table(l, n)
     t2 = character_table(m, r)

@@ -91,6 +91,12 @@ def test_verify_filtration_exit_codes():
         "--gamma", "[[1]]",
     ])
     assert code == 0
+    # (2) is not a 2-core, so it indexes no component: usage error, not a pass
+    code, out = run([
+        "verify-filtration", "--l", "2", "--n", "2", "--k", "2",
+        "--gamma", "[[2],[]]",
+    ])
+    assert code == 2 and out == ""
 
 
 def test_smooth_subcommand():
@@ -109,6 +115,11 @@ def test_usage_error_exit_2():
     code, _ = run(["transport", "--l", "2", "--k", "2", "--d", "0,0,0,0",
                    "--a", "1", "--kparams=1,1"])  # k does not sum to 0
     assert code == 2
+    for argv in (["enumerate-e", "--k", "2", "--l", "1", "--n", "-3"],
+                 ["verify-filtration", "--l", "2", "--n", "-1", "--k", "2"],
+                 ["chartable", "--l", "2", "--n", "-1"]):
+        code, out = run(argv)
+        assert code == 2 and out == "", argv
 
 
 def test_quiver_check(tmp_path):
@@ -120,6 +131,19 @@ def test_quiver_check(tmp_path):
     obj = json.loads(out)
     assert obj["total_trace"] == "0"
     assert obj["simplicity"] in {"Simple", "NotSimple", "Unknown"}
+
+
+@pytest.mark.parametrize("drop", [
+    lambda obj: obj.pop("d"),
+    lambda obj: obj.update(Y=[]),
+], ids=["no-d", "empty-Y"])
+def test_quiver_check_rejects_malformed_rep(tmp_path, drop):
+    obj = random_rep((1, 1), random.Random(0)).to_json()
+    drop(obj)
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps(obj))
+    code, out = run(["quiver-check", "--rep", str(f)])
+    assert code == 2 and out == ""
 
 
 def test_deterministic_output():
