@@ -54,11 +54,8 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.split(","))
 
 
-def _emit(obj, fmt: str = "json") -> None:
-    if fmt == "json":
-        print(json.dumps(obj, indent=2))
-    else:
-        raise ValueError(f"unsupported format {fmt!r}")
+def _emit(obj) -> None:
+    print(json.dumps(obj, indent=2))
 
 
 def _residue_json(v) -> dict:
@@ -162,8 +159,10 @@ def cmd_smooth(args) -> int:
         ks = _parse_rationals(args.kparams)
         val = smooth_cyclic(ks)
     elif crit == "g4":
-        k0, k1, k2 = _parse_rationals(args.kparams)
-        val = smooth_g4(k0, k1, k2)
+        ks = _parse_rationals(args.kparams)
+        if len(ks) != 3:
+            raise ValueError(f"g4 needs exactly 3 values of k, got {len(ks)}")
+        val = smooth_g4(*ks)
     else:  # pragma: no cover
         raise ValueError(f"unknown criterion {crit}")
     _emit({"criterion": crit, "smooth": val})
@@ -173,6 +172,8 @@ def cmd_smooth(args) -> int:
 def cmd_quiver_check(args) -> int:
     with open(args.rep, "r", encoding="utf-8") as fh:
         rep = QuiverRep.from_json(json.load(fh))
+    if not all(isinstance(x, Fraction) for m in rep.X + rep.Y for row in m.data for x in row):
+        raise ValueError("quiver-check needs rational matrix entries")
     mm = moment_map(rep)
     out = {
         "l": rep.l,

@@ -22,6 +22,7 @@ from .partitions import (
     Multipartition,
     beta_flat_k_gamma_inverse,
     check_core_tuple,
+    core_fibres,
     core_multi,
     enumerate_core_tuples,
     enumerate_multipartitions,
@@ -134,14 +135,12 @@ def component_catalog(l: int, n: int, k: int, p: ParamSet) -> list[ComponentDesc
         raise ValueError("parameter set has the wrong l")
     if not smooth_gl1n(p, n):
         raise ValueError("parameters are not smooth; the catalog needs smoothness")
-    all_labels = enumerate_multipartitions(l, n)
     out = []
-    for gamma in enumerate_core_tuples(k, l, n):
+    for gamma, labels in core_fibres(l, n, k).items():
         r = (n - msize(gamma)) // k
         m = k * l
         d = delta_inverse(gamma, k, l, n)
         cp = transport(p, k, d)
-        labels = tuple(lam for lam in all_labels if core_multi(lam, k) == gamma)
         inj = {
             mu: beta_flat_k_gamma_inverse(mu, k, gamma)
             for mu in enumerate_multipartitions(m, r)
@@ -179,20 +178,13 @@ def nesting_check(k1: int, k2: int, l: int, n: int) -> NestingReport:
     """
     if k2 % k1 != 0:
         raise ValueError(f"{k1} does not divide {k2}")
-    all_labels = enumerate_multipartitions(l, n)
-
-    def labels_of(gamma, k):
-        return frozenset(lam for lam in all_labels if core_multi(lam, k) == gamma)
-
+    fib1 = {g: frozenset(f) for g, f in core_fibres(l, n, k1).items()}
     failures = []
     pairs = 0
-    g1s = enumerate_core_tuples(k1, l, n)
-    g2s = enumerate_core_tuples(k2, l, n)
-    for g2 in g2s:
-        lab2 = labels_of(g2, k2)
-        for g1 in g1s:
+    for g2, lab2 in core_fibres(l, n, k2).items():
+        for g1, lab1 in fib1.items():
             pairs += 1
-            contained = lab2 <= labels_of(g1, k1)
+            contained = lab1.issuperset(lab2)
             predicted = core_multi(g2, k1) == g1
             if contained != predicted:
                 failures.append({"gamma1": g1, "gamma2": g2,

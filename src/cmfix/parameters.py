@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .affine_weyl import bar, reflect_theta, sigma
+from .affine_weyl import reflect_theta, sigma, translate_theta
 from .arith import format_rational
 
 __all__ = [
@@ -211,8 +211,9 @@ def theta_concat(theta, k: int) -> tuple[Fraction, ...]:
 def transport_via_theta(p: ParamSet, k_factor: int, d) -> ParamSet:
     """Transport through the theta dictionary and the translation witness.
 
-    Builds theta[k], translates by alpha = d - d_0*delta (bar kills delta, so
-    this is theta[k] + k*sigma(theta)*bar(d)) and converts back.  Agrees with
+    Builds theta[k], translates it by d with translate_theta (bar kills
+    delta, so this is the translation by the witness alpha = d - d_0*delta,
+    theta[k] + k*sigma(theta)*bar(d)) and converts back.  Agrees with
     the closed form exactly, entry by entry.
     """
     l, k = p.l, k_factor
@@ -220,11 +221,7 @@ def transport_via_theta(p: ParamSet, k_factor: int, d) -> ParamSet:
     d = tuple(int(x) for x in d)
     if len(d) != m:
         raise ValueError(f"d must have length {m}")
-    big = theta_concat(theta_from_ak(p), k)
-    s = sigma(big)
-    b = bar(d)
-    moved = tuple(t + s * c for t, c in zip(big, b))
-    return ak_from_theta(moved)
+    return ak_from_theta(translate_theta(d, theta_concat(theta_from_ak(p), k)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ and the residue vector of a core determines the charges through
 This is the only abacus in the package: ``wreath``'s rim-hook removal moves
 beads of the same B(lam), floored at ``-len(lam)``, and rebuilds partitions
 with ``_partition_from_beads``.
+
+``core_fibres`` is the one label-fibre map: the labels of the fixed-locus
+component gamma are ``core_fibres(l, n, k)[gamma]`` wherever they are needed.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "cores_upto",
     "enumerate_multipartitions",
     "enumerate_core_tuples",
+    "core_fibres",
 ]
 
 
@@ -372,3 +376,17 @@ def enumerate_core_tuples(k: int, l: int, n: int) -> list[Multipartition]:
                     yield (p,) + rest
 
     return list(gen(l, n, 0))
+
+
+@lru_cache(maxsize=None)
+def core_fibres(l: int, n: int, k: int) -> dict[Multipartition, tuple[Multipartition, ...]]:
+    """The l-multipartitions of n grouped by componentwise k-core.
+
+    Keys are enumerate_core_tuples(k, l, n) in that order; each fibre keeps
+    the enumerate_multipartitions(l, n) order.  Shared by every caller, so
+    treat the result as read-only.
+    """
+    fibres = {g: [] for g in enumerate_core_tuples(k, l, n)}
+    for lam in enumerate_multipartitions(l, n):
+        fibres[core_multi(lam, k)].append(lam)
+    return {g: tuple(f) for g, f in fibres.items()}

@@ -135,6 +135,16 @@ def in_deformed_fiber(rep: QuiverRep, theta) -> bool:
     return p0.rank() <= 1 and p0.trace() == want_trace
 
 
+def _embed_blocks(rows: int, cols: int, blocks) -> Mat:
+    # a rows x cols zero matrix with each (row offset, column offset, block) copied in
+    out = [[0] * cols for _ in range(rows)]
+    for (ro, co, mat) in blocks:
+        for r in range(mat.rows):
+            for c in range(mat.cols):
+                out[ro + r][co + c] = mat.data[r][c]
+    return Mat(rows, cols, out)
+
+
 def block_immersion(rep: QuiverRep, l: int) -> QuiverRep:
     """Collapse a Z/mZ-representation to Z/lZ (m = kl) by residue-class sums.
 
@@ -153,15 +163,6 @@ def block_immersion(rep: QuiverRep, l: int) -> QuiverRep:
         i, t = j % l, j // l
         offs.append(sum(d[i + u * l] for u in range(t)))
 
-    def embed_blocks(shape, blocks):
-        rows, cols = shape
-        out = [[0] * cols for _ in range(rows)]
-        for (ro, co, mat) in blocks:
-            for r in range(mat.rows):
-                for c in range(mat.cols):
-                    out[ro + r][co + c] = mat.data[r][c]
-        return Mat(rows, cols, out)
-
     X, Y = [], []
     for i in range(l):
         xb, yb = [], []
@@ -172,8 +173,8 @@ def block_immersion(rep: QuiverRep, l: int) -> QuiverRep:
             xb.append((offs[j], offs[j1], rep.X[j]))
             # Y_j : summand j of class i -> summand j1 of class i+1
             yb.append((offs[j1], offs[j], rep.Y[j]))
-        X.append(embed_blocks((D[i], D[(i + 1) % l]), xb))
-        Y.append(embed_blocks((D[(i + 1) % l], D[i]), yb))
+        X.append(_embed_blocks(D[i], D[(i + 1) % l], xb))
+        Y.append(_embed_blocks(D[(i + 1) % l], D[i], yb))
     return QuiverRep(D, tuple(X), tuple(Y))
 
 
@@ -251,16 +252,9 @@ def _total_matrix(rep: QuiverRep, word: list[tuple[str, int]], n: int, offs) -> 
     # product of generators embedded in End of the total space
     out = Mat.identity(n)
     for kind, i in word:
-        m = Mat.zeros(n, n)
-        data = [list(r) for r in m.data]
-        if kind == "x":
-            src, dst, blk = (i + 1) % rep.l, i, rep.X[i]
-        else:
-            src, dst, blk = i, (i + 1) % rep.l, rep.Y[i]
-        for r in range(blk.rows):
-            for c in range(blk.cols):
-                data[offs[dst] + r][offs[src] + c] = blk.data[r][c]
-        out = Mat(n, n, data) * out
+        j = (i + 1) % rep.l
+        blk = (offs[i], offs[j], rep.X[i]) if kind == "x" else (offs[j], offs[i], rep.Y[i])
+        out = _embed_blocks(n, n, [blk]) * out
     return out
 
 
@@ -295,7 +289,8 @@ def _rational_eigenvalues(z: Mat, cap: int = 400) -> list[Fraction]:
         def divisors(x):
             out = []
             d = 1
-            while d * d <= x and len(out) < cap:
+            # bounded at cap**2: a missed candidate can only leave a verdict Unknown
+            while d * d <= x and d <= cap * cap and len(out) < cap:
                 if x % d == 0:
                     out.append(d)
                     out.append(x // d)

@@ -10,7 +10,9 @@ S_n weighted by root-of-unity factors per cycle colour) and live in Q(zeta_l).
 The centre of the group algebra is handled in two bases: class sums (the
 filtration-friendly basis) and primitive central idempotents (the
 multiplication-friendly basis); conversion goes through the central
-characters w_chi(z_C) = |C| chi(C) / chi(1).
+characters w_chi(z_C) = |C| chi(C) / chi(1).  Each table carries, computed
+once: ``index`` (a multipartition's row as a label, which is also its column
+as a class), ``inverse`` (each column's inverse class) and ``dims`` (chi(1)).
 
 ``codim`` of a class is the codimension of the fixed space of any of its
 elements: a cycle contributes a fixed line exactly when its cycle product
@@ -19,7 +21,7 @@ is 1, so codim = n - (number of parts of component 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -32,7 +34,7 @@ from .partitions import (
     beta_flat_k_gamma,
     beta_k_gamma,
     check_core_tuple,
-    core_multi,
+    core_fibres,
     enumerate_multipartitions,
     msize,
 )
@@ -192,13 +194,16 @@ class WreathTable:
     classes: tuple[Multipartition, ...]
     sizes: tuple[int, ...]
     values: tuple[tuple[CyclotomicNumber, ...], ...]  # [label][class]
+    index: dict = field(compare=False, repr=False)
+    inverse: tuple[int, ...] = field(compare=False, repr=False)
+    dims: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def order(self) -> int:
         return group_order(self.l, self.n)
 
     def value(self, lam: Multipartition, ctype: Multipartition) -> CyclotomicNumber:
-        return self.values[self.labels.index(lam)][self.classes.index(ctype)]
+        return self.values[self.index[lam]][self.index[ctype]]
 
 
 @lru_cache(maxsize=None)
@@ -206,11 +211,15 @@ def character_table(l: int, n: int) -> WreathTable:
     labels = tuple(enumerate_multipartitions(l, n))
     classes_sizes = enumerate_classes(l, n)
     classes = tuple(t for t, _ in classes_sizes)
+    assert classes == labels  # one enumeration indexes rows and columns
     sizes = tuple(s for _, s in classes_sizes)
     values = tuple(
         tuple(character_value(lam, c, l) for c in classes) for lam in labels
     )
-    return WreathTable(l, n, labels, classes, sizes, values)
+    index = {lam: i for i, lam in enumerate(labels)}
+    inverse = tuple(index[inverse_class(c)] for c in classes)
+    dims = tuple(char_dimension(lam) for lam in labels)
+    return WreathTable(l, n, labels, classes, sizes, values, index, inverse, dims)
 
 
 @dataclass(frozen=True)
@@ -262,14 +271,12 @@ def class_sum(l: int, n: int, ctype: Multipartition) -> CentralElement:
 def to_omega(z: CentralElement) -> tuple[CyclotomicNumber, ...]:
     """Central characters: w_lam(z_C) = |C| chi_lam(C) / chi_lam(1)."""
     t = character_table(z.l, z.n)
-    d = z.as_dict()
+    terms = [(t.index[ctype], coeff) for ctype, coeff in z.coeffs]
     out = []
-    for li, lam in enumerate(t.labels):
+    for row, dim in zip(t.values, t.dims):
         acc = CyclotomicNumber.zero(z.l)
-        dim = char_dimension(lam)
-        for ctype, coeff in d.items():
-            ci = t.classes.index(ctype)
-            acc = acc + coeff * t.values[li][ci] * Fraction(t.sizes[ci], dim)
+        for ci, coeff in terms:
+            acc = acc + coeff * row[ci] * Fraction(t.sizes[ci], dim)
         out.append(acc)
     return tuple(out)
 
@@ -277,29 +284,23 @@ def to_omega(z: CentralElement) -> tuple[CyclotomicNumber, ...]:
 def from_omega(l: int, n: int, omega) -> CentralElement:
     """Inverse of to_omega: coefficients on class sums via column expansion."""
     t = character_table(l, n)
-    omega = tuple(omega)
-    order = t.order
+    weights = [(row, w * dim) for w, row, dim in zip(omega, t.values, t.dims, strict=True) if w]
     d = {}
-    inv_index = [t.classes.index(inverse_class(c)) for c in t.classes]
-    for ci, ctype in enumerate(t.classes):
+    for ctype, inv in zip(t.classes, t.inverse):
         acc = CyclotomicNumber.zero(l)
-        for li, lam in enumerate(t.labels):
-            acc = acc + omega[li] * t.values[li][inv_index[ci]] * char_dimension(lam)
-        d[ctype] = acc / order
+        for row, w in weights:
+            acc = acc + w * row[inv]
+        d[ctype] = acc / t.order
     return CentralElement.from_dict(l, n, d)
 
 
 def central_idempotent(lam: Multipartition) -> CentralElement:
-    """e_lam = (chi(1)/|W|) sum_C chi_lam(C^{-1}) z_C."""
+    """e_lam = (chi(1)/|W|) sum_C chi_lam(C^{-1}) z_C: from_omega of lam's indicator."""
     l, n = len(lam), msize(lam)
     t = character_table(l, n)
-    li = t.labels.index(lam)
-    dim = Fraction(char_dimension(lam), t.order)
-    d = {}
-    for ci, ctype in enumerate(t.classes):
-        inv_ci = t.classes.index(inverse_class(ctype))
-        d[ctype] = t.values[li][inv_ci] * dim
-    return CentralElement.from_dict(l, n, d)
+    if lam not in t.labels:
+        raise ValueError(f"{lam} is not a label of G({l},1,{n})")
+    return from_omega(l, n, [int(x == lam) for x in t.labels])
 
 
 def filtration_degree(z: CentralElement) -> int:
@@ -331,11 +332,8 @@ def i_gamma_star(z: CentralElement, gamma: Multipartition, k: int, flat: bool = 
     omega = to_omega(z)
     bmap = beta_flat_k_gamma if flat else beta_k_gamma
     out_omega = [CyclotomicNumber.zero(m) for _ in t2.labels]
-    for li, lam in enumerate(t.labels):
-        if core_multi(lam, k) != gamma:
-            continue
-        mu = bmap(lam, k, gamma)
-        out_omega[t2.labels.index(mu)] = embed(omega[li], m)
+    for lam in core_fibres(l, n, k)[gamma]:
+        out_omega[t2.index[bmap(lam, k, gamma)]] = embed(omega[t.index[lam]], m)
     return from_omega(m, r, tuple(out_omega))
 
 

@@ -6,7 +6,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from cmfix.cli import main, run_selftest
-from cmfix.quiver import random_rep
+from cmfix.arith import zeta
+from cmfix.quiver import random_rep, scale_action
 
 
 def run(argv):
@@ -109,7 +110,7 @@ def test_smooth_subcommand():
     assert json.loads(out)["smooth"] is True
 
 
-def test_usage_error_exit_2():
+def test_usage_error_exit_2(capsys):
     code, _ = run(["cores", "--partition", "2,3", "--l", "2"])  # not decreasing
     assert code == 2
     code, _ = run(["transport", "--l", "2", "--k", "2", "--d", "0,0,0,0",
@@ -120,6 +121,9 @@ def test_usage_error_exit_2():
                  ["chartable", "--l", "2", "--n", "-1"]):
         code, out = run(argv)
         assert code == 2 and out == "", argv
+    code, out = run(["smooth", "--criterion", "g4", "--kparams=1,2"])
+    assert code == 2 and out == ""
+    assert "g4 needs exactly 3 values of k" in capsys.readouterr().err
 
 
 def test_quiver_check(tmp_path):
@@ -133,10 +137,14 @@ def test_quiver_check(tmp_path):
     assert obj["simplicity"] in {"Simple", "NotSimple", "Unknown"}
 
 
+CYCLOTOMIC_REP = scale_action(zeta(3), random_rep((1, 1, 1), random.Random(0))).to_json()
+
+
 @pytest.mark.parametrize("drop", [
     lambda obj: obj.pop("d"),
     lambda obj: obj.update(Y=[]),
-], ids=["no-d", "empty-Y"])
+    lambda obj: obj.update(CYCLOTOMIC_REP),
+], ids=["no-d", "empty-Y", "cyclotomic"])
 def test_quiver_check_rejects_malformed_rep(tmp_path, drop):
     obj = random_rep((1, 1), random.Random(0)).to_json()
     drop(obj)

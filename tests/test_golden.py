@@ -1,8 +1,9 @@
 """Byte-identical CLI output: stdout sha256 of a few small invocations.
 
 Between them these runs pass through the cyclotomic arithmetic, the abacus,
-the interleaving map and exact row reduction, so a change to any of those
-kernels that alters a single output byte fails here.
+the interleaving map, exact row reduction, the label fibres of the component
+catalog and the character-table conversions, so a change to any of those
+that alters a single output byte fails here.
 """
 
 import hashlib
@@ -17,13 +18,30 @@ from cmfix.cli import main
 from cmfix.quiver import random_rep
 
 GOLDEN = [
-    (["chartable", "--l", "3", "--n", "3"],
-     "a6a9e35fef0fd12fd19a14811ed5d5d5039ae616fbefc4ff221742ee5872761f"),
-    (["verify-filtration", "--l", "2", "--n", "3", "--k", "2"],
-     "087dfcb8541013f8a3715d1e0b966310e97b1b9a38f45c0a2158c99e90b214b3"),
-    (["components", "--l", "2", "--n", "4", "--k", "2", "--a", "1/97",
-      "--kparams=1/89,-1/89"],
-     "b2583016b15ea140bcd02bd1a6f6949379463ae1a818f358355f4d870d5a6cbf"),
+    pytest.param(["chartable", "--l", "3", "--n", "3"],
+                 "a6a9e35fef0fd12fd19a14811ed5d5d5039ae616fbefc4ff221742ee5872761f",
+                 id="chartable"),
+    pytest.param(["verify-filtration", "--l", "2", "--n", "3", "--k", "2"],
+                 "087dfcb8541013f8a3715d1e0b966310e97b1b9a38f45c0a2158c99e90b214b3",
+                 id="verify-filtration"),
+    pytest.param(["components", "--l", "2", "--n", "4", "--k", "2", "--a", "1/97",
+                  "--kparams=1/89,-1/89"],
+                 "b2583016b15ea140bcd02bd1a6f6949379463ae1a818f358355f4d870d5a6cbf",
+                 id="components"),
+    pytest.param(["components", "--l", "2", "--n", "6", "--k", "3", "--a", "1/97",
+                  "--kparams=1/89,-1/89"],
+                 "b58a9e69d482c9089c35d67411e45bde1f641fc63c5ceb70cd9e9cf3cc5bc639",
+                 id="components-l2-n6-k3"),
+    pytest.param(["components", "--l", "2", "--n", "6", "--k", "3", "--a", "1/97",
+                  "--kparams=1/89,-1/89", "--format", "csv"],
+                 "5cd9008f664fac9964b0944738a68a304839e0552a2ffcf352775e9e32ef61ea",
+                 id="components-l2-n6-k3-csv"),
+    pytest.param(["verify-filtration", "--l", "3", "--n", "2", "--k", "2"],
+                 "87634ebba7e2d5c3c5be20f7d5c2e5fc5c2369f21003715876de3566ee80ea9e",
+                 id="verify-filtration-l3-n2-k2"),
+    pytest.param(["selftest", "--seed", "0"],
+                 "64d93b749fcb5dda1879f2cd9a9d7f6cc9e679b5fd9a4f074f54cad286841f4b",
+                 id="selftest"),
 ]
 
 # a seeded random representation of dimension (2, 1, 1), checked at seed 11
@@ -38,7 +56,7 @@ def digest(argv):
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.parametrize("argv,expected", GOLDEN, ids=[a[0] for a, _ in GOLDEN])
+@pytest.mark.parametrize("argv,expected", GOLDEN)
 def test_golden_stdout(argv, expected):
     assert digest(argv) == expected
 

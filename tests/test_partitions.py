@@ -7,6 +7,7 @@ from cmfix.partitions import (
     beta_k_gamma,
     beta_k_gamma_inverse,
     core,
+    core_fibres,
     core_multi,
     cores_upto,
     enumerate_core_tuples,
@@ -250,3 +251,15 @@ def test_m_core_with_trivial_l_core_iff_quotient_of_cores():
             assert is_l_core(lam, k * l) == all(
                 is_l_core(c, k) for c in quotient(lam, l)
             )
+
+
+@pytest.mark.parametrize("l,n,k", [(1, 4, 2), (2, 3, 2), (2, 4, 3), (3, 2, 2), (2, 0, 2), (1, 5, 6)])
+def test_core_fibres_partition_the_labels_by_core(l, n, k):
+    fibres = core_fibres(l, n, k)
+    assert list(fibres) == enumerate_core_tuples(k, l, n)
+    labels = enumerate_multipartitions(l, n)
+    assert sorted(lam for f in fibres.values() for lam in f) == sorted(labels)
+    for gamma, fibre in fibres.items():
+        assert fibre, gamma  # every core tuple labels a component
+        assert list(fibre) == [lam for lam in labels if lam in fibre]  # enumeration order
+        assert all(core_multi(lam, k) == gamma for lam in fibre)

@@ -287,3 +287,19 @@ def test_json_round_trip():
     rep2 = scale_action(z, rep)
     back2 = QuiverRep.from_json(json.loads(json.dumps(rep2.to_json())))
     assert back2 == rep2
+
+
+def test_simplicity_terminates_on_a_calogero_moser_point():
+    # Jordan quiver, X = diag(x), Y_ij = 1/(x_i - x_j) off the diagonal: a
+    # point of the Calogero-Moser fiber at theta = -1 whose random algebra
+    # elements have huge characteristic-polynomial constants; the bounded
+    # rational-root search keeps the test fast and the verdict sound
+    rng = random.Random(0)
+    n = 7
+    xs = rng.sample(range(-20, 21), n)
+    X = Mat(n, n, [[Fraction(xs[i]) if i == j else 0 for j in range(n)] for i in range(n)])
+    Y = Mat(n, n, [[Fraction(rng.randint(-5, 5)) if i == j else Fraction(1, xs[i] - xs[j])
+                    for j in range(n)] for i in range(n)])
+    rep = QuiverRep((n,), (X,), (Y,))
+    assert in_deformed_fiber(rep, (Fraction(-1),))
+    assert norton_simplicity(rep, seed=0).status in {"Simple", "Unknown"}

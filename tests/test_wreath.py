@@ -280,3 +280,36 @@ def test_verify_filtration_report_shape():
     rep = verify_filtration(1, 2, 2, ((),))
     obj = rep.to_json()
     assert obj["passed"] is True and obj["certificates"] == []
+
+
+@pytest.mark.parametrize("l,n", SIZES)
+def test_table_index_inverse_and_dims(l, n):
+    t = character_table(l, n)
+    for i, x in enumerate(t.labels):
+        assert t.index[x] == t.labels.index(x) == t.classes.index(x) == i
+    assert all(t.inverse[t.inverse[ci]] == ci for ci in range(len(t.classes)))
+    assert [t.classes[ci] for ci in t.inverse] == [inverse_class(c) for c in t.classes]
+    assert list(t.dims) == [char_dimension(lam) for lam in t.labels]
+
+
+def test_central_idempotent_rejects_foreign_labels():
+    # not canonical multipartitions, so absent from the table of their own size
+    for lam in (((1, 2),), ((2, 0), ()), ([2], [1])):
+        with pytest.raises(ValueError):
+            central_idempotent(lam)
+
+
+@pytest.mark.parametrize("l,n,k", [(2, 3, 2), (3, 2, 2), (1, 4, 2)])
+def test_k2_interleavings_differ_by_a_linear_character_twist(l, n, k):
+    # quotient t of lam_i goes to slot i + (k-1-t)l under the flat map and to
+    # slot i + tl under the plain one; at k = 2 that is the colour shift
+    # j -> j + l, a linear-character twist, so both conventions give images
+    # with the same support and coefficients that differ by kl-th roots of 1
+    m = k * l
+    for gamma in enumerate_core_tuples(k, l, n):
+        for ctype, _ in enumerate_classes(l, n):
+            z = class_sum(l, n, ctype)
+            a = i_gamma_star(z, gamma, k, flat=True).as_dict()
+            b = i_gamma_star(z, gamma, k, flat=False).as_dict()
+            assert a.keys() == b.keys()
+            assert all((a[d] / b[d]) ** m == 1 for d in a)
