@@ -10,8 +10,10 @@ polynomial, so equality is coefficient-wise and always decidable.
 Powers of zeta are reduced in one place: ``_power_reductions(m)`` tabulates
 zeta^t in the power basis for every exponent below max(m, 2*phi(m) - 1), and
 ``_reduce`` folds a coefficient vector indexed by exponent through that
-table.  Products, inverses, ``zeta`` (one table row), ``galois`` and
-``embed`` (the substitution zeta^t -> zeta_m^f(t)) all go through it.
+table.  ``CyclotomicNumber.from_powers`` (sum_t c_t zeta^t, reduced) is the
+one constructor on top of it: products, inverses, ``galois`` and ``embed``
+(the substitution zeta^t -> zeta_m^f(t)) and the character values of
+``wreath`` all build their results with it; ``zeta`` is one table row.
 
 No floats, ever.
 """
@@ -159,6 +161,11 @@ class CyclotomicNumber:
         return cls.from_rational(order, 1)
 
     @classmethod
+    def from_powers(cls, order: int, coeffs) -> "CyclotomicNumber":
+        """sum_t coeffs[t] * zeta_m^t, for exponents t below max(m, 2*phi(m) - 1)."""
+        return cls(order, _reduce(order, coeffs))
+
+    @classmethod
     def zeta_power(cls, order: int, e: int) -> "CyclotomicNumber":
         """zeta_m^e in canonical form (e taken modulo m)."""
         return cls(order, _power_reductions(order)[e % order])
@@ -229,7 +236,7 @@ class CyclotomicNumber:
             for j, b in enumerate(o.coeffs):
                 if b:
                     prod[i + j] += a * b
-        return CyclotomicNumber(self.order, _reduce(self.order, prod))
+        return CyclotomicNumber.from_powers(self.order, prod)
 
     __rmul__ = __mul__
 
@@ -277,7 +284,7 @@ class CyclotomicNumber:
             r0, r1 = r1, rr
             s0, s1 = s1, news
         const = r1[0]
-        return CyclotomicNumber(self.order, _reduce(self.order, [c / const for c in s1]))
+        return CyclotomicNumber.from_powers(self.order, [c / const for c in s1])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -381,4 +388,4 @@ def _substitute(x: CyclotomicNumber, m: int, j: int) -> CyclotomicNumber:
     coeffs = [0] * m
     for t, c in enumerate(x.coeffs):
         coeffs[t * j % m] += c
-    return CyclotomicNumber(m, _reduce(m, coeffs))
+    return CyclotomicNumber.from_powers(m, coeffs)

@@ -223,20 +223,30 @@ def _spin(rep: QuiverRep, seeds) -> list[list[tuple]]:
     """Smallest subrepresentation containing the seed vectors.
 
     seeds: iterable of (vertex, vector).  Returns per-vertex rref bases.
+    A vertex whose basis is full rejects every vector, so nothing is pushed
+    there, an arrow is applied only when its image is about to be inserted,
+    and the spin ends once the bases span the whole space.
     """
-    l = rep.l
+    l, d = rep.l, rep.d
     bases: list[list[tuple]] = [[] for _ in range(l)]
     pivots: list[list[int]] = [[] for _ in range(l)]
-    work = [(i, tuple(v)) for i, v in seeds]
-    while work:
-        i, v = work.pop()
+    room = sum(d)
+    work = [(i, None, tuple(v)) for i, v in seeds]  # (vertex, arrow to apply or None, vector)
+    while work and room:
+        i, arrow, v = work.pop()
+        if len(bases[i]) == d[i]:
+            continue
+        if arrow is not None:
+            v = arrow.apply(v)
         if not insert_row(bases[i], pivots[i], v):
             continue
+        room -= 1
         # push through the arrows out of vertex i
-        if rep.d[(i + 1) % rep.l]:
-            work.append((((i + 1) % l), rep.Y[i].apply(v)))
-        if rep.d[(i - 1) % rep.l]:
-            work.append((((i - 1) % l), rep.X[(i - 1) % l].apply(v)))
+        j, h = (i + 1) % l, (i - 1) % l
+        if len(bases[j]) < d[j]:
+            work.append((j, rep.Y[i], v))
+        if len(bases[h]) < d[h]:
+            work.append((h, rep.X[h], v))
     return bases
 
 
@@ -387,10 +397,9 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
                         "NotSimple", witness=annihilator(basesT), trials=trials
                     )
             if len(ker) == 1 and len(kerT) == 1:
-                spin1 = _spin(rep, graded(ker[0]))
-                spin2 = _spin(dual, graded(kerT[0]))
-                if sum(len(b) for b in spin1) == n and sum(len(b) for b in spin2) == n:
-                    return SimplicityResult("Simple", trials=trials)
+                # both kernel vectors were spun above; a nonzero vector spins to
+                # a nonzero subrepresentation, so not proper means everything
+                return SimplicityResult("Simple", trials=trials)
     return SimplicityResult("Unknown", trials=trials)
 
 

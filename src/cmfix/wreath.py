@@ -4,8 +4,13 @@ Conjugacy classes and irreducible characters are both indexed by
 l-multipartitions of n: component j of a class type collects the lengths of
 cycles whose cycle product is zeta^j, and component i of a character label
 carries the i-th linear character t -> zeta^i of the cyclic group.  Character
-values are computed by iterated rim-hook removal (the classical rule for
-S_n weighted by root-of-unity factors per cycle colour) and live in Q(zeta_l).
+values are computed by iterated rim-hook removal (the Murnaghan-Nakayama rule
+for wreath products: the rule for S_n weighted by root-of-unity factors per
+cycle colour) and live in Q(zeta_l).  The recursion runs in the group ring
+Z[x]/(x^l - 1) on int tuples, entry t the coefficient of zeta_l^t: a cycle
+weight +-zeta^e is a signed cyclic shift and nothing divides.  Reduction mod
+the l-th cyclotomic polynomial is a ring map out of Z[x]/(x^l - 1), so each
+value is reduced into Q(zeta_l) once, at the end.
 
 The centre of the group algebra is handled in two bases: class sums (the
 filtration-friendly basis) and primitive central idempotents (the
@@ -26,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .arith import CyclotomicNumber, embed, zeta
+from .arith import CyclotomicNumber, embed
 from .partitions import (
     Multipartition,
     Partition,
@@ -99,7 +104,8 @@ def inverse_class(ctype: Multipartition) -> Multipartition:
 # ---------------------------------------------------------------------------
 
 
-def _rim_hooks(lam: Partition, a: int) -> list[tuple[Partition, int]]:
+@lru_cache(maxsize=None)
+def _rim_hooks(lam: Partition, a: int) -> tuple[tuple[Partition, int], ...]:
     """All removals of a rim hook of size a: (smaller partition, sign).
 
     A hook is a bead of B(lam) moved a steps down to an empty position
@@ -116,25 +122,33 @@ def _rim_hooks(lam: Partition, a: int) -> list[tuple[Partition, int]]:
         height = sum(1 for c in beads if nb < c < b)
         new_lam = _partition_from_beads([nb if c == b else c for c in beads], floor)
         out.append((new_lam, -1 if height % 2 else 1))
-    return out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _char_rec(lam: Multipartition, cycles: tuple[tuple[int, int], ...], l: int) -> CyclotomicNumber:
+def _char_rec(lam: Multipartition, cycles: tuple[tuple[int, int], ...], l: int) -> tuple[int, ...]:
+    # chi_lam on the (length, colour) cycles, in Z[x]/(x^l - 1)
     if not cycles:
         assert msize(lam) == 0
-        return CyclotomicNumber.one(l)
+        return (1,) + (0,) * (l - 1)
     a, colour = cycles[0]
     rest = cycles[1:]
-    total = CyclotomicNumber.zero(l)
+    total = [0] * l
     for i, comp in enumerate(lam):
         if sum(comp) < a:
             continue
-        w = zeta(l, (colour * i) % l)
+        s = colour * i % l  # the weight zeta^s shifts entry t to t + s
         for new_comp, sign in _rim_hooks(comp, a):
-            new_lam = lam[:i] + (new_comp,) + lam[i + 1:]
-            total = total + w * sign * _char_rec(new_lam, rest, l)
-    return total
+            sub = _char_rec(lam[:i] + (new_comp,) + lam[i + 1:], rest, l)
+            for t, c in enumerate(sub, start=s):
+                if c:
+                    total[t % l] += sign * c
+    return tuple(total)
+
+
+def _cycles(ctype: Multipartition) -> tuple[tuple[int, int], ...]:
+    # the (length, colour) cycles of the class, longest first
+    return tuple(sorted(((a, c) for c, comp in enumerate(ctype) for a in comp), reverse=True))
 
 
 def character_value(lam: Multipartition, ctype: Multipartition, l: int | None = None) -> CyclotomicNumber:
@@ -145,13 +159,7 @@ def character_value(lam: Multipartition, ctype: Multipartition, l: int | None = 
         raise ValueError("component count mismatch")
     if msize(lam) != msize(ctype):
         raise ValueError("size mismatch between label and class")
-    cycles = tuple(
-        sorted(
-            ((a, c) for c, comp in enumerate(ctype) for a in comp),
-            reverse=True,
-        )
-    )
-    return _char_rec(lam, cycles, l)
+    return CyclotomicNumber.from_powers(l, _char_rec(lam, _cycles(ctype), l))
 
 
 def char_dimension(lam: Multipartition) -> int:
@@ -213,8 +221,10 @@ def character_table(l: int, n: int) -> WreathTable:
     classes = tuple(t for t, _ in classes_sizes)
     assert classes == labels  # one enumeration indexes rows and columns
     sizes = tuple(s for _, s in classes_sizes)
+    cycles = [_cycles(c) for c in classes]
     values = tuple(
-        tuple(character_value(lam, c, l) for c in classes) for lam in labels
+        tuple(CyclotomicNumber.from_powers(l, _char_rec(lam, cyc, l)) for cyc in cycles)
+        for lam in labels
     )
     index = {lam: i for i, lam in enumerate(labels)}
     inverse = tuple(index[inverse_class(c)] for c in classes)
@@ -327,14 +337,21 @@ def i_gamma_star(z: CentralElement, gamma: Multipartition, k: int, flat: bool = 
     l, n = z.l, z.n
     r = check_core_tuple(gamma, k, l, n)
     m = k * l
-    t = character_table(l, n)
-    t2 = character_table(m, r)
     omega = to_omega(z)
-    bmap = beta_flat_k_gamma if flat else beta_k_gamma
-    out_omega = [CyclotomicNumber.zero(m) for _ in t2.labels]
-    for lam in core_fibres(l, n, k)[gamma]:
-        out_omega[t2.index[bmap(lam, k, gamma)]] = embed(omega[t.index[lam]], m)
+    out_omega = [CyclotomicNumber.zero(m)] * len(character_table(m, r).labels)
+    for row, row2 in _restriction_rows(l, n, k, gamma, flat):
+        out_omega[row2] = embed(omega[row], m)
     return from_omega(m, r, tuple(out_omega))
+
+
+@lru_cache(maxsize=None)
+def _restriction_rows(l: int, n: int, k: int, gamma: Multipartition, flat: bool) -> tuple[tuple[int, int], ...]:
+    # (row of lam in G(l,1,n), row of its interleaved quotient in G(kl,1,r))
+    # for every lam in the fibre of gamma; gamma is already validated
+    r = (n - msize(gamma)) // k
+    t, t2 = character_table(l, n), character_table(k * l, r)
+    bmap = beta_flat_k_gamma if flat else beta_k_gamma
+    return tuple((t.index[lam], t2.index[bmap(lam, k, gamma)]) for lam in core_fibres(l, n, k)[gamma])
 
 
 @dataclass(frozen=True)

@@ -280,3 +280,51 @@ def monomial_class_rep(ctype, l: int) -> Mat:
             data[idx[0]][idx[a - 1]] = zeta(l, colour)
             pos += a
     return Mat(n, n, data)
+
+
+# ---------------------------------------------------------------------------
+# subrepresentation closure by applying every arrow until nothing grows
+# ---------------------------------------------------------------------------
+
+
+def rref_rows(vectors, dim: int) -> list[tuple]:
+    """The reduced row echelon basis of the span, rows sorted by pivot."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    out = []
+    for col in range(dim):
+        piv = next((r for r in rows if r[col] != 0), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        piv = [x / piv[col] for x in piv]
+        rows = [[a - r[col] * b for a, b in zip(r, piv)] for r in rows]
+        out = [[a - r[col] * b for a, b in zip(r, piv)] for r in out]
+        out.append(piv)
+    return [tuple(r) for r in out]
+
+
+def spin_closure(rep, seeds) -> list[list[tuple]]:
+    """Per-vertex rref bases of the subrepresentation generated by the seeds.
+
+    Every arrow is applied to every basis vector, round after round, until
+    no vertex's dimension grows.
+    """
+    l, d = rep.l, rep.d
+
+    def apply(m: Mat, v):
+        return tuple(sum((a * x for a, x in zip(row, v)), Fraction(0)) for row in m.data)
+
+    grown = [[] for _ in range(l)]
+    for i, v in seeds:
+        grown[i].append(v)
+    span = [rref_rows(s, d[i]) for i, s in enumerate(grown)]
+    while True:
+        grown = [list(s) for s in span]
+        for i in range(l):
+            for v in span[i]:
+                grown[(i + 1) % l].append(apply(rep.Y[i], v))
+                grown[(i - 1) % l].append(apply(rep.X[(i - 1) % l], v))
+        new = [rref_rows(s, d[i]) for i, s in enumerate(grown)]
+        if [len(s) for s in new] == [len(s) for s in span]:
+            return span
+        span = new

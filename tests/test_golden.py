@@ -39,6 +39,15 @@ GOLDEN = [
     pytest.param(["verify-filtration", "--l", "3", "--n", "2", "--k", "2"],
                  "87634ebba7e2d5c3c5be20f7d5c2e5fc5c2369f21003715876de3566ee80ea9e",
                  id="verify-filtration-l3-n2-k2"),
+    pytest.param(["chartable", "--l", "4", "--n", "3"],
+                 "b80fce7e2e25fb4f163d3a809ff7204c3c46ea579e4d96a8732680eaa8c70fcd",
+                 id="chartable-l4-n3"),
+    pytest.param(["chartable", "--l", "6", "--n", "2"],
+                 "61b23a0749888d45bbc6229a361e24a25fb459da02a1b0a20d8452a4b0504b40",
+                 id="chartable-l6-n2"),
+    pytest.param(["chartable", "--l", "1", "--n", "5"],
+                 "427ef20828b37d6ce5a9a51e286c65962d11e499641080f3f02f51b6230ae107",
+                 id="chartable-l1-n5"),
     pytest.param(["selftest", "--seed", "0"],
                  "64d93b749fcb5dda1879f2cd9a9d7f6cc9e679b5fd9a4f074f54cad286841f4b",
                  id="selftest"),

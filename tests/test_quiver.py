@@ -17,6 +17,8 @@ from cmfix.quiver import (
     random_rep,
     scale_action,
 )
+from cmfix.quiver import _spin
+from oracles import rref_rows, spin_closure
 
 
 def test_mat_shapes_and_rank():
@@ -303,3 +305,27 @@ def test_simplicity_terminates_on_a_calogero_moser_point():
     rep = QuiverRep((n,), (X,), (Y,))
     assert in_deformed_fiber(rep, (Fraction(-1),))
     assert norton_simplicity(rep, seed=0).status in {"Simple", "Unknown"}
+
+
+def test_spin_matches_brute_force_closure():
+    # random reps with zero dimensions and zero arrows; _spin stops early and
+    # skips full vertices, which must not change the row spaces it returns
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(150):
+        l = rng.randint(1, 4)
+        d = tuple(rng.randint(0, 3) for _ in range(l))
+        rep = random_rep(d, rng, -2, 2)
+        rep = QuiverRep(
+            d,
+            tuple(Mat.zeros(m.rows, m.cols) if rng.random() < 0.3 else m for m in rep.X),
+            tuple(Mat.zeros(m.rows, m.cols) if rng.random() < 0.3 else m for m in rep.Y),
+        )
+        verts = [i for i in range(l) if d[i]]
+        seeds = [(i, tuple(rng.randint(-1, 1) for _ in range(d[i])))
+                 for i in (rng.choices(verts, k=rng.randint(1, 2)) if verts else ())]
+        bases = _spin(rep, seeds)
+        assert [rref_rows(b, d[i]) for i, b in enumerate(bases)] == spin_closure(rep, seeds)
+        total = sum(len(b) for b in bases)
+        kinds.add("zero" if total == 0 else "whole" if total == sum(d) else "proper")
+    assert kinds == {"zero", "proper", "whole"}

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmfix.arith import CyclotomicNumber, zeta
+from cmfix.arith import CyclotomicNumber, cyclotomic_polynomial, zeta
 from cmfix.linalg import Mat
 from cmfix.partitions import enumerate_core_tuples, enumerate_multipartitions
 from cmfix.wreath import (
@@ -23,6 +23,7 @@ from cmfix.wreath import (
     to_omega,
     verify_filtration,
 )
+from cmfix.wreath import _char_rec, _cycles
 from oracles import (
     brute_table_212,
     hyperoctahedral2_elements,
@@ -313,3 +314,21 @@ def test_k2_interleavings_differ_by_a_linear_character_twist(l, n, k):
             b = i_gamma_star(z, gamma, k, flat=False).as_dict()
             assert a.keys() == b.keys()
             assert all((a[d] / b[d]) ** m == 1 for d in a)
+
+
+@pytest.mark.parametrize("l,n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (6, 2)])
+def test_character_values_are_algebraic_integers(l, n):
+    # the rim-hook recursion runs on int tuples in Z[x]/(x^l - 1) and each
+    # value is reduced mod Phi_l once; for l > 1 some value has a term
+    # zeta^t with t >= phi(l) that the reduction folds (zeta^2, zeta^3 at l = 4)
+    t = character_table(l, n)
+    deg = len(cyclotomic_polynomial(l)) - 1
+    folded = False
+    for lam, row in zip(t.labels, t.values):
+        for ctype, value in zip(t.classes, row):
+            assert all(c.denominator == 1 for c in value.coeffs)
+            raw = _char_rec(lam, _cycles(ctype), l)
+            assert len(raw) == l and all(type(c) is int for c in raw)
+            assert value == CyclotomicNumber.from_powers(l, raw)
+            folded |= any(raw[deg:])
+    assert folded == (l > 1)
