@@ -2,8 +2,8 @@
 """Run the codimension-filtration check over a grid and print a summary.
 
 Every component restriction morphism Z(C G(l,1,n)) ->> Z(C G(kl,1,r)) is
-checked class sum by class sum; the script exits nonzero if any certificate
-of violation shows up.
+checked class sum by class sum.  The script exits 1 if any certificate of
+violation shows up and 2 on a malformed --grid.
 """
 
 import argparse
@@ -17,20 +17,35 @@ from cmfix.partitions import enumerate_core_tuples
 from cmfix.wreath import verify_filtration
 
 
+def parse_grid(text: str) -> list[tuple[int, int, int]]:
+    grid = []
+    for spec in text.split(";"):
+        try:
+            l, n, k = (int(x) for x in spec.split(","))
+        except ValueError:
+            raise ValueError(f"grid point {spec!r} is not three integers l,n,k") from None
+        if l < 1 or k < 1 or n < 0:
+            raise ValueError(f"grid point {spec!r} needs l >= 1, n >= 0 and k >= 1")
+        grid.append((l, n, k))
+    return grid
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", default="1,2,2;1,3,2;1,4,2;2,2,2;2,3,2;3,2,2",
                     help="semicolon-separated l,n,k triples")
-    ap.add_argument("--no-flat", action="store_true",
-                    help="probe the unreversed interleaving convention instead")
     args = ap.parse_args()
+    try:
+        grid = parse_grid(args.grid)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     failures = 0
-    for spec in args.grid.split(";"):
-        l, n, k = (int(x) for x in spec.split(","))
+    for l, n, k in grid:
         t0 = time.time()
         for gamma in enumerate_core_tuples(k, l, n):
-            rep = verify_filtration(l, n, k, gamma, flat=not args.no_flat)
+            rep = verify_filtration(l, n, k, gamma)
             mark = "ok " if rep.passed else "BAD"
             print(f"[{mark}] l={l} n={n} k={k} gamma={gamma} "
                   f"({rep.checked} classes, {time.time()-t0:.2f}s)")

@@ -11,9 +11,11 @@ Powers of zeta are reduced in one place: ``_power_reductions(m)`` tabulates
 zeta^t in the power basis for every exponent below max(m, 2*phi(m) - 1), and
 ``_reduce`` folds a coefficient vector indexed by exponent through that
 table.  ``CyclotomicNumber.from_powers`` (sum_t c_t zeta^t, reduced) is the
-one constructor on top of it: products, inverses, ``galois`` and ``embed``
-(the substitution zeta^t -> zeta_m^f(t)) and the character values of
-``wreath`` all build their results with it; ``zeta`` is one table row.
+one constructor on top of it: products, ``galois`` and ``embed`` (the
+substitution zeta^t -> zeta_m^f(t)) and the character values of ``wreath``
+all build their results with it; ``zeta`` is one table row.  A product with
+a rational operand is a coefficient-wise scaling, and an inverse is the
+product of the other Galois conjugates over the norm.
 
 No floats, ever.
 """
@@ -222,11 +224,15 @@ class CyclotomicNumber:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CyclotomicNumber(self.order, [a * f for a in self.coeffs])
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, CyclotomicNumber):
+            o = self._coerce(other)
+            if o.is_rational():
+                return self._scale(o.coeffs[0])
+            if self.is_rational():
+                return o._scale(self.coeffs[0])
+        elif isinstance(other, (int, Fraction)):
+            return self._scale(Fraction(other))
+        else:
             return NotImplemented
         deg = len(self.coeffs)
         prod = [Fraction(0)] * (2 * deg - 1)
@@ -240,51 +246,20 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
+    def _scale(self, f: Fraction) -> "CyclotomicNumber":
+        return CyclotomicNumber(self.order, [a * f for a in self.coeffs])
+
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse via extended Euclid in Q[x] mod Phi_m."""
+        """Multiplicative inverse: the product of the conjugates sigma_a(x) over
+        the units a != 1 mod m, divided by the norm N(x), a nonzero rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        a = list(self.coeffs)
-        # extended gcd of a and phi over Q[x]; phi is irreducible so the
-        # gcd is a nonzero constant
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def degree(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i] != 0:
-                    return i
-            return -1
-
-        while degree(r1) > 0:
-            d0, d1 = degree(r0), degree(r1)
-            q = [Fraction(0)] * (d0 - d1 + 1)
-            rr = list(r0)
-            for i in range(d0, d1 - 1, -1):
-                c = rr[i]
-                if c == 0:
-                    continue
-                f = c / r1[d1]
-                q[i - d1] = f
-                for j in range(d1 + 1):
-                    rr[i - d1 + j] -= f * r1[j]
-            # r0 - q*r1 = rr ; update Bezout coefficient the same way
-            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, qc in enumerate(q):
-                if qc == 0:
-                    continue
-                for j, sc in enumerate(s1):
-                    qs1[i + j] += qc * sc
-            news = [Fraction(0)] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                news[i] += c
-            for i, c in enumerate(qs1):
-                news[i] -= c
-            r0, r1 = r1, rr
-            s0, s1 = s1, news
-        const = r1[0]
-        return CyclotomicNumber.from_powers(self.order, [c / const for c in s1])
+        m = self.order
+        adjugate = CyclotomicNumber.one(m)
+        for a in range(2, m):
+            if gcd(a, m) == 1:
+                adjugate = adjugate * self.galois(a)
+        return adjugate / (self * adjugate).to_rational()
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

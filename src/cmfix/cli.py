@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 from fractions import Fraction
@@ -185,17 +184,14 @@ def cmd_quiver_check(args) -> int:
     if args.theta:
         th = _parse_rationals(args.theta)
         out["in_deformed_fiber"] = in_deformed_fiber(rep, th)
-    seed = int(os.environ.get("CM_SEED", args.seed))
-    res = norton_simplicity(rep, seed=seed, budget=args.budget)
+    res = norton_simplicity(rep, seed=args.seed, budget=args.budget)
     out["simplicity"] = res.status
     _emit(out)
     return 0
 
 
 def cmd_selftest(args) -> int:
-    seed = int(os.environ.get("CM_SEED", args.seed))
-    ok = run_selftest(seed)
-    return 0 if ok else 1
+    return 0 if run_selftest(args.seed) else 1
 
 
 def run_selftest(seed: int = DEFAULT_SEED, out=None) -> bool:

@@ -21,6 +21,13 @@ This is the only abacus in the package: ``wreath``'s rim-hook removal moves
 beads of the same B(lam), floored at ``-len(lam)``, and rebuilds partitions
 with ``_partition_from_beads``.
 
+``beta_flat_k_gamma`` is the one interleaving map: quotient t of component
+i goes to slot i + (k-1-t)l.  The unreversed slot order i + tl is
+conj . beta_flat_k_gamma(., k, gamma') . conj, with conj conjugating every
+component and gamma' = conj(gamma), because the k-quotient of lam' is the
+reversed, conjugated k-quotient of lam; ``wreath`` says why no restriction
+verdict can tell the two orders apart.
+
 ``core_fibres`` is the one label-fibre map: the labels of the fixed-locus
 component gamma are ``core_fibres(l, n, k)[gamma]`` wherever they are needed.
 """
@@ -50,9 +57,7 @@ __all__ = [
     "flip",
     "core_multi",
     "check_core_tuple",
-    "beta_k_gamma",
     "beta_flat_k_gamma",
-    "beta_k_gamma_inverse",
     "beta_flat_k_gamma_inverse",
     "partitions_of",
     "partitions_upto",
@@ -250,54 +255,34 @@ def check_core_tuple(gamma: Multipartition, k: int, l: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_beta_args(lam: Multipartition, k: int, gamma: Multipartition):
+def beta_flat_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
+    """Interleave the k-quotients of the components of lam into an m-tuple.
+
+    Quotient t of component i fills slot i + (k-1-t)l of the result
+    (m = k*l); every component must have k-core gamma[i].
+    """
     if len(lam) != len(gamma):
         raise ValueError("component count mismatch")
+    l = len(lam)
+    mu: list[Partition] = [()] * (k * l)
     for i, (c, g) in enumerate(zip(lam, gamma)):
         if core(c, k)[0] != g:
             raise ValueError(
                 f"core mismatch in component {i}: Core_{k}{c} = {core(c, k)[0]} != {g}"
             )
-
-
-def _interleave(lam: Multipartition, k: int) -> Multipartition:
-    l = len(lam)
-    mu: list[Partition] = [()] * (k * l)
-    for i, c in enumerate(lam):
         for t, q in enumerate(quotient(c, k)):
-            mu[i + t * l] = q
+            mu[i + (k - 1 - t) * l] = q
     return tuple(mu)
 
 
-def beta_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
-    """Interleave the k-quotients of the components of lam into an m-tuple.
-
-    Component i of lam contributes its k-quotient to slots
-    i, i+l, ..., i+(k-1)l of the result (m = k*l).
-    """
-    _check_beta_args(lam, k, gamma)
-    return _interleave(lam, k)
-
-
-def beta_flat_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
-    """Slot-reversed variant, flip . beta_k_gamma . flip: component i fills
-    slots i+(k-1)l, ..., i+l, i."""
-    _check_beta_args(lam, k, gamma)
-    return flip(_interleave(flip(lam), k))
-
-
-def beta_k_gamma_inverse(mu: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
+def beta_flat_k_gamma_inverse(mu: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
     l = len(gamma)
     if len(mu) != k * l:
         raise ValueError("length mismatch")
     return tuple(
-        from_core_and_quotient(gamma[i], tuple(mu[i + t * l] for t in range(k)), k)
+        from_core_and_quotient(gamma[i], tuple(mu[i + (k - 1 - t) * l] for t in range(k)), k)
         for i in range(l)
     )
-
-
-def beta_flat_k_gamma_inverse(mu: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
-    return flip(beta_k_gamma_inverse(flip(mu), k, flip(gamma)))
 
 
 # ---------------------------------------------------------------------------

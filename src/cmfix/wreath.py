@@ -22,6 +22,14 @@ as a class), ``inverse`` (each column's inverse class) and ``dims`` (chi(1)).
 ``codim`` of a class is the codimension of the fixed space of any of its
 elements: a cycle contributes a fixed line exactly when its cycle product
 is 1, so codim = n - (number of parts of component 0).
+
+The restriction ``i_gamma_star`` labels the fibre of gamma through
+``partitions.beta_flat_k_gamma``; the unreversed slot order gives no other
+verdict.  Let T be the sign twist e_lam -> e_lam' (conjugate every
+component), i.e. z_C -> eps(C) z_C with eps(C) = prod over cycles of
+(-1)^(length - 1), since chi_lam' = eps chi_lam.  The unreversed restriction
+at gamma is T . i_gamma_star(., gamma', k) . T; T is diagonal on class sums,
+so it keeps every codim, and gamma -> gamma' permutes the components.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ from .partitions import (
     Partition,
     _partition_from_beads,
     beta_flat_k_gamma,
-    beta_k_gamma,
     check_core_tuple,
     core_fibres,
     enumerate_multipartitions,
@@ -325,33 +332,31 @@ def filtration_degree(z: CentralElement) -> int:
 # ---------------------------------------------------------------------------
 
 
-def i_gamma_star(z: CentralElement, gamma: Multipartition, k: int, flat: bool = True) -> CentralElement:
+def i_gamma_star(z: CentralElement, gamma: Multipartition, k: int) -> CentralElement:
     """Restriction Z(C G(l,1,n)) ->> Z(C G(kl,1,r)) attached to gamma.
 
     In the idempotent basis: e_lam maps to the idempotent labelled by the
-    interleaved quotient of lam when the componentwise k-core of lam is
-    gamma, and to 0 otherwise.  ``flat`` selects the slot-reversed
-    interleaving (the default labelling); pass False to probe the unreversed
-    variant.
+    interleaved quotient beta_flat_k_gamma(lam) when the componentwise k-core
+    of lam is gamma, and to 0 otherwise.
     """
     l, n = z.l, z.n
     r = check_core_tuple(gamma, k, l, n)
     m = k * l
     omega = to_omega(z)
     out_omega = [CyclotomicNumber.zero(m)] * len(character_table(m, r).labels)
-    for row, row2 in _restriction_rows(l, n, k, gamma, flat):
+    for row, row2 in _restriction_rows(l, n, k, gamma):
         out_omega[row2] = embed(omega[row], m)
     return from_omega(m, r, tuple(out_omega))
 
 
 @lru_cache(maxsize=None)
-def _restriction_rows(l: int, n: int, k: int, gamma: Multipartition, flat: bool) -> tuple[tuple[int, int], ...]:
+def _restriction_rows(l: int, n: int, k: int, gamma: Multipartition) -> tuple[tuple[int, int], ...]:
     # (row of lam in G(l,1,n), row of its interleaved quotient in G(kl,1,r))
     # for every lam in the fibre of gamma; gamma is already validated
     r = (n - msize(gamma)) // k
     t, t2 = character_table(l, n), character_table(k * l, r)
-    bmap = beta_flat_k_gamma if flat else beta_k_gamma
-    return tuple((t.index[lam], t2.index[bmap(lam, k, gamma)]) for lam in core_fibres(l, n, k)[gamma])
+    fibre = core_fibres(l, n, k)[gamma]
+    return tuple((t.index[lam], t2.index[beta_flat_k_gamma(lam, k, gamma)]) for lam in fibre)
 
 
 @dataclass(frozen=True)
@@ -384,7 +389,7 @@ class FiltrationReport:
         }
 
 
-def verify_filtration(l: int, n: int, k: int, gamma: Multipartition, flat: bool = True) -> FiltrationReport:
+def verify_filtration(l: int, n: int, k: int, gamma: Multipartition) -> FiltrationReport:
     """Check that restriction respects the codimension filtration degreewise.
 
     For every class sum z_C of G(l,1,n): the image under i_gamma_star must be
@@ -397,7 +402,7 @@ def verify_filtration(l: int, n: int, k: int, gamma: Multipartition, flat: bool 
     for ctype in t.classes:
         checked += 1
         i = codim(ctype, n)
-        image = i_gamma_star(class_sum(l, n, ctype), gamma, k, flat=flat)
+        image = i_gamma_star(class_sum(l, n, ctype), gamma, k)
         for d_ctype, coeff in image.coeffs:
             dcod = codim(d_ctype, image.n)
             if dcod > i:

@@ -5,6 +5,11 @@ recomputed by exhaustive removal search, symmetric-group characters by the
 permutation-module construction (fixed tabloids + orthogonalization against
 dominance), the order-8 wreath group by literal monomial matrices, and the
 component index set by direct search over bounded integer vectors.
+
+The one exception is ``restrict_unreversed``: it is the restriction of
+``wreath`` with the fibre labelled by the unreversed interleaving
+``beta_unreversed`` instead of ``partitions.beta_flat_k_gamma``, so the only
+thing the sign-twist identity test compares is the label map.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cmfix.arith import CyclotomicNumber, zeta
+from cmfix.arith import CyclotomicNumber, embed, zeta
 from cmfix.linalg import Mat
-from cmfix.partitions import partitions_of, residues
+from cmfix.partitions import core, partitions_of, quotient, residues
 from cmfix.affine_weyl import is_plus
+from cmfix.wreath import character_table, from_omega, to_omega
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +68,48 @@ def core_oracle(lam, l):
             return lam, count
         lam = min(nxt)  # any choice reaches the same core
         count += 1
+
+
+# ---------------------------------------------------------------------------
+# conjugation, the sign character and the unreversed interleaving
+# ---------------------------------------------------------------------------
+
+
+def conjugate(lam):
+    """The transposed partition: part j counts the parts of lam above j."""
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0] if lam else 0))
+
+
+def conjugate_multi(lam):
+    return tuple(conjugate(c) for c in lam)
+
+
+def sign(ctype):
+    """eps(C): the product of (-1)^(length - 1) over the cycles of the class."""
+    return (-1) ** sum(a - 1 for comp in ctype for a in comp)
+
+
+def beta_unreversed(lam, k):
+    """Quotient t of component i fills slot i + t*l of the k*l-tuple."""
+    l = len(lam)
+    mu = [()] * (k * l)
+    for i, c in enumerate(lam):
+        for t, q in enumerate(quotient(c, k)):
+            mu[i + t * l] = q
+    return tuple(mu)
+
+
+def restrict_unreversed(z, gamma, k):
+    """to_omega -> embed -> from_omega, sending the central character of each
+    lam with componentwise k-core gamma to the slot of beta_unreversed(lam)."""
+    l, n, m = z.l, z.n, k * z.l
+    r = (n - sum(sum(c) for c in gamma)) // k
+    labels, target = character_table(l, n).labels, character_table(m, r)
+    out = [CyclotomicNumber.zero(m)] * len(target.labels)
+    for lam, w in zip(labels, to_omega(z)):
+        if tuple(core(c, k)[0] for c in lam) == gamma:
+            out[target.index[beta_unreversed(lam, k)]] = embed(w, m)
+    return from_omega(m, r, tuple(out))
 
 
 # ---------------------------------------------------------------------------

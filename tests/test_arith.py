@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cmfix.arith import (
     CyclotomicNumber,
@@ -69,6 +69,8 @@ def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         zeta(3) * zeta(4)
     with pytest.raises(ValueError):
+        zeta(3) * CyclotomicNumber.one(4)  # a rational operand is still checked
+    with pytest.raises(ValueError):
         zeta(3) == zeta(6)
     with pytest.raises(ValueError):
         embed(zeta(4), 6)
@@ -82,6 +84,26 @@ def test_field_axioms_order_12(a, b, c):
     assert a + (-a) == 0
     if not a.is_zero():
         assert a * a.inverse() == 1
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+@settings(max_examples=10, deadline=None)  # the norm costs phi(m) - 1 products
+@given(data=st.data())
+def test_inverse_every_order(m, data):
+    with pytest.raises(ZeroDivisionError):
+        CyclotomicNumber.zero(m).inverse()
+    a = data.draw(cyclos(m))
+    if not a.is_zero():
+        assert a * a.inverse() == 1
+
+
+def test_rational_operand_multiplies_as_a_scalar():
+    # against the full product: c + z and z are not rational
+    x, z = zeta(12) + 3 * zeta(12, 5), zeta(12, 7)
+    for r in (0, 1, -1, Fraction(-7, 3)):
+        c = CyclotomicNumber.from_rational(12, r)
+        assert x * c == c * x == x * (c + z) - x * z == x * r
+        assert (c * c).to_rational() == r * r
 
 
 @given(a=cyclos(5), b=cyclos(5))

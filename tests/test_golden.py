@@ -71,7 +71,9 @@ def test_golden_stdout(argv, expected):
 
 
 def test_golden_quiver_check(tmp_path, monkeypatch):
-    monkeypatch.delenv("CM_SEED", raising=False)
+    # --seed is the only seed knob: the environment is not read, so even a
+    # CM_SEED that is not an integer changes nothing
+    monkeypatch.setenv("CM_SEED", "not-a-seed")
     f = tmp_path / "rep.json"
     f.write_text(json.dumps(random_rep((2, 1, 1), random.Random(7)).to_json()))
     argv = ["quiver-check", "--rep", str(f), "--seed", "11", "--theta", "1,-1,0"]

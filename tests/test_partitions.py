@@ -4,8 +4,6 @@ from hypothesis import given, settings, strategies as st
 from cmfix.partitions import (
     beta_flat_k_gamma,
     beta_flat_k_gamma_inverse,
-    beta_k_gamma,
-    beta_k_gamma_inverse,
     core,
     core_fibres,
     core_multi,
@@ -23,7 +21,7 @@ from cmfix.partitions import (
     residues,
     residues_infinite,
 )
-from oracles import core_oracle, is_core_oracle
+from oracles import beta_unreversed, conjugate_multi, core_oracle, is_core_oracle
 
 parts_st = st.lists(st.integers(1, 5), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -163,42 +161,58 @@ def test_flip():
 
 def test_beta_trivial_cases():
     gamma = ((1,), ())
-    assert beta_k_gamma(gamma, 2, gamma) == ((), (), (), ())
     assert beta_flat_k_gamma(gamma, 2, gamma) == ((), (), (), ())
 
 
 def test_beta_core_mismatch_rejected():
     with pytest.raises(ValueError):
-        beta_k_gamma(((2,), ()), 2, (((1,)), ()))
+        beta_flat_k_gamma(((2,), ()), 2, (((1,)), ()))
+    with pytest.raises(ValueError):
+        beta_flat_k_gamma(((2,),), 2, ((), ()))
 
 
 def test_beta_l1_reduces_to_plain_quotient():
     lam = ((6, 3, 1),)
     gamma = (core((6, 3, 1), 2)[0],)
-    mu = beta_k_gamma(lam, 2, gamma)
-    assert mu == quotient((6, 3, 1), 2)
-    flat = beta_flat_k_gamma(lam, 2, gamma)
-    assert flat == tuple(reversed(quotient((6, 3, 1), 2)))
+    assert beta_flat_k_gamma(lam, 2, gamma) == tuple(reversed(quotient((6, 3, 1), 2)))
 
 
 def test_beta_flat_is_flip_conjugate():
-    # the defining composition: flat = flip . beta . flip on all of P^2[3], k=2
+    # flat = flip . unreversed . flip on all of P^2[3], k=2
     for lam in enumerate_multipartitions(2, 3):
         gamma = core_multi(lam, 2)
-        lhs = beta_flat_k_gamma(lam, 2, gamma)
-        rhs = flip(beta_k_gamma(flip(lam), 2, flip(gamma)))
-        assert lhs == rhs
+        assert beta_flat_k_gamma(lam, 2, gamma) == flip(beta_unreversed(flip(lam), 2))
+
+
+BETA_GRID = [(1, 4, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2), (2, 4, 3), (1, 7, 3), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("l,n,k", BETA_GRID)
+def test_beta_flat_slot_order(l, n, k):
+    # quotient t of component i fills slot i + (k-1-t)l
+    for lam in enumerate_multipartitions(l, n):
+        mu = beta_flat_k_gamma(lam, k, core_multi(lam, k))
+        for i, c in enumerate(lam):
+            assert [mu[i + (k - 1 - t) * l] for t in range(k)] == list(quotient(c, k))
+
+
+@pytest.mark.parametrize("l,n,k", BETA_GRID)
+def test_unreversed_interleaving_is_the_conjugation_conjugate(l, n, k):
+    # the k-quotient of lam' is the reversed, conjugated k-quotient of lam, so
+    # the unreversed order is conj . beta_flat(., k, gamma') . conj
+    for lam in enumerate_multipartitions(l, n):
+        lam_c = conjugate_multi(lam)
+        flat = beta_flat_k_gamma(lam_c, k, core_multi(lam_c, k))
+        assert beta_unreversed(lam, k) == conjugate_multi(flat)
 
 
 @pytest.mark.parametrize("l,n,k", [(1, 4, 2), (2, 3, 2), (2, 2, 3), (3, 2, 2)])
 def test_beta_size_identity_and_inverse(l, n, k):
     for lam in enumerate_multipartitions(l, n):
         gamma = core_multi(lam, k)
-        mu = beta_k_gamma(lam, k, gamma)
+        mu = beta_flat_k_gamma(lam, k, gamma)
         assert msize(mu) == (msize(lam) - msize(gamma)) // k
-        assert beta_k_gamma_inverse(mu, k, gamma) == lam
-        mu2 = beta_flat_k_gamma(lam, k, gamma)
-        assert beta_flat_k_gamma_inverse(mu2, k, gamma) == lam
+        assert beta_flat_k_gamma_inverse(mu, k, gamma) == lam
 
 
 @pytest.mark.parametrize("l,n,k", [(2, 3, 2), (3, 2, 2)])

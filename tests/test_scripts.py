@@ -1,13 +1,16 @@
-"""Smoke test of scripts/profile.py on the benchmark's tiny plans."""
+"""Smoke tests of scripts/profile.py on the benchmark's tiny plans and of the
+exit codes of scripts/filtration_report.py."""
 
 import importlib.util
 import io
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "profile.py"
+FILTRATION_REPORT = SCRIPT.with_name("filtration_report.py")
 
 
 @pytest.fixture(scope="module")
@@ -28,3 +31,21 @@ def test_profile_prints_the_top_functions(profile_script, workload, capsys):
     assert "function calls" in report and "Ordered by: cumulative time" in report
     assert "cmfix/cli.py" in report
     assert capsys.readouterr().out == ""  # the workload's stdout is discarded
+
+
+@pytest.mark.parametrize("grid,code", [
+    ("1,2,2;2,2,2", 0),
+    ("2,4", 2),
+    ("2,-1,2", 2),
+    ("1,2,2;x,2,2", 2),
+    ("0,2,2", 2),
+])
+def test_filtration_report_exit_codes(grid, code):
+    proc = subprocess.run([sys.executable, str(FILTRATION_REPORT), "--grid", grid],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error: ") and proc.stdout == ""
+    else:
+        assert proc.stdout.endswith("0 failures\n")

@@ -26,9 +26,12 @@ from cmfix.wreath import (
 from cmfix.wreath import _char_rec, _cycles
 from oracles import (
     brute_table_212,
+    conjugate_multi,
     hyperoctahedral2_elements,
     matrix_class_type,
     monomial_class_rep,
+    restrict_unreversed,
+    sign,
     sn_character_table,
 )
 
@@ -300,20 +303,36 @@ def test_central_idempotent_rejects_foreign_labels():
             central_idempotent(lam)
 
 
-@pytest.mark.parametrize("l,n,k", [(2, 3, 2), (3, 2, 2), (1, 4, 2)])
-def test_k2_interleavings_differ_by_a_linear_character_twist(l, n, k):
-    # quotient t of lam_i goes to slot i + (k-1-t)l under the flat map and to
-    # slot i + tl under the plain one; at k = 2 that is the colour shift
-    # j -> j + l, a linear-character twist, so both conventions give images
-    # with the same support and coefficients that differ by kl-th roots of 1
-    m = k * l
-    for gamma in enumerate_core_tuples(k, l, n):
+@pytest.mark.parametrize("l,n", [(1, 5), (2, 4), (3, 3), (4, 3)])
+def test_conjugate_label_is_the_sign_twist(l, n):
+    # chi_lam' = eps . chi_lam, lam' conjugating every component
+    t = character_table(l, n)
+    for lam, row in zip(t.labels, t.values):
+        twisted = t.values[t.index[conjugate_multi(lam)]]
+        for ctype, value, value2 in zip(t.classes, row, twisted):
+            assert value2 == value * sign(ctype)
+
+
+@pytest.mark.parametrize(
+    "l,n,k",
+    [(2, 3, 2), (3, 2, 2), (1, 4, 2), (2, 4, 3), (1, 5, 3), (2, 5, 3), (1, 7, 3), (3, 3, 3)],
+)
+def test_unreversed_restriction_is_the_sign_twist_conjugate(l, n, k):
+    # with T: z_C -> eps(C) z_C (that is e_lam -> e_lam'), the restriction
+    # through the unreversed interleaving at gamma is
+    # T . i_gamma_star(., gamma', k) . T, so it has the same filtration verdicts
+    # up to the permutation gamma -> gamma' of the components
+    gammas = enumerate_core_tuples(k, l, n)
+    # every 2-core is self-conjugate; each k = 3 point has gamma' != gamma
+    assert any(conjugate_multi(g) != g for g in gammas) == (k == 3)
+    for gamma in gammas:
         for ctype, _ in enumerate_classes(l, n):
             z = class_sum(l, n, ctype)
-            a = i_gamma_star(z, gamma, k, flat=True).as_dict()
-            b = i_gamma_star(z, gamma, k, flat=False).as_dict()
-            assert a.keys() == b.keys()
-            assert all((a[d] / b[d]) ** m == 1 for d in a)
+            unreversed = restrict_unreversed(z, gamma, k).as_dict()
+            image = i_gamma_star(z, conjugate_multi(gamma), k).as_dict()
+            assert unreversed.keys() == image.keys()
+            for d, coeff in image.items():
+                assert unreversed[d] == coeff * (sign(ctype) * sign(d))
 
 
 @pytest.mark.parametrize("l,n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (6, 2)])
