@@ -131,7 +131,9 @@ class CyclotomicNumber:
 
     Immutable; arithmetic between two cyclotomic numbers requires equal
     orders (use :func:`embed` to move into a larger field first), and is
-    also defined against ``int`` / ``Fraction`` scalars.
+    also defined against ``int`` / ``Fraction`` scalars.  Two rational
+    values of different orders compare by value, as they do with an
+    ``int`` and as they hash; any other order mismatch raises.
     """
 
     __slots__ = ("order", "coeffs")
@@ -308,11 +310,9 @@ class CyclotomicNumber:
         if isinstance(other, (int, Fraction)):
             return self.is_rational() and self.coeffs[0] == other
         if isinstance(other, CyclotomicNumber):
-            if other.order != self.order:
-                raise ValueError(
-                    f"order mismatch: {self.order} vs {other.order}; embed first"
-                )
-            return self.coeffs == other.coeffs
+            if other.order != self.order and self.is_rational() and other.is_rational():
+                return self.coeffs[0] == other.coeffs[0]  # as == int does, and as hashed
+            return self.coeffs == self._coerce(other).coeffs
         return NotImplemented
 
     def __hash__(self):

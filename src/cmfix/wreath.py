@@ -16,20 +16,39 @@ The centre of the group algebra is handled in two bases: class sums (the
 filtration-friendly basis) and primitive central idempotents (the
 multiplication-friendly basis); conversion goes through the central
 characters w_chi(z_C) = |C| chi(C) / chi(1).  Each table carries, computed
-once: ``index`` (a multipartition's row as a label, which is also its column
-as a class), ``inverse`` (each column's inverse class) and ``dims`` (chi(1)).
+once: ``raw`` (the int tuples of the recursion, before reduction), ``index``
+(a multipartition's row as a label, which is also its column as a class),
+``inverse`` (each column's inverse class) and ``dims`` (chi(1)).
 
 ``codim`` of a class is the codimension of the fixed space of any of its
 elements: a cycle contributes a fixed line exactly when its cycle product
 is 1, so codim = n - (number of parts of component 0).
 
-The restriction ``i_gamma_star`` labels the fibre of gamma through
-``partitions.beta_flat_k_gamma``; the unreversed slot order gives no other
-verdict.  Let T be the sign twist e_lam -> e_lam' (conjugate every
-component), i.e. z_C -> eps(C) z_C with eps(C) = prod over cycles of
-(-1)^(length - 1), since chi_lam' = eps chi_lam.  The unreversed restriction
-at gamma is T . i_gamma_star(., gamma', k) . T; T is diagonal on class sums,
-so it keeps every codim, and gamma -> gamma' permutes the components.
+The restriction i*_gamma: Z(C G(l,1,n)) ->> Z(C G(kl,1,r)) sends e_lam to
+e_mu, mu = beta_flat_k_gamma(lam), for lam in the fibre of gamma (the
+labels with componentwise k-core gamma) and every other e_lam to 0.  On
+class sums it is one matrix per (l, n, k, gamma), built once: the
+coefficient of z_D in i*_gamma(z_C) is
+
+    (|C| / |W'|) sum_lam chi_lam(C) chi_mu(1) chi_mu(D^-1) / chi_lam(1),
+
+lam over the fibre and W' = G(kl,1,r).  It is summed on the raw int
+tuples of the tables in Z[x]/(x^(kl) - 1): chi_lam(C) lives in
+Z[x]/(x^l - 1), and zeta_l = zeta_kl^k embeds it by the index map
+t -> kt, where it is convolved with chi_mu(D^-1); with L the lcm of the
+fibre's chi_lam(1), each term is weighted by the int
+(L / chi_lam(1)) chi_mu(1), and each entry is reduced into Q(zeta_kl) once
+and scaled by |C| / (L |W'|).  ``i_gamma_star`` and ``verify_filtration``
+both read this matrix; the verdict needs only the support of each row and
+``codim``.
+
+The fibre is labelled through ``partitions.beta_flat_k_gamma``; the
+unreversed slot order gives no other verdict.  Let T be the sign twist
+e_lam -> e_lam' (conjugate every component), i.e. z_C -> eps(C) z_C with
+eps(C) = prod over cycles of (-1)^(length - 1), since chi_lam' = eps
+chi_lam.  The unreversed restriction at gamma is
+T . i_gamma_star(., gamma', k) . T; T is diagonal on class sums, so it
+keeps every codim, and gamma -> gamma' permutes the components.
 """
 
 from __future__ import annotations
@@ -37,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .arith import CyclotomicNumber, embed
 from .partitions import (
@@ -209,6 +228,7 @@ class WreathTable:
     classes: tuple[Multipartition, ...]
     sizes: tuple[int, ...]
     values: tuple[tuple[CyclotomicNumber, ...], ...]  # [label][class]
+    raw: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
     index: dict = field(compare=False, repr=False)
     inverse: tuple[int, ...] = field(compare=False, repr=False)
     dims: tuple[int, ...] = field(compare=False, repr=False)
@@ -229,14 +249,12 @@ def character_table(l: int, n: int) -> WreathTable:
     assert classes == labels  # one enumeration indexes rows and columns
     sizes = tuple(s for _, s in classes_sizes)
     cycles = [_cycles(c) for c in classes]
-    values = tuple(
-        tuple(CyclotomicNumber.from_powers(l, _char_rec(lam, cyc, l)) for cyc in cycles)
-        for lam in labels
-    )
+    raw = tuple(tuple(_char_rec(lam, cyc, l) for cyc in cycles) for lam in labels)
+    values = tuple(tuple(CyclotomicNumber.from_powers(l, v) for v in row) for row in raw)
     index = {lam: i for i, lam in enumerate(labels)}
     inverse = tuple(index[inverse_class(c)] for c in classes)
     dims = tuple(char_dimension(lam) for lam in labels)
-    return WreathTable(l, n, labels, classes, sizes, values, index, inverse, dims)
+    return WreathTable(l, n, labels, classes, sizes, values, raw, index, inverse, dims)
 
 
 @dataclass(frozen=True)
@@ -337,26 +355,55 @@ def i_gamma_star(z: CentralElement, gamma: Multipartition, k: int) -> CentralEle
 
     In the idempotent basis: e_lam maps to the idempotent labelled by the
     interleaved quotient beta_flat_k_gamma(lam) when the componentwise k-core
-    of lam is gamma, and to 0 otherwise.
+    of lam is gamma, and to 0 otherwise.  On class sums this is the sum of
+    coeff_C times the row of C in the restriction matrix.
     """
     l, n = z.l, z.n
     r = check_core_tuple(gamma, k, l, n)
     m = k * l
-    omega = to_omega(z)
-    out_omega = [CyclotomicNumber.zero(m)] * len(character_table(m, r).labels)
-    for row, row2 in _restriction_rows(l, n, k, gamma):
-        out_omega[row2] = embed(omega[row], m)
-    return from_omega(m, r, tuple(out_omega))
+    index = character_table(l, n).index
+    rows = _restriction_matrix(l, n, k, gamma)
+    out = {}
+    for ctype, coeff in z.coeffs:
+        c = embed(coeff, m)
+        for d, x in rows[index[ctype]]:
+            out[d] = out.get(d, CyclotomicNumber.zero(m)) + c * x
+    return CentralElement.from_dict(m, r, out)
 
 
 @lru_cache(maxsize=None)
-def _restriction_rows(l: int, n: int, k: int, gamma: Multipartition) -> tuple[tuple[int, int], ...]:
-    # (row of lam in G(l,1,n), row of its interleaved quotient in G(kl,1,r))
-    # for every lam in the fibre of gamma; gamma is already validated
-    r = (n - msize(gamma)) // k
-    t, t2 = character_table(l, n), character_table(k * l, r)
-    fibre = core_fibres(l, n, k)[gamma]
-    return tuple((t.index[lam], t2.index[beta_flat_k_gamma(lam, k, gamma)]) for lam in fibre)
+def _restriction_matrix(
+    l: int, n: int, k: int, gamma: Multipartition
+) -> tuple[tuple[tuple[Multipartition, CyclotomicNumber], ...], ...]:
+    # row C: the nonzero (D, coefficient of z_D in i*_gamma(z_C)), D sorted,
+    # for every class C of G(l,1,n) in table order; gamma is already validated
+    m, r = k * l, (n - msize(gamma)) // k
+    t, t2 = character_table(l, n), character_table(m, r)
+    pairs = [(t.index[lam], t2.index[beta_flat_k_gamma(lam, k, gamma)])
+             for lam in core_fibres(l, n, k)[gamma]]
+    L = lcm(*(t.dims[i] for i, _ in pairs))
+    # (L / chi_lam(1)) chi_mu(1) chi_mu(D^-1) for every class D, in Z[x]/(x^m - 1)
+    weighted = [
+        [[L // t.dims[i] * t2.dims[j] * c for c in t2.raw[j][inv]] for inv in t2.inverse]
+        for i, j in pairs
+    ]
+    rows = []
+    for ci, size in enumerate(t.sizes):
+        acc = [[0] * m for _ in t2.classes]
+        for (i, _), target in zip(pairs, weighted):
+            for s, a in enumerate(t.raw[i][ci]):
+                if not a:
+                    continue
+                # a zeta_l^s = a zeta_m^(ks): shift each target entry by ks
+                for vec, b in zip(acc, target):
+                    for u, c in enumerate(b, start=k * s):
+                        if c:
+                            vec[u % m] += a * c
+        scale = Fraction(size, L * t2.order)
+        row = ((d, CyclotomicNumber.from_powers(m, vec))
+               for d, vec in zip(t2.classes, acc) if any(vec))
+        rows.append(tuple(sorted((d, x * scale) for d, x in row if x)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -396,15 +443,13 @@ def verify_filtration(l: int, n: int, k: int, gamma: Multipartition) -> Filtrati
     supported on classes of G(kl,1,r) of codim at most codim(C).  Failures
     are reported with certificates, never raised.
     """
-    t = character_table(l, n)
+    r = check_core_tuple(gamma, k, l, n)
+    classes = character_table(l, n).classes
     certs = []
-    checked = 0
-    for ctype in t.classes:
-        checked += 1
+    for ctype, row in zip(classes, _restriction_matrix(l, n, k, gamma)):
         i = codim(ctype, n)
-        image = i_gamma_star(class_sum(l, n, ctype), gamma, k)
-        for d_ctype, coeff in image.coeffs:
-            dcod = codim(d_ctype, image.n)
+        for d_ctype, _ in row:
+            dcod = codim(d_ctype, r)
             if dcod > i:
                 certs.append((ctype, i, d_ctype, dcod))
-    return FiltrationReport(l, n, k, gamma, not certs, checked, tuple(certs))
+    return FiltrationReport(l, n, k, gamma, not certs, len(classes), tuple(certs))

@@ -6,10 +6,12 @@ permutation-module construction (fixed tabloids + orthogonalization against
 dominance), the order-8 wreath group by literal monomial matrices, and the
 component index set by direct search over bounded integer vectors.
 
-The one exception is ``restrict_unreversed``: it is the restriction of
-``wreath`` with the fibre labelled by the unreversed interleaving
-``beta_unreversed`` instead of ``partitions.beta_flat_k_gamma``, so the only
-thing the sign-twist identity test compares is the label map.
+The one exception is ``restrict_round_trip``: it is the restriction through
+the central characters of ``wreath`` (``to_omega`` -> embed -> ``from_omega``)
+with the fibre labelled by a given map, so with ``partitions.beta_flat_k_gamma``
+it is a second path to the restriction matrix of ``wreath``, and with the
+unreversed interleaving ``beta_unreversed`` the only thing the sign-twist
+identity test compares is the label map.
 """
 
 from __future__ import annotations
@@ -99,16 +101,16 @@ def beta_unreversed(lam, k):
     return tuple(mu)
 
 
-def restrict_unreversed(z, gamma, k):
+def restrict_round_trip(z, gamma, k, beta):
     """to_omega -> embed -> from_omega, sending the central character of each
-    lam with componentwise k-core gamma to the slot of beta_unreversed(lam)."""
+    lam with componentwise k-core gamma to the slot of beta(lam)."""
     l, n, m = z.l, z.n, k * z.l
     r = (n - sum(sum(c) for c in gamma)) // k
     labels, target = character_table(l, n).labels, character_table(m, r)
     out = [CyclotomicNumber.zero(m)] * len(target.labels)
     for lam, w in zip(labels, to_omega(z)):
         if tuple(core(c, k)[0] for c in lam) == gamma:
-            out[target.index[beta_unreversed(lam, k)]] = embed(w, m)
+            out[target.index[beta(lam)]] = embed(w, m)
     return from_omega(m, r, tuple(out))
 
 

@@ -49,7 +49,9 @@ from cmfix.wreath import (
 from oracles import brute_table_212
 
 DELTA_GRID = [(1, 2, 2), (1, 3, 2), (1, 4, 2), (1, 4, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]
-FILTRATION_GRID = [(1, 2, 2), (1, 3, 2), (1, 4, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)]
+# the last five have components of rank r >= 2, where a wrong label map can fail
+FILTRATION_GRID = [(1, 2, 2), (1, 3, 2), (1, 4, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2),
+                   (2, 4, 2), (2, 5, 2), (3, 4, 2), (1, 6, 3), (2, 6, 2)]
 TABLE_SIZES = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
 
 

@@ -76,6 +76,21 @@ def test_order_mismatch_rejected():
         embed(zeta(4), 6)
 
 
+def test_rational_values_of_different_orders_compare_by_value():
+    # equal values hash alike, so rational values of different orders are equal
+    # as they are to the int; a non-rational operand of another order still raises
+    assert zeta(4, 2) == zeta(2, 1) == CyclotomicNumber.from_rational(6, -1) == -1
+    assert hash(zeta(4, 2)) == hash(zeta(2, 1)) == hash(-1)
+    assert {zeta(4, 2), zeta(2, 1)} == {-1}
+    assert len({zeta(4, 2), zeta(2, 1), zeta(6, 3), -1, Fraction(-1)}) == 1
+    assert CyclotomicNumber.one(3) != CyclotomicNumber.from_rational(5, 2)
+    assert len({zeta(4), zeta(3), zeta(4, 2), zeta(2)}) == 3
+    with pytest.raises(ValueError):
+        zeta(4) == CyclotomicNumber.one(2)
+    with pytest.raises(ValueError):
+        CyclotomicNumber.one(2) == zeta(4)
+
+
 @given(a=cyclos(12), b=cyclos(12), c=cyclos(12))
 def test_field_axioms_order_12(a, b, c):
     assert (a + b) + c == a + (b + c)

@@ -39,6 +39,15 @@ GOLDEN = [
     pytest.param(["verify-filtration", "--l", "3", "--n", "2", "--k", "2"],
                  "87634ebba7e2d5c3c5be20f7d5c2e5fc5c2369f21003715876de3566ee80ea9e",
                  id="verify-filtration-l3-n2-k2"),
+    pytest.param(["verify-filtration", "--l", "2", "--n", "5", "--k", "2"],
+                 "517fe5cbc512abe4f2699ccd71c103eb0c6c35aaf2a7e8ef1cbe1b1a81d85c3d",
+                 id="verify-filtration-l2-n5-k2"),
+    pytest.param(["verify-filtration", "--l", "3", "--n", "3", "--k", "2"],
+                 "38d3306fb2e8414380913bc373ee4298ec99b5fe135bb0e3741267781c1a25d7",
+                 id="verify-filtration-l3-n3-k2"),
+    pytest.param(["verify-filtration", "--l", "2", "--n", "5", "--k", "3"],
+                 "27bafd405bca92c949acc1bfc763ade777864ef335301501d686ca301c2be2c7",
+                 id="verify-filtration-l2-n5-k3"),
     pytest.param(["chartable", "--l", "4", "--n", "3"],
                  "b80fce7e2e25fb4f163d3a809ff7204c3c46ea579e4d96a8732680eaa8c70fcd",
                  id="chartable-l4-n3"),

@@ -4,7 +4,7 @@ import pytest
 
 from cmfix.arith import CyclotomicNumber, cyclotomic_polynomial, zeta
 from cmfix.linalg import Mat
-from cmfix.partitions import enumerate_core_tuples, enumerate_multipartitions
+from cmfix.partitions import beta_flat_k_gamma, enumerate_core_tuples, enumerate_multipartitions
 from cmfix.wreath import (
     CentralElement,
     central_idempotent,
@@ -25,12 +25,13 @@ from cmfix.wreath import (
 )
 from cmfix.wreath import _char_rec, _cycles
 from oracles import (
+    beta_unreversed,
     brute_table_212,
     conjugate_multi,
     hyperoctahedral2_elements,
     matrix_class_type,
     monomial_class_rep,
-    restrict_unreversed,
+    restrict_round_trip,
     sign,
     sn_character_table,
 )
@@ -82,13 +83,14 @@ def test_codim_basics():
     assert codim(((), (3,)), 3) == 3
 
 
-@pytest.mark.parametrize("l,n", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("l,n", [(l, n) for l in (1, 2, 3) for n in (0, 1, 2, 3)])
 def test_codim_matches_matrix_rank(l, n):
+    # codim(C) = n - dim ker(M - I) for a monomial matrix M of class C
     one = CyclotomicNumber.one(l)
     for ctype, _ in enumerate_classes(l, n):
         w = monomial_class_rep(ctype, l)
-        fixed = n - (w - Mat.scalar(n, one)).rank()
-        assert codim(ctype, n) == n - fixed
+        fixed = len((w - Mat.scalar(n, one)).nullspace())
+        assert codim(ctype, n) == codim(ctype) == n - fixed
 
 
 # -- character values ----------------------------------------------------------
@@ -131,6 +133,17 @@ def test_order8_table_matches_monomial_matrices():
     elements = hyperoctahedral2_elements()
     for g in elements:
         assert refl[matrix_class_type(g, 2)] == g.trace()
+
+
+@pytest.mark.parametrize("l,n", [(3, 3), (4, 2)])
+def test_value_on_the_inverse_class_is_the_conjugate(l, n):
+    # chi(C^-1) = conj chi(C): the eigenvalues of an inverse are the inverse roots
+    t = character_table(l, n)
+    assert any(inverse_class(c) != c for c in t.classes)
+    for lam, row in zip(t.labels, t.values):
+        for ci, ctype in enumerate(t.classes):
+            assert t.value(lam, inverse_class(ctype)) == row[ci].conjugate()
+            assert row[t.inverse[ci]] == row[ci].conjugate()
 
 
 def test_dimensions():
@@ -274,6 +287,35 @@ def test_verify_filtration_whole_grid(l, n, k):
         assert rep.checked == len(enumerate_multipartitions(l, n))
 
 
+@pytest.mark.parametrize(
+    "l,n,k", [(2, 3, 2), (3, 2, 2), (2, 4, 2), (2, 4, 3), (3, 3, 2), (1, 4, 2), (1, 5, 3)]
+)
+def test_restriction_matrix_matches_the_round_trip(l, n, k):
+    # i_gamma_star reads one integer group-ring matrix per gamma; the oracle
+    # goes through the central characters class by class
+    classes = [c for c, _ in enumerate_classes(l, n)]
+    # an element with every class in its support, non-rational for l >= 3, to
+    # check how coefficients of Q(zeta_l) embed into Q(zeta_kl)
+    mixed = CentralElement.from_dict(l, n, {c: zeta(l, i) + i for i, c in enumerate(classes)})
+    for gamma in enumerate_core_tuples(k, l, n):
+        beta = lambda lam: beta_flat_k_gamma(lam, k, gamma)
+        certs = []
+        for ctype in classes:
+            z = class_sum(l, n, ctype)
+            image, want = i_gamma_star(z, gamma, k), restrict_round_trip(z, gamma, k, beta)
+            assert (image.l, image.n) == (want.l, want.n)
+            assert image.coeffs == want.coeffs
+            i = codim(ctype, n)
+            certs += [(ctype, i, d, codim(d, want.n)) for d in want.support()
+                      if codim(d, want.n) > i]
+        want = restrict_round_trip(mixed, gamma, k, beta)
+        assert i_gamma_star(mixed, gamma, k).coeffs == want.coeffs
+        rep = verify_filtration(l, n, k, gamma)
+        assert rep.certificates == tuple(certs)
+        assert rep.passed == (not certs)
+        assert rep.checked == len(enumerate_multipartitions(l, n))
+
+
 def test_verify_filtration_top_degree_trivial():
     # degree-n elements can map anywhere: check the top class never violates
     rep = verify_filtration(2, 2, 2, ((), ()))
@@ -328,7 +370,8 @@ def test_unreversed_restriction_is_the_sign_twist_conjugate(l, n, k):
     for gamma in gammas:
         for ctype, _ in enumerate_classes(l, n):
             z = class_sum(l, n, ctype)
-            unreversed = restrict_unreversed(z, gamma, k).as_dict()
+            unreversed = restrict_round_trip(
+                z, gamma, k, lambda lam: beta_unreversed(lam, k)).as_dict()
             image = i_gamma_star(z, conjugate_multi(gamma), k).as_dict()
             assert unreversed.keys() == image.keys()
             for d, coeff in image.items():
