@@ -22,7 +22,6 @@ from . import __version__
 from .arith import format_rational, parse_rational
 from .parameters import (
     ParamSet,
-    cyclic_cm_polynomial,
     smooth_cyclic,
     smooth_g4,
     smooth_gl1n,
@@ -101,7 +100,7 @@ def cmd_components(args) -> int:
     p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
     cat = component_catalog(args.l, args.n, args.k, p)
     if args.format == "json":
-        _emit([c.to_json(args.convention) for c in cat])
+        _emit([c.to_json() for c in cat])
         return 0
     # csv flattening
     buf = io.StringIO()
@@ -195,111 +194,25 @@ def cmd_selftest(args) -> int:
 
 
 def run_selftest(seed: int = DEFAULT_SEED, out=None) -> bool:
-    """Fast end-to-end invariant sweep; prints one line per check."""
+    """Fast end-to-end sweep of ``invariants.CHECKS``; prints one line per check."""
+    # imported here: no other subcommand pays for compiling the registry
+    from .invariants import CHECKS, first_failure
+
     out = out or sys.stdout
     rng = random.Random(seed)
-    checks: list[tuple[str, bool]] = []
-
-    def add(name: str, good: bool):
-        checks.append((name, good))
-        out.write(f"{'ok' if good else 'FAIL'} - {name}\n")
-
-    from .partitions import (
-        enumerate_core_tuples, enumerate_multipartitions, from_core_and_quotient,
-        msize, partitions_of,
-    )
-    from .fixed_points import delta_inverse, delta_map
-    from .affine_weyl import pairing, reflect_dim, reflect_theta
-    from .parameters import g4_component_cyclic_params, g4_surface_roots, transport_via_theta
-    from .quiver import block_immersion, random_rep
-    from .wreath import enumerate_classes, group_order
-
-    add("3-residues of (4,2,1) are (3,2,2)", residues((4, 2, 1), 3) == (3, 2, 2))
-    nu, r = core((4, 2, 1), 3)
-    add("3-core of (4,2,1) is (1) after 2 removals", nu == (1,) and r == 2)
-    add("core/quotient round trip |lam|<=10",
-        all(from_core_and_quotient(core(lam, l)[0], quotient(lam, l), l) == lam
-            for n in range(11) for lam in partitions_of(n)
-            for l in (2, 3)))
-
-    good = True
-    for (l, n, k) in [(1, 3, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)]:
-        E = enumerate_E(k, l, n)
-        G = enumerate_core_tuples(k, l, n)
-        good &= len(E) == len(G)
-        good &= all(delta_map(d, l) == g and delta_inverse(g, k, l, n) == d
-                    for d, g in zip(E, G))
-        good &= sum(len(enumerate_multipartitions(k * l, (n - msize(g)) // k)) for g in G) \
-            == len(enumerate_multipartitions(l, n))
-    add("component bijection and counting law", good)
-
-    good = True
-    for l in (2, 3, 4, 5):
-        for _ in range(200):
-            d = tuple(rng.randint(-4, 4) for _ in range(l))
-            th = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(l))
-            j = rng.randrange(l)
-            good &= pairing(reflect_dim(j, d), reflect_theta(j, th)) \
-                == pairing(d, th) - (th[0] if j == 0 else 0)
-    add("reflection pairing identity", good)
-
-    good = True
-    for (l, n) in ((2, 2), (2, 3), (3, 2)):
-        for _ in range(200):
-            ks = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(l - 1)]
-            ks.append(-sum(ks, Fraction(0)))
-            p = ParamSet(l, Fraction(rng.randint(-6, 6), rng.randint(1, 5)), tuple(ks))
-            good &= smooth_quiver(theta_from_ak(p), n) == smooth_gl1n(p, n)
-    add("smoothness criteria agree through the dictionary", good)
-
-    good = True
-    for (l, k) in ((1, 2), (2, 2), (3, 2), (2, 3)):
-        n = 2
-        ks = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(l - 1)]
-        ks.append(-sum(ks, Fraction(0)))
-        p = ParamSet(l, Fraction(rng.randint(1, 6), rng.randint(1, 5)), tuple(ks))
-        for d in enumerate_E(k, l, n):
-            t1, t2 = transport(p, k, d), transport_via_theta(p, k, d)
-            good &= t1 == t2 and sum(t1.k) == 0 and t1.a == k * p.a
-    add("transport routes agree", good)
-
-    good = all(sum(s for _, s in enumerate_classes(l, n)) == group_order(l, n)
-               for (l, n) in ((2, 2), (2, 3), (3, 2)))
-    add("class sizes sum to the group order", good)
-
-    good = all(verify_filtration(l, n, k, g).passed
-               for (l, n, k) in ((1, 2, 2), (2, 2, 2))
-               for g in enumerate_core_tuples(k, l, n))
-    add("filtration respected on the small grid", good)
-
-    good = True
-    for _ in range(100):
-        m = rng.choice((2, 3, 4, 6))
-        l = rng.choice([x for x in (1, 2, 3) if m % x == 0])
-        d = tuple(rng.randint(0, 2) for _ in range(m))
-        rep = random_rep(d, rng)
-        mm = moment_map(rep)
-        good &= sum((x.trace() for x in mm), Fraction(0)) == 0
-        big = block_immersion(rep, l)
-        mb = moment_map(big)
-        good &= all(mb[i].trace() == sum((mm[j].trace() for j in range(i, m, l)), Fraction(0))
-                    for i in range(l))
-    add("moment map traces and block collapse", good)
-
-    good = True
-    for _ in range(20):
-        k0 = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        k1 = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        k2 = -k0 - k1
-        good &= cyclic_cm_polynomial(g4_component_cyclic_params(4, k0, k1, k2)).root_multiset() \
-            == g4_surface_roots(4, k0, k1, k2)
-        good &= cyclic_cm_polynomial(g4_component_cyclic_params(6, k0, k1, k2)).root_multiset() \
-            == g4_surface_roots(6, k0, k1, k2)
-    add("exceptional-group surfaces match cyclic surfaces", good)
-
-    passed = sum(1 for _, g in checks if g)
-    out.write(f"{passed}/{len(checks)} checks passed\n")
-    return passed == len(checks)
+    passed = 0
+    for name, instances, predicate in CHECKS:
+        draws = iter(instances(rng))
+        witness = first_failure(draws, predicate)
+        # finish a failed check's draws: later checks see the rng of a passing run
+        first_failure(draws, lambda *_: True)
+        if witness is None:
+            passed += 1
+            out.write(f"ok - {name}\n")
+        else:
+            out.write(f"FAIL - {name}: {witness}\n")
+    out.write(f"{passed}/{len(CHECKS)} checks passed\n")
+    return passed == len(CHECKS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -346,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--kparams", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--convention", choices=("gordon", "quiver"), default="gordon")
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("chartable", help="exact character table of G(l,1,n)")

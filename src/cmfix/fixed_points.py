@@ -7,10 +7,10 @@ E(k,l,n)), or equivalently by l-tuples gamma of k-cores with |gamma| <= n and
 bijection; each component carries the reflection group G(kl,1,r) with
 r = (n-|gamma|)/k, transported parameters, and fixed-point labels.
 
-Fixed points are labelled by l-multipartitions of n in two conventions that
-differ by reversing the component order ("gordon", the default, and
-"quiver"); the label sets attached to a component are the multipartitions
-whose componentwise k-core is gamma.
+Fixed points are labelled by l-multipartitions of n in the gordon
+convention: the label set attached to a component is the set of
+multipartitions whose componentwise k-core is gamma.  (The quiver convention
+reverses the component order of every label; ``partitions.flip`` converts.)
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .partitions import (
     core_multi,
     enumerate_core_tuples,
     enumerate_multipartitions,
-    flip,
     from_core_and_quotient,
     msize,
     residue_to_core,
@@ -87,9 +86,8 @@ def delta_inverse(gamma: Multipartition, k: int, l: int, n: int) -> tuple[int, .
 class ComponentDescriptor:
     """One irreducible component of the mu_(kl)-fixed locus.
 
-    labels are in the gordon convention; the quiver convention reverses the
-    component order of every label (and of gamma itself).  label_injection
-    maps the kl-multipartitions of r onto the label set.
+    gamma, labels and label_injection are all in the gordon convention;
+    label_injection maps the kl-multipartitions of r onto the label set.
     """
 
     l: int
@@ -103,21 +101,14 @@ class ComponentDescriptor:
     labels: tuple[Multipartition, ...]
     label_injection: dict
 
-    def labels_in(self, convention: str) -> tuple[Multipartition, ...]:
-        if convention == "gordon":
-            return self.labels
-        if convention == "quiver":
-            return tuple(flip(lab) for lab in self.labels)
-        raise ValueError(f"unknown convention {convention!r}")
-
-    def to_json(self, convention: str = "gordon") -> dict:
+    def to_json(self) -> dict:
         return {
             "gamma": [list(c) for c in self.gamma],
             "r": self.r,
             "m": self.m,
             "d": {"modulus": self.m, "entries": list(self.d)},
             "c_prime": self.c_prime.to_json(),
-            "labels": [[list(c) for c in lab] for lab in self.labels_in(convention)],
+            "labels": [[list(c) for c in lab] for lab in self.labels],
             "label_injection": [
                 {
                     "mu": [list(c) for c in mu],
@@ -125,7 +116,7 @@ class ComponentDescriptor:
                 }
                 for mu, lam in sorted(self.label_injection.items())
             ],
-            "convention": convention,
+            "convention": "gordon",
         }
 
 

@@ -18,7 +18,10 @@ multiplication-friendly basis); conversion goes through the central
 characters w_chi(z_C) = |C| chi(C) / chi(1).  Each table carries, computed
 once: ``raw`` (the int tuples of the recursion, before reduction), ``index``
 (a multipartition's row as a label, which is also its column as a class),
-``inverse`` (each column's inverse class) and ``dims`` (chi(1)).
+``inverse`` (each column's inverse class) and ``dims`` (chi(1)).  The
+reduced ``values`` are built from ``raw`` on first read, since the
+restriction matrix never reads them; they are a function of (l, n), so they
+take no part in table equality.
 
 ``codim`` of a class is the codimension of the fixed space of any of its
 elements: a cycle contributes a fixed line exactly when its cycle product
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 
 from .arith import CyclotomicNumber, embed
@@ -227,7 +230,6 @@ class WreathTable:
     labels: tuple[Multipartition, ...]
     classes: tuple[Multipartition, ...]
     sizes: tuple[int, ...]
-    values: tuple[tuple[CyclotomicNumber, ...], ...]  # [label][class]
     raw: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
     index: dict = field(compare=False, repr=False)
     inverse: tuple[int, ...] = field(compare=False, repr=False)
@@ -236,6 +238,12 @@ class WreathTable:
     @property
     def order(self) -> int:
         return group_order(self.l, self.n)
+
+    @cached_property
+    def values(self) -> tuple[tuple[CyclotomicNumber, ...], ...]:
+        """values[label][class]: each entry of ``raw`` reduced into Q(zeta_l)."""
+        return tuple(tuple(CyclotomicNumber.from_powers(self.l, v) for v in row)
+                     for row in self.raw)
 
     def value(self, lam: Multipartition, ctype: Multipartition) -> CyclotomicNumber:
         return self.values[self.index[lam]][self.index[ctype]]
@@ -250,11 +258,10 @@ def character_table(l: int, n: int) -> WreathTable:
     sizes = tuple(s for _, s in classes_sizes)
     cycles = [_cycles(c) for c in classes]
     raw = tuple(tuple(_char_rec(lam, cyc, l) for cyc in cycles) for lam in labels)
-    values = tuple(tuple(CyclotomicNumber.from_powers(l, v) for v in row) for row in raw)
     index = {lam: i for i, lam in enumerate(labels)}
     inverse = tuple(index[inverse_class(c)] for c in classes)
     dims = tuple(char_dimension(lam) for lam in labels)
-    return WreathTable(l, n, labels, classes, sizes, values, raw, index, inverse, dims)
+    return WreathTable(l, n, labels, classes, sizes, raw, index, inverse, dims)
 
 
 @dataclass(frozen=True)

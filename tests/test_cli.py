@@ -62,17 +62,16 @@ def test_components_json_and_csv():
     assert len(lines) == 3
 
 
-def test_components_convention_flag():
-    args = ["components", "--l", "2", "--n", "2", "--k", "2",
+def test_components_convention_flag(capsys):
+    # descriptors come in the gordon convention only, and say so
+    args = ["components", "--l", "2", "--n", "3", "--k", "2",
             "--a", "1/97", "--kparams=1,-1"]
-    _, out_g = run(args + ["--convention", "gordon"])
-    _, out_q = run(args + ["--convention", "quiver"])
-    gg = json.loads(out_g)
-    qq = json.loads(out_q)
-    for cg, cq in zip(gg, qq):
-        assert sorted(cq["labels"]) == sorted(
-            [list(reversed(lab)) for lab in cg["labels"]]
-        )
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--convention", "quiver"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, out = run(args)
+    assert code == 0 and all(c["convention"] == "gordon" for c in json.loads(out))
 
 
 def test_chartable():

@@ -157,15 +157,6 @@ def test_transported_parameters_stay_smooth(l, n, k):
                 assert smooth_gl1n(c.c_prime, c.r)
 
 
-def test_labels_conventions_differ_by_flip():
-    p = generic_params(2)
-    cat = component_catalog(2, 2, 2, p)
-    for c in cat:
-        q = c.labels_in("quiver")
-        g = c.labels_in("gordon")
-        assert sorted(q) == sorted(tuple(reversed(lam)) for lam in g)
-
-
 def test_nesting_trivial_cases():
     # k1 = k2: nesting is equality
     rep = nesting_check(2, 2, 2, 3)

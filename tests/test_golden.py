@@ -60,6 +60,12 @@ GOLDEN = [
     pytest.param(["selftest", "--seed", "0"],
                  "64d93b749fcb5dda1879f2cd9a9d7f6cc9e679b5fd9a4f074f54cad286841f4b",
                  id="selftest"),
+    pytest.param(["selftest"],
+                 "64d93b749fcb5dda1879f2cd9a9d7f6cc9e679b5fd9a4f074f54cad286841f4b",
+                 id="selftest-default-seed"),
+    pytest.param(["selftest", "--seed", "7"],
+                 "64d93b749fcb5dda1879f2cd9a9d7f6cc9e679b5fd9a4f074f54cad286841f4b",
+                 id="selftest-seed-7"),
 ]
 
 # a seeded random representation of dimension (2, 1, 1), checked at seed 11
