@@ -6,16 +6,22 @@ exact scalars supporting +, -, *, /, == 0: int, Fraction, CyclotomicNumber.
 
 All elimination goes through one routine, ``insert_row``: it reduces a new
 row against rows already in reduced echelon form and inserts it when it is
-independent.  ``rref`` inserts the rows one by one and sorts them by pivot;
-``rank`` is the pivot count; ``nullspace`` and ``inverse`` read the rref;
-``quiver`` spins subrepresentations with the same routine.
+independent.  It does not divide: it reduces by cross-multiplication and
+keeps each stored row in ``normal_form``, which for a rational row is a
+primitive integer vector (Fraction-free elimination, as in Bareiss 1968),
+so rational elimination runs on plain ints.  ``rank`` is the pivot count
+and divides nothing; ``rref`` inserts the rows one by one, sorts them by
+pivot and divides each row by its pivot entry once, at the end (``monic``);
+``nullspace`` and ``inverse`` read the rref.  ``quiver`` spins
+subrepresentations with the same routine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-__all__ = ["Mat", "insert_row"]
+__all__ = ["Mat", "insert_row", "normal_form", "monic"]
 
 
 class Mat:
@@ -127,15 +133,18 @@ class Mat:
     # -- exact elimination ----------------------------------------------------
 
     def rank(self) -> int:
-        """Number of pivots of the reduced row echelon form."""
+        """Number of pivots of the reduced row echelon form; nothing is divided."""
         return len(_echelon(self.data)[1])
 
     def rref(self) -> tuple["Mat", list[int]]:
-        """Reduced row echelon form and the pivot column list."""
+        """Reduced row echelon form and the pivot column list.
+
+        The only place a rational row is divided by its pivot entry.
+        """
         rows, pivots = _echelon(self.data)
         order = sorted(range(len(rows)), key=pivots.__getitem__)
         zero = (Fraction(0),) * self.cols
-        data = [rows[i] for i in order] + [zero] * (self.rows - len(rows))
+        data = [monic(rows[i]) for i in order] + [zero] * (self.rows - len(rows))
         return Mat(self.rows, self.cols, data), [pivots[i] for i in order]
 
     def nullspace(self) -> list[tuple]:
@@ -155,7 +164,7 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        aug = [[_as_field(x) for x in r] + [1 if i == j else 0 for j in range(n)]
+        aug = [list(r) + [1 if i == j else 0 for j in range(n)]
                for i, r in enumerate(self.data)]
         big = Mat(n, 2 * n, aug)
         red, piv = big.rref()
@@ -164,35 +173,69 @@ class Mat:
         return Mat(n, n, [row[n:] for row in red.data])
 
 
-def _as_field(x):
-    # ints become Fractions so that rref division stays exact
-    return Fraction(x) if isinstance(x, int) else x
-
-
 def insert_row(rows: list[tuple], pivots: list[int], vec) -> bool:
     """Add vec to the reduced echelon basis (rows, pivots) if independent.
 
-    Each row has a 1 in its own pivot column and a 0 in every other row's;
-    rows stay in insertion order.  ints become Fractions so that division
-    stays exact.  Returns False, changing nothing, when vec is in the span.
+    Rows stay in insertion order and fully reduced: each row is 0 in every
+    other row's pivot column, and its own pivot is its first nonzero entry.
+    Nothing is divided: vec is reduced by cross-multiplication,
+    v <- a*v - f*row with a the row's pivot entry, and every row it stores
+    or changes is put in ``normal_form``, so the pivot entry of a rational
+    row is a positive int, not 1.  Returns False, changing nothing, when vec
+    is in the span.
     """
-    v = [_as_field(x) for x in vec]
+    v = normal_form(vec)
     for row, p in zip(rows, pivots):
         f = v[p]
         if f != 0:
-            v = [a - f * b for a, b in zip(v, row)]
+            a = row[p]
+            v = [a * x - f * y for x, y in zip(v, row)]
     piv = next((c for c, x in enumerate(v) if x != 0), None)
     if piv is None:
         return False
+    v = normal_form(v)
     pv = v[piv]
-    v = tuple(x / pv for x in v)
     for idx, row in enumerate(rows):
         f = row[piv]
         if f != 0:
-            rows[idx] = tuple(a - f * b for a, b in zip(row, v))
+            rows[idx] = normal_form([pv * a - f * b for a, b in zip(row, v)])
     rows.append(v)
     pivots.append(piv)
     return True
+
+
+def normal_form(vec) -> tuple:
+    """vec rescaled to a canonical nonzero multiple; the zero vector as is.
+
+    A rational vector (int and Fraction entries) becomes the primitive
+    integer vector on its line whose first nonzero entry is positive:
+    denominators cleared, content divided out.  Any other vector (a
+    CyclotomicNumber entry) is divided by its first nonzero entry.
+    """
+    if all(type(x) is int for x in vec):
+        v = vec
+    elif all(isinstance(x, (int, Fraction)) for x in vec):
+        den = lcm(*[x.denominator for x in vec])
+        v = [x.numerator * (den // x.denominator) for x in vec]
+    else:
+        # ints become Fractions, so that an int lead divides exactly
+        v = [Fraction(x) if isinstance(x, int) else x for x in vec]
+        lead = next((x for x in v if x != 0), None)
+        return tuple(v) if lead is None else tuple(x / lead for x in v)
+    g = gcd(*v)
+    if g == 0:
+        return tuple(v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
+
+
+def monic(row) -> tuple:
+    """A nonzero row in ``normal_form`` divided by its first nonzero entry."""
+    lead = next(x for x in row if x != 0)
+    if isinstance(lead, int):
+        return tuple(Fraction(x, lead) for x in row)
+    return row  # a non-rational normal form already leads with 1
 
 
 def _echelon(data) -> tuple[list[tuple], list[int]]:

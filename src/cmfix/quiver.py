@@ -12,8 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 
-from .linalg import Mat, insert_row
+from .linalg import Mat, insert_row, monic, normal_form
 
 __all__ = [
     "QuiverRep",
@@ -222,22 +223,29 @@ class SimplicityResult:
 def _spin(rep: QuiverRep, seeds) -> list[list[tuple]]:
     """Smallest subrepresentation containing the seed vectors.
 
-    seeds: iterable of (vertex, vector).  Returns per-vertex rref bases.
+    seeds: iterable of (vertex, vector).  Returns per-vertex bases: the rows
+    of the reduced echelon form with pivot entry 1, in insertion order.
     A vertex whose basis is full rejects every vector, so nothing is pushed
     there, an arrow is applied only when its image is about to be inserted,
     and the spin ends once the bases span the whole space.
+
+    The work list holds vectors in ``normal_form``: with integer arrows (as
+    ``norton_simplicity`` passes them) every vector is a primitive int
+    vector, and the bases are divided by their pivots only when the spin is
+    not the whole space, since a full vertex's rows are unit vectors already.
     """
     l, d = rep.l, rep.d
     bases: list[list[tuple]] = [[] for _ in range(l)]
     pivots: list[list[int]] = [[] for _ in range(l)]
     room = sum(d)
-    work = [(i, None, tuple(v)) for i, v in seeds]  # (vertex, arrow to apply or None, vector)
+    # (vertex, arrow to apply or None, vector)
+    work = [(i, None, normal_form(v)) for i, v in seeds]
     while work and room:
         i, arrow, v = work.pop()
         if len(bases[i]) == d[i]:
             continue
         if arrow is not None:
-            v = arrow.apply(v)
+            v = normal_form(arrow.apply(v))
         if not insert_row(bases[i], pivots[i], v):
             continue
         room -= 1
@@ -247,7 +255,13 @@ def _spin(rep: QuiverRep, seeds) -> list[list[tuple]]:
             work.append((j, rep.Y[i], v))
         if len(bases[h]) < d[h]:
             work.append((h, rep.X[h], v))
+    if room:
+        bases = [[monic(row) for row in b] for b in bases]
     return bases
+
+
+def _map_arrows(rep: QuiverRep, f) -> QuiverRep:
+    return QuiverRep(rep.d, tuple(map(f, rep.X)), tuple(map(f, rep.Y)))
 
 
 def _dual(rep: QuiverRep) -> QuiverRep:
@@ -268,23 +282,53 @@ def _total_matrix(rep: QuiverRep, word: list[tuple[str, int]], n: int, offs) -> 
     return out
 
 
+def _cleared(m: Mat) -> tuple[int, Mat]:
+    """(D, D*m) for a rational matrix m, D the lcm of its entries' denominators."""
+    den = lcm(*(x.denominator for row in m.data for x in row))
+    return den, Mat(m.rows, m.cols,
+                    [[x.numerator * (den // x.denominator) for x in row] for row in m.data])
+
+
 def _charpoly(a: Mat) -> list[Fraction]:
-    """Monic characteristic polynomial, coefficients by descending power."""
+    """Monic characteristic polynomial of a rational matrix, by descending power.
+
+    Faddeev-LeVerrier on the integer matrix D*a: there every M_k is an
+    integer matrix and c_k = -tr(M_k)/k an integer, so the recursion runs on
+    ints and divides exactly; then c_k(a) = c_k(D*a) / D**k.
+    """
     n = a.rows
-    coeffs = [Fraction(1)]
+    den, b = _cleared(a)
+    coeffs = [1]
     m = Mat.zeros(n, n)
     for k in range(1, n + 1):
-        m = a * (m + Mat.scalar(n, coeffs[-1]))
-        coeffs.append(Fraction(-m.trace(), k))
-    return coeffs
+        m = b * (m + Mat.scalar(n, coeffs[-1]))
+        c, r = divmod(-m.trace(), k)
+        assert r == 0, "Faddeev-LeVerrier divides exactly on an integer matrix"
+        coeffs.append(c)
+    return [Fraction(c, den ** k) for k, c in enumerate(coeffs)]
+
+
+def _divisors(x: int, cap: int) -> list[int]:
+    """The pairs (d, x // d) of divisors d <= sqrt(x), smallest d first.
+
+    A perfect square lists its root twice.  The search stops at d = cap**2
+    or once cap entries are listed: a missed candidate can only leave a
+    verdict Unknown.
+    """
+    out = []
+    for d in range(1, min(isqrt(x), cap * cap) + 1):
+        if x % d == 0:
+            out.append(d)
+            out.append(x // d)
+            if len(out) >= cap:
+                break
+    return out
 
 
 def _rational_eigenvalues(z: Mat, cap: int = 400) -> list[Fraction]:
     """All rational eigenvalues of z, by rational root search on the charpoly."""
     coeffs = _charpoly(z)
     # clear denominators: integer polynomial, leading lead > 0
-    from math import gcd, lcm
-
     denom = 1
     for c in coeffs:
         denom = lcm(denom, Fraction(c).denominator)
@@ -296,18 +340,7 @@ def _rational_eigenvalues(z: Mat, cap: int = 400) -> list[Fraction]:
         ints.pop()
     const, lead = abs(ints[-1]), abs(ints[0])
     if const:
-        def divisors(x):
-            out = []
-            d = 1
-            # bounded at cap**2: a missed candidate can only leave a verdict Unknown
-            while d * d <= x and d <= cap * cap and len(out) < cap:
-                if x % d == 0:
-                    out.append(d)
-                    out.append(x // d)
-                d += 1
-            return out
-
-        ps, qs = divisors(const), divisors(lead)
+        ps, qs = _divisors(const, cap), _divisors(lead, cap)
         if len(ps) * len(qs) <= cap:
             cands = {Fraction(s * p, q) for p in ps for q in qs for s in (1, -1)}
         else:
@@ -327,7 +360,16 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     one-dimensional kernel of z - t, the kernel vector must generate
     everything, and so must the kernel vector of the transpose acting on the
     dual representation.
+
+    The entries must be rational (int or Fraction); a CyclotomicNumber entry
+    raises ValueError.  All exact arithmetic runs on ints where the entries
+    allow: the spins see each arrow times the lcm of its denominators, which
+    leaves every subrepresentation as it is, and z is built from the arrows
+    with integral entries read as ints.
     """
+    arrows = rep.X + rep.Y
+    if not all(isinstance(x, (int, Fraction)) for m in arrows for row in m.data for x in row):
+        raise ValueError("norton_simplicity needs rational matrix entries")
     rng = random.Random(seed)
     l = rep.l
     n = sum(rep.d)
@@ -336,7 +378,12 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     if n == 1:
         return SimplicityResult("Simple", trials=0)
     offs = [sum(rep.d[:i]) for i in range(l)]
-    dual = _dual(rep)
+    primal = _map_arrows(rep, lambda m: _cleared(m)[1])
+    dual = _dual(primal)
+    # z sees each arrow's own values, since a word's value would change with
+    # the arrows' scales; integral entries are read as ints
+    zrep = _map_arrows(rep, lambda m: Mat(m.rows, m.cols, [
+        [x.numerator if x.denominator == 1 else x for x in row] for row in m.data]))
 
     def proper(bases) -> bool:
         tot = sum(len(b) for b in bases)
@@ -357,7 +404,7 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
         return [(i, c) for i, c in comps if any(x != 0 for x in c)]
 
     # deterministic probes: coordinate vectors at every vertex, both sides
-    for side, module in (("primal", rep), ("dual", dual)):
+    for side, module in (("primal", primal), ("dual", dual)):
         for i in range(l):
             for c in range(rep.d[i]):
                 vec = tuple(1 if t == c else 0 for t in range(rep.d[i]))
@@ -379,12 +426,12 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
             for _ in range(rng.randint(1, 3)):
                 word.extend(rng.choice(gens))
             coeff = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
-            z = z + _total_matrix(rep, word, n, offs).scale(Fraction(coeff))
+            z = z + _total_matrix(zrep, word, n, offs).scale(coeff)
         for t in _rational_eigenvalues(z):
             zz = z - Mat.scalar(n, t)
             ker = zz.nullspace()
             for v in ker:
-                bases = _spin(rep, graded(v))
+                bases = _spin(primal, graded(v))
                 if proper(bases):
                     return SimplicityResult(
                         "NotSimple", witness=tuple(map(tuple, bases)), trials=trials

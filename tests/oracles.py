@@ -12,6 +12,11 @@ with the fibre labelled by a given map, so with ``partitions.beta_flat_k_gamma``
 it is a second path to the restriction matrix of ``wreath``, and with the
 unreversed interleaving ``beta_unreversed`` the only thing the sign-twist
 identity test compares is the label map.
+
+Two more are earlier versions of a library routine, kept as the reference
+for a rewrite that must return the same values: ``divisors_loop`` (the
+bounded trial division of ``quiver._divisors``) and ``charpoly_fractions``
+(Faddeev-LeVerrier over Fraction, which ``quiver._charpoly`` runs on ints).
 """
 
 from __future__ import annotations
@@ -378,3 +383,31 @@ def spin_closure(rep, seeds) -> list[list[tuple]]:
         if [len(s) for s in new] == [len(s) for s in span]:
             return span
         span = new
+
+
+# ---------------------------------------------------------------------------
+# earlier versions of the Norton test's eigenvalue search
+# ---------------------------------------------------------------------------
+
+
+def divisors_loop(x: int, cap: int) -> list[int]:
+    """Divisor pairs (d, x // d) for d up to sqrt(x), stopped at cap**2 or cap entries."""
+    out = []
+    d = 1
+    while d * d <= x and d <= cap * cap and len(out) < cap:
+        if x % d == 0:
+            out.append(d)
+            out.append(x // d)
+        d += 1
+    return out
+
+
+def charpoly_fractions(a: Mat) -> list[Fraction]:
+    """Monic characteristic polynomial by Faddeev-LeVerrier over Fraction."""
+    n = a.rows
+    coeffs = [Fraction(1)]
+    m = Mat.zeros(n, n)
+    for k in range(1, n + 1):
+        m = a * (m + Mat.scalar(n, coeffs[-1]))
+        coeffs.append(Fraction(-m.trace(), k))
+    return coeffs

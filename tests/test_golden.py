@@ -12,10 +12,13 @@ import json
 import random
 from contextlib import redirect_stdout
 
+from fractions import Fraction
+
 import pytest
 
 from cmfix.cli import main
-from cmfix.quiver import random_rep
+from cmfix.linalg import Mat
+from cmfix.quiver import QuiverRep, _spin, norton_simplicity, random_rep, scale_action
 
 GOLDEN = [
     pytest.param(["chartable", "--l", "3", "--n", "3"],
@@ -93,3 +96,58 @@ def test_golden_quiver_check(tmp_path, monkeypatch):
     f.write_text(json.dumps(random_rep((2, 1, 1), random.Random(7)).to_json()))
     argv = ["quiver-check", "--rep", str(f), "--seed", "11", "--theta", "1,-1,0"]
     assert digest(argv) == QUIVER_DIGEST
+
+
+# verdicts, trials, witnesses and spin bases of the family below, and its
+# (Simple, NotSimple, Unknown) counts
+NORTON_FAMILY_DIGEST = "3f69e1372cd981fcd4dfe161e8ef52e99819adede46f863974121d310c2fc77e"
+NORTON_COUNTS = (43, 96, 11)
+
+
+def norton_family():
+    """150 seeded representations with l <= 4 and d_i <= 3.
+
+    By i mod 5: left as drawn, some zero arrows, an all-zero X, every arrow
+    scaled by a fraction, or a fractional scale_action.
+    """
+    rng = random.Random(8)
+    for i in range(150):
+        l = rng.randint(1, 4)
+        d = tuple(rng.randint(0, 3) for _ in range(l))
+        rep = random_rep(d, rng, -2, 2)
+        X, Y = list(rep.X), list(rep.Y)
+        kind = i % 5
+        if kind == 1:
+            X = [Mat.zeros(m.rows, m.cols) if rng.random() < 0.3 else m for m in X]
+            Y = [Mat.zeros(m.rows, m.cols) if rng.random() < 0.3 else m for m in Y]
+        elif kind == 2:
+            X = [Mat.zeros(m.rows, m.cols) for m in X]
+        elif kind == 3:
+            X = [m.scale(Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 6))) for m in X]
+            Y = [m.scale(Fraction(rng.randint(1, 5), rng.randint(1, 7))) for m in Y]
+        rep = QuiverRep(d, tuple(X), tuple(Y))
+        if kind == 4:
+            rep = scale_action(Fraction(rng.randint(1, 5), rng.randint(2, 7)), rep)
+        seeds = [(v, tuple(rng.randint(-2, 2) for _ in range(d[v]))) for v in range(l) if d[v]]
+        yield i, rep, seeds
+
+
+def _canon(obj):
+    # every scalar read as a Fraction: int versus Fraction is free, values are not
+    if isinstance(obj, (tuple, list)):
+        return tuple(_canon(x) for x in obj)
+    if obj is None or isinstance(obj, str):
+        return obj
+    return str(Fraction(obj))
+
+
+def test_golden_norton_family():
+    counts = {"Simple": 0, "NotSimple": 0, "Unknown": 0}
+    h = hashlib.sha256()
+    for i, rep, seeds in norton_family():
+        res = norton_simplicity(rep, seed=i, budget=16)
+        counts[res.status] += 1
+        bases = [_spin(rep, [s]) for s in seeds]
+        h.update(repr(_canon((res.status, str(res.trials), res.witness, bases))).encode())
+    assert (counts["Simple"], counts["NotSimple"], counts["Unknown"]) == NORTON_COUNTS
+    assert h.hexdigest() == NORTON_FAMILY_DIGEST

@@ -5,34 +5,63 @@ import pytest
 
 from cmfix.arith import zeta
 from cmfix.linalg import Mat
+from oracles import rref_rows
 
 
-def random_mats(cyclotomic: bool, count: int = 60, seed: int = 3):
+def int_entry(rng):
+    return rng.choice((0, 0, 1, -1, 2, -3))
+
+
+def cyclotomic_entry(rng):
+    v = int_entry(rng)
+    return v * zeta(3, rng.randint(0, 2)) if v else v
+
+
+def rational_entry(rng):
+    return Fraction(int_entry(rng), rng.randint(1, 7))
+
+
+def random_mats(entry, count: int = 60, seed: int = 3):
     rng = random.Random(seed)
     for _ in range(count):
         rows, cols = rng.randint(0, 5), rng.randint(0, 5)
-
-        def entry():
-            v = rng.choice((0, 0, 1, -1, 2, -3))
-            return v * zeta(3, rng.randint(0, 2)) if cyclotomic and v else v
-
-        data = [[entry() for _ in range(cols)] for _ in range(rows)]
+        data = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
         if rows and rng.random() < 0.3:
             data.append([2 * x for x in data[0]])  # force a dependent row
             rows += 1
         yield Mat(rows, cols, data)
 
 
+def check_invariants(a):
+    red, piv = a.rref()
+    assert red.rref() == (red, piv)
+    assert len(piv) == a.rank() == a.T.rank()
+    null = a.nullspace()
+    assert len(null) == a.cols - len(piv)
+    for v in null:
+        assert all(x == 0 for x in a.apply(v))
+
+
 @pytest.mark.parametrize("cyclotomic", [False, True])
 def test_elimination_invariants(cyclotomic):
-    for a in random_mats(cyclotomic):
+    for a in random_mats(cyclotomic_entry if cyclotomic else int_entry):
+        check_invariants(a)
+
+
+def test_elimination_over_fractions():
+    # denominators up to 7: insert_row clears them and keeps its rows
+    # primitive, and rref divides by the pivots once
+    inverted = 0
+    for a in random_mats(rational_entry, count=200):
+        check_invariants(a)
         red, piv = a.rref()
-        assert red.rref() == (red, piv)
-        assert len(piv) == a.rank() == a.T.rank()
-        null = a.nullspace()
-        assert len(null) == a.cols - len(piv)
-        for v in null:
-            assert all(x == 0 for x in a.apply(v))
+        want = rref_rows(a.data, a.cols)
+        assert red.data == tuple(want) + ((0,) * a.cols,) * (a.rows - len(want))
+        assert all(type(x) is Fraction for row in red.data for x in row)
+        if a.rows == a.cols == len(piv):
+            assert a.inverse() * a == Mat.identity(a.rows)
+            inverted += 1
+    assert inverted >= 5
 
 
 def test_rref_shape_and_inverse():

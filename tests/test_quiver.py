@@ -17,8 +17,8 @@ from cmfix.quiver import (
     random_rep,
     scale_action,
 )
-from cmfix.quiver import _spin
-from oracles import rref_rows, spin_closure
+from cmfix.quiver import _charpoly, _divisors, _spin
+from oracles import charpoly_fractions, divisors_loop, rref_rows, spin_closure
 
 
 def test_mat_shapes_and_rank():
@@ -329,3 +329,32 @@ def test_spin_matches_brute_force_closure():
         total = sum(len(b) for b in bases)
         kinds.add("zero" if total == 0 else "whole" if total == sum(d) else "proper")
     assert kinds == {"zero", "proper", "whole"}
+
+
+def test_simplicity_rejects_cyclotomic_entries():
+    rep = scale_action(zeta(3), random_rep((2, 1, 2), random.Random(3)))
+    with pytest.raises(ValueError, match="rational matrix entries"):
+        norton_simplicity(rep)
+
+
+def test_divisors_match_the_bounded_loop():
+    for x in range(1, 10_000):
+        assert _divisors(x, 400) == divisors_loop(x, 400)
+    # a perfect square lists its root twice, and small caps cut the list short
+    for cap in (1, 2, 3, 5, 8):
+        for x in [r * r for r in range(1, 60)] + list(range(1, 3000)):
+            assert _divisors(x, cap) == divisors_loop(x, cap)
+    # above cap**4 the search stops at d = cap**2
+    for cap, x in ((4, 257), (4, 6 * 7 * 11 * 13), (7, 7 ** 4 * 11 * 13 + 1),
+                   (20, 2 ** 40 - 1), (400, 400 ** 4 + 1), (400, 1_000_003 * 1_000_033)):
+        assert x > cap ** 4
+        assert _divisors(x, cap) == divisors_loop(x, cap)
+
+
+def test_charpoly_matches_the_fraction_recursion():
+    rng = random.Random(13)
+    for _ in range(120):
+        n = rng.randint(0, 6)
+        a = Mat(n, n, [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.7
+                        else rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        assert _charpoly(a) == charpoly_fractions(a)
