@@ -52,8 +52,50 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(x) for x in s.split(","))
 
 
+def _parse_gamma(s: str) -> tuple[tuple[int, ...], ...]:
+    raw = json.loads(s)
+    # bool is an int subclass, and int() would also read 1.5, "1" or true
+    if not (isinstance(raw, list)
+            and all(isinstance(c, list) and all(type(x) is int for x in c) for c in raw)):
+        raise ValueError(f"--gamma must be a JSON list of lists of integers, got {s}")
+    return tuple(partition(c) for c in raw)
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """obj as ``json.dumps(obj, indent=2)`` prints it, byte for byte.
+
+    Takes str, int, bool, None, lists, tuples and dicts with str keys;
+    anything else raises TypeError.  ``nl`` is the newline and indent of
+    obj's own line.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(x, inner) for x in obj]) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_quote(k) + ": " + _dumps(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _residue_json(v) -> dict:
@@ -121,13 +163,16 @@ def cmd_components(args) -> int:
 
 def cmd_chartable(args) -> int:
     t = character_table(args.l, args.n)
+    # t.values holds one object per distinct value: serialize each once
+    distinct = {id(v): v for row in t.values for v in row}
+    as_json = {i: v.to_json() for i, v in distinct.items()}
     _emit({
         "l": t.l,
         "n": t.n,
         "labels": [[list(c) for c in lam] for lam in t.labels],
         "classes": [[list(c) for c in ct] for ct in t.classes],
         "sizes": list(t.sizes),
-        "values": [[v.to_json() for v in row] for row in t.values],
+        "values": [[as_json[id(v)] for v in row] for row in t.values],
     })
     return 0
 
@@ -136,8 +181,7 @@ def cmd_verify_filtration(args) -> int:
     from .partitions import enumerate_core_tuples
 
     if args.gamma is not None:
-        raw = json.loads(args.gamma)
-        gammas = [tuple(partition(c) for c in raw)]
+        gammas = [_parse_gamma(args.gamma)]
     else:
         gammas = enumerate_core_tuples(args.k, args.l, args.n)
     reports = [verify_filtration(args.l, args.n, args.k, g) for g in gammas]
@@ -168,6 +212,10 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_quiver_check(args) -> int:
+    if args.budget < 0:
+        raise ValueError(f"--budget must be at least 0, got {args.budget}")
+    if args.theta is not None and not args.theta.strip():
+        raise ValueError("--theta is empty")
     with open(args.rep, "r", encoding="utf-8") as fh:
         rep = QuiverRep.from_json(json.load(fh))
     if not all(isinstance(x, Fraction) for m in rep.X + rep.Y for row in m.data for x in row):
@@ -180,7 +228,7 @@ def cmd_quiver_check(args) -> int:
                           for i, m in enumerate(mm)],
         "total_trace": format_rational(sum((m.trace() for m in mm), Fraction(0))),
     }
-    if args.theta:
+    if args.theta is not None:
         th = _parse_rationals(args.theta)
         out["in_deformed_fiber"] = in_deformed_fiber(rep, th)
     res = norton_simplicity(rep, seed=args.seed, budget=args.budget)

@@ -20,8 +20,9 @@ once: ``raw`` (the int tuples of the recursion, before reduction), ``index``
 (a multipartition's row as a label, which is also its column as a class),
 ``inverse`` (each column's inverse class) and ``dims`` (chi(1)).  The
 reduced ``values`` are built from ``raw`` on first read, since the
-restriction matrix never reads them; they are a function of (l, n), so they
-take no part in table equality.
+restriction matrix never reads them, with one shared CyclotomicNumber per
+distinct entry; they are a function of (l, n), so they take no part in
+table equality.
 
 ``codim`` of a class is the codimension of the fixed space of any of its
 elements: a cycle contributes a fixed line exactly when its cycle product
@@ -241,9 +242,14 @@ class WreathTable:
 
     @cached_property
     def values(self) -> tuple[tuple[CyclotomicNumber, ...], ...]:
-        """values[label][class]: each entry of ``raw`` reduced into Q(zeta_l)."""
-        return tuple(tuple(CyclotomicNumber.from_powers(self.l, v) for v in row)
-                     for row in self.raw)
+        """values[label][class]: each entry of ``raw`` reduced into Q(zeta_l).
+
+        Each distinct ``raw`` tuple is reduced once, and its one immutable
+        CyclotomicNumber is shared by every entry that equals it.
+        """
+        distinct = {v for row in self.raw for v in row}
+        reduced = {v: CyclotomicNumber.from_powers(self.l, v) for v in distinct}
+        return tuple(tuple(reduced[v] for v in row) for row in self.raw)
 
     def value(self, lam: Multipartition, ctype: Multipartition) -> CyclotomicNumber:
         return self.values[self.index[lam]][self.index[ctype]]

@@ -2,10 +2,12 @@ import io
 import json
 import random
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from cmfix.cli import main, run_selftest
+from cmfix.cli import _dumps, main, run_selftest
 from cmfix.arith import zeta
 from cmfix.quiver import random_rep, scale_action
 
@@ -99,6 +101,16 @@ def test_verify_filtration_exit_codes():
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("gamma", [
+    "[[1],[1.5]]", "[1,2]", "[null,[]]", "[[1e400],[]]", "[[true],[]]", '[["1"],[]]',
+])
+def test_verify_filtration_rejects_a_malformed_gamma(capsys, gamma):
+    # int() would read 1.5 and "1" as parts, and true is an int to isinstance
+    code, out = run(["verify-filtration", "--l", "2", "--n", "2", "--k", "2", "--gamma", gamma])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_smooth_subcommand():
     code, out = run(["smooth", "--criterion", "g4", "--kparams=1,2,-3"])
     assert code == 0 and json.loads(out)["smooth"] is True
@@ -134,6 +146,16 @@ def test_quiver_check(tmp_path):
     obj = json.loads(out)
     assert obj["total_trace"] == "0"
     assert obj["simplicity"] in {"Simple", "NotSimple", "Unknown"}
+
+
+@pytest.mark.parametrize("option", [["--budget", "-5"], ["--theta="]],
+                         ids=["negative-budget", "empty-theta"])
+def test_quiver_check_rejects_bad_options(tmp_path, capsys, option):
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps(random_rep((1, 1), random.Random(0)).to_json()))
+    code, out = run(["quiver-check", "--rep", str(f)] + option)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 CYCLOTOMIC_REP = scale_action(zeta(3), random_rep((1, 1, 1), random.Random(0))).to_json()
@@ -172,3 +194,24 @@ def test_help_available():
     with pytest.raises(SystemExit) as exc:
         run(["components", "--help"])
     assert exc.value.code == 0
+
+
+STRINGS = st.text() | st.sampled_from(["", "\x00\x1f\x7f\t\n", "caf\xe9 \u2028 \U0001f600", '"\\/'])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(max_value=-2**100) | STRINGS,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(STRINGS, inner)),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+def test_writer_matches_the_stdlib_indent_encoder(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, {1: "a"}, [{"a": [Fraction(3)]}]],
+                         ids=["fraction", "float", "int-key", "nested-fraction"])
+def test_writer_rejects_what_it_does_not_print(obj):
+    with pytest.raises(TypeError):
+        _dumps(obj)

@@ -69,6 +69,48 @@ GOLDEN = [
     pytest.param(["selftest", "--seed", "7"],
                  "64d93b749fcb5dda1879f2cd9a9d7f6cc9e679b5fd9a4f074f54cad286841f4b",
                  id="selftest-seed-7"),
+    pytest.param(["cores", "--partition", "5,3,3,1", "--l", "3"],
+                 "2e35ca295da20170ca69b790ae55a29c4a0ffa527bf7d399110ce598ddbdf8cd",
+                 id="cores"),
+    pytest.param(["cores", "--partition", "-", "--l", "2"],
+                 "fdb1aa9c0bed40ba433297b225a268aaf1da8b5d6838031ea8b7cf7704023e0b",
+                 id="cores-empty"),
+    pytest.param(["quotient", "--partition", "5,3,3,1", "--l", "3"],
+                 "6947b734fd01d8bf26c9896f3ecb02bb8705902af9460409eae9d9139cec58ab",
+                 id="quotient"),
+    pytest.param(["quotient", "--partition", "-", "--l", "2"],
+                 "8cf08336ad4fb78c3ca213def5a130d7cfc6a21086056b269e49162eb0796e14",
+                 id="quotient-empty"),
+    pytest.param(["residues", "--partition", "5,3,3,1", "--l", "3"],
+                 "bff14c6a4dc956747fab382af35e62cf666dcffe7ba652dd8b9e90f4e6a5424f",
+                 id="residues"),
+    pytest.param(["residues", "--partition", "-", "--l", "2"],
+                 "07ab14dcc3fe33aea5472187b552891910ecd4784fb8095aca90bd7fa8980766",
+                 id="residues-empty"),
+    pytest.param(["enumerate-e", "--k", "2", "--l", "2", "--n", "4"],
+                 "cc7eb0dabd010a5449bb7d52d6e4f052d9c9bff712cb8c6c6752995adb30df77",
+                 id="enumerate-e"),
+    pytest.param(["transport", "--l", "2", "--k", "2", "--d", "1,1,1,0", "--a", "1/97",
+                  "--kparams=1/89,-1/89"],
+                 "42146fa6031a294d325249125fee02c23810aff64c82aedf3843c8320b4b7399",
+                 id="transport"),
+    pytest.param(["smooth", "--criterion", "gl1n", "--l", "2", "--n", "2", "--a", "0",
+                  "--kparams=1,-1"],
+                 "d7ec676f341ecee9898d2804c47b10240e2d31c21f466f85a2e6f8a939355f76",
+                 id="smooth-gl1n"),
+    pytest.param(["smooth", "--criterion", "quiver", "--l", "2", "--n", "3", "--a", "1/97",
+                  "--kparams=1/89,-1/89"],
+                 "7b8961a2ff32d7139ab28ed369912c526a9597b6d307e15195fd9fa110339ef9",
+                 id="smooth-quiver"),
+    pytest.param(["smooth", "--criterion", "cyclic", "--kparams=0,0"],
+                 "936e88636a6ae9b8ca19eab97736de5468d1d698957d9a50b087ecf580290909",
+                 id="smooth-cyclic"),
+    pytest.param(["smooth", "--criterion", "g4", "--kparams=1,2,-3"],
+                 "a1508513caadecdbe3355d569add0e58132967e6029862d921fd71a48ba4e361",
+                 id="smooth-g4"),
+    pytest.param(["chartable", "--l", "3", "--n", "5"],
+                 "00bae0581385f31b99740099398fe79d168467b1b63fcfb883f7908c9bd98958",
+                 id="chartable-l3-n5"),
 ]
 
 # a seeded random representation of dimension (2, 1, 1), checked at seed 11

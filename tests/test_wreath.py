@@ -338,6 +338,16 @@ def test_table_index_inverse_and_dims(l, n):
     assert list(t.dims) == [char_dimension(lam) for lam in t.labels]
 
 
+def test_values_share_one_object_per_distinct_raw_entry():
+    t = character_table(3, 4)
+    by_raw = {}
+    for lam, raw_row, row in zip(t.labels, t.raw, t.values, strict=True):
+        for ctype, r, v in zip(t.classes, raw_row, row, strict=True):
+            assert by_raw.setdefault(r, v) is v
+            assert v == character_value(lam, ctype)
+    assert len({id(v) for row in t.values for v in row}) == len(by_raw) < len(t.labels) ** 2
+
+
 def test_central_idempotent_rejects_foreign_labels():
     # not canonical multipartitions, so absent from the table of their own size
     for lam in (((1, 2),), ((2, 0), ()), ([2], [1])):
