@@ -43,8 +43,10 @@ def parse_rational(s: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational.  No float fallback."""
     s = s.strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = map(int, s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

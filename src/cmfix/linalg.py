@@ -39,19 +39,12 @@ class Mat:
         raise AttributeError("Mat is immutable")
 
     @classmethod
-    def from_rows(cls, data) -> "Mat":
-        data = [list(r) for r in data]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, data)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
-    def identity(cls, n: int, one=1) -> "Mat":
-        return cls(n, n, [[one if i == j else 0 for j in range(n)] for i in range(n)])
+    def identity(cls, n: int) -> "Mat":
+        return cls.scalar(n, 1)
 
     @classmethod
     def scalar(cls, n: int, value) -> "Mat":

@@ -121,6 +121,8 @@ def smooth_quiver(theta, n: int) -> bool:
     [i..j] in 1..l-1 and |k| < n of (theta_i + ... + theta_j + k*sigma)
     must be nonzero.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     theta = tuple(Fraction(t) for t in theta)
     l = len(theta)
     s = sigma(theta)

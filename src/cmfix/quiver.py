@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
+from .arith import CyclotomicNumber, format_rational, parse_rational
 from .linalg import Mat, insert_row, monic, normal_form
 
 __all__ = [
@@ -54,8 +55,6 @@ class QuiverRep:
         return len(self.d)
 
     def to_json(self) -> dict:
-        from .arith import CyclotomicNumber, format_rational
-
         def enc(m: Mat):
             out = []
             for row in m.data:
@@ -73,8 +72,6 @@ class QuiverRep:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuiverRep":
-        from .arith import CyclotomicNumber, parse_rational
-
         if not isinstance(obj, dict) or not {"d", "X", "Y"} <= obj.keys():
             raise ValueError('a representation needs the keys "d", "X" and "Y"')
         if not isinstance(obj["d"], list):
@@ -183,8 +180,6 @@ def scale_action(xi, rep: QuiverRep) -> QuiverRep:
     """The scaling xi . (X, Y) = (xi^(-1) X, xi Y); leaves the moment map fixed."""
     if xi == 0:
         raise ValueError("xi must be invertible")
-    from .arith import CyclotomicNumber
-
     if isinstance(xi, CyclotomicNumber):
         inv = xi.inverse()
     else:
@@ -260,26 +255,23 @@ def _spin(rep: QuiverRep, seeds) -> list[list[tuple]]:
     return bases
 
 
-def _map_arrows(rep: QuiverRep, f) -> QuiverRep:
-    return QuiverRep(rep.d, tuple(map(f, rep.X)), tuple(map(f, rep.Y)))
+def _path(rep: QuiverRep, word) -> tuple[int, int, Mat] | None:
+    """A word in the arrows as one block (source, target, product), or None.
 
-
-def _dual(rep: QuiverRep) -> QuiverRep:
-    """The dual representation: transposed maps with X and Y exchanged."""
-    l = rep.l
-    X = tuple(rep.Y[i].T for i in range(l))
-    Y = tuple(rep.X[i].T for i in range(l))
-    return QuiverRep(rep.d, X, Y)
-
-
-def _total_matrix(rep: QuiverRep, word: list[tuple[str, int]], n: int, offs) -> Mat:
-    # product of generators embedded in End of the total space
-    out = Mat.identity(n)
-    for kind, i in word:
+    The first letter is applied first; the product is None when two
+    consecutive arrows do not meet, since the word then acts as 0.
+    """
+    def arrow(kind, i):
         j = (i + 1) % rep.l
-        blk = (offs[i], offs[j], rep.X[i]) if kind == "x" else (offs[j], offs[i], rep.Y[i])
-        out = _embed_blocks(n, n, [blk]) * out
-    return out
+        return (j, i, rep.X[i]) if kind == "x" else (i, j, rep.Y[i])
+
+    src, tgt, prod = arrow(*word[0])
+    for letter in word[1:]:
+        s, t, m = arrow(*letter)
+        if s != tgt:
+            return None
+        tgt, prod = t, m * prod
+    return src, tgt, prod
 
 
 def _cleared(m: Mat) -> tuple[int, Mat]:
@@ -325,7 +317,10 @@ def _divisors(x: int, cap: int) -> list[int]:
     return out
 
 
-def _rational_eigenvalues(z: Mat, cap: int = 400) -> list[Fraction]:
+_ROOT_CAP = 400  # the cap of _divisors in the rational root search
+
+
+def _rational_eigenvalues(z: Mat) -> list[Fraction]:
     """All rational eigenvalues of z, by rational root search on the charpoly."""
     coeffs = _charpoly(z)
     # clear denominators: integer polynomial, leading lead > 0
@@ -340,8 +335,8 @@ def _rational_eigenvalues(z: Mat, cap: int = 400) -> list[Fraction]:
         ints.pop()
     const, lead = abs(ints[-1]), abs(ints[0])
     if const:
-        ps, qs = _divisors(const, cap), _divisors(lead, cap)
-        if len(ps) * len(qs) <= cap:
+        ps, qs = _divisors(const, _ROOT_CAP), _divisors(lead, _ROOT_CAP)
+        if len(ps) * len(qs) <= _ROOT_CAP:
             cands = {Fraction(s * p, q) for p in ps for q in qs for s in (1, -1)}
         else:
             cands = {Fraction(s * p) for p in ps[:20] for s in (1, -1)}
@@ -362,88 +357,68 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     dual representation.
 
     The entries must be rational (int or Fraction); a CyclotomicNumber entry
-    raises ValueError.  All exact arithmetic runs on ints where the entries
-    allow: the spins see each arrow times the lcm of its denominators, which
-    leaves every subrepresentation as it is, and z is built from the arrows
-    with integral entries read as ints.
+    raises ValueError.  The spins see each arrow times the lcm of its
+    denominators, which leaves every subrepresentation as it is, so they run
+    on ints.  z sums words in the arrows' own values, each word one block
+    product of the small arrows (``_path``).
     """
     arrows = rep.X + rep.Y
     if not all(isinstance(x, (int, Fraction)) for m in arrows for row in m.data for x in row):
         raise ValueError("norton_simplicity needs rational matrix entries")
     rng = random.Random(seed)
-    l = rep.l
-    n = sum(rep.d)
+    l, d = rep.l, rep.d
+    n = sum(d)
     if n == 0:
         return SimplicityResult("NotSimple", witness=None, trials=0)
     if n == 1:
         return SimplicityResult("Simple", trials=0)
-    offs = [sum(rep.d[:i]) for i in range(l)]
-    primal = _map_arrows(rep, lambda m: _cleared(m)[1])
-    dual = _dual(primal)
-    # z sees each arrow's own values, since a word's value would change with
-    # the arrows' scales; integral entries are read as ints
-    zrep = _map_arrows(rep, lambda m: Mat(m.rows, m.cols, [
-        [x.numerator if x.denominator == 1 else x for x in row] for row in m.data]))
+    offs = [sum(d[:i]) for i in range(l)]
+    cleared = [_cleared(m)[1] for m in arrows]
+    primal = QuiverRep(d, tuple(cleared[:l]), tuple(cleared[l:]))
+    # the dual representation: transposed maps with X and Y exchanged
+    dual = QuiverRep(d, tuple(m.T for m in primal.Y), tuple(m.T for m in primal.X))
 
-    def proper(bases) -> bool:
-        tot = sum(len(b) for b in bases)
-        return 0 < tot < n
-
-    def annihilator(dual_bases):
-        # per-vertex orthogonal complement of a dual subrepresentation
-        out = []
-        for i in range(l):
-            if dual_bases[i]:
-                out.append(tuple(Mat.from_rows(dual_bases[i]).nullspace()))
-            else:
-                out.append(tuple(Mat.identity(rep.d[i]).data) if rep.d[i] else ())
-        return tuple(out)
+    def reducible(side, seed_lists):
+        # the witness of the first seed list whose spin is proper: its bases,
+        # or on the dual side their per-vertex orthogonal complements
+        for seeds in seed_lists:
+            bases = _spin(side, seeds)
+            if 0 < sum(map(len, bases)) < n:
+                if side is primal:
+                    return tuple(map(tuple, bases))
+                return tuple(tuple(Mat(len(b), di, b).nullspace()) for b, di in zip(bases, d))
+        return None
 
     def graded(vec):
-        comps = [(i, vec[offs[i]: offs[i] + rep.d[i]]) for i in range(l) if rep.d[i]]
-        return [(i, c) for i, c in comps if any(x != 0 for x in c)]
+        comps = ((i, vec[o: o + di]) for i, (o, di) in enumerate(zip(offs, d)))
+        return [(i, c) for i, c in comps if any(c)]
 
     # deterministic probes: coordinate vectors at every vertex, both sides
-    for side, module in (("primal", primal), ("dual", dual)):
-        for i in range(l):
-            for c in range(rep.d[i]):
-                vec = tuple(1 if t == c else 0 for t in range(rep.d[i]))
-                bases = _spin(module, [(i, vec)])
-                if proper(bases):
-                    w = tuple(map(tuple, bases)) if side == "primal" else annihilator(bases)
-                    return SimplicityResult("NotSimple", witness=w)
+    probes = [[(i, tuple(int(t == c) for t in range(di)))]
+              for i, di in enumerate(d) for c in range(di)]
+    for side in (primal, dual):
+        if (w := reducible(side, probes)) is not None:
+            return SimplicityResult("NotSimple", witness=w)
 
+    letters = [(kind, i) for i in range(l) for kind in "xy"]
     trials = 0
-    gens: list[list[tuple[str, int]]] = []
-    for i in range(l):
-        gens.append([("x", i)])
-        gens.append([("y", i)])
     while trials < budget:
         trials += 1
         z = Mat.zeros(n, n)
         for _ in range(rng.randint(2, 4)):
-            word: list[tuple[str, int]] = []
-            for _ in range(rng.randint(1, 3)):
-                word.extend(rng.choice(gens))
+            word = [rng.choice(letters) for _ in range(rng.randint(1, 3))]
             coeff = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
-            z = z + _total_matrix(zrep, word, n, offs).scale(coeff)
+            if (path := _path(rep, word)) is not None:
+                src, tgt, block = path
+                z = z + _embed_blocks(n, n, [(offs[tgt], offs[src], block.scale(coeff))])
         for t in _rational_eigenvalues(z):
             zz = z - Mat.scalar(n, t)
-            ker = zz.nullspace()
-            for v in ker:
-                bases = _spin(primal, graded(v))
-                if proper(bases):
-                    return SimplicityResult(
-                        "NotSimple", witness=tuple(map(tuple, bases)), trials=trials
-                    )
-            kerT = zz.T.nullspace()
-            for w in kerT:
-                basesT = _spin(dual, graded(w))
-                if proper(basesT):
-                    return SimplicityResult(
-                        "NotSimple", witness=annihilator(basesT), trials=trials
-                    )
-            if len(ker) == 1 and len(kerT) == 1:
+            kernels = []
+            for side, m in ((primal, zz), (dual, zz.T)):
+                kernels.append(m.nullspace())
+                if (w := reducible(side, map(graded, kernels[-1]))) is not None:
+                    return SimplicityResult("NotSimple", witness=w, trials=trials)
+            if all(len(k) == 1 for k in kernels):
                 # both kernel vectors were spun above; a nonzero vector spins to
                 # a nonzero subrepresentation, so not proper means everything
                 return SimplicityResult("Simple", trials=trials)

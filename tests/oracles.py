@@ -13,10 +13,12 @@ it is a second path to the restriction matrix of ``wreath``, and with the
 unreversed interleaving ``beta_unreversed`` the only thing the sign-twist
 identity test compares is the label map.
 
-Two more are earlier versions of a library routine, kept as the reference
+Three more are earlier versions of a library routine, kept as the reference
 for a rewrite that must return the same values: ``divisors_loop`` (the
-bounded trial division of ``quiver._divisors``) and ``charpoly_fractions``
-(Faddeev-LeVerrier over Fraction, which ``quiver._charpoly`` runs on ints).
+bounded trial division of ``quiver._divisors``), ``charpoly_fractions``
+(Faddeev-LeVerrier over Fraction, which ``quiver._charpoly`` runs on ints)
+and ``total_matrix`` (a word in the arrows as a product of n x n
+embeddings, which ``quiver._path`` multiplies as blocks).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cmfix.arith import CyclotomicNumber, embed, zeta
 from cmfix.linalg import Mat
+from cmfix.quiver import _embed_blocks
 from cmfix.partitions import core, partitions_of, quotient, residues
 from cmfix.affine_weyl import is_plus
 from cmfix.wreath import character_table, from_omega, to_omega
@@ -411,3 +414,13 @@ def charpoly_fractions(a: Mat) -> list[Fraction]:
         m = a * (m + Mat.scalar(n, coeffs[-1]))
         coeffs.append(Fraction(-m.trace(), k))
     return coeffs
+
+
+def total_matrix(rep, word, n: int, offs) -> Mat:
+    """A word's product of generators, each embedded in End of the total space."""
+    out = Mat.identity(n)
+    for kind, i in word:
+        j = (i + 1) % rep.l
+        blk = (offs[i], offs[j], rep.X[i]) if kind == "x" else (offs[j], offs[i], rep.Y[i])
+        out = _embed_blocks(n, n, [blk]) * out
+    return out

@@ -32,6 +32,9 @@ def test_rational_strings():
     assert format_rational(Fraction(-2, 1)) == "-2"
     with pytest.raises(ValueError):
         parse_rational("0.5")
+    for s in ("1/0", "0/0", "-3/0", " 2 / 0 "):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(s)
 
 
 def test_cyclotomic_polynomials():

@@ -137,6 +137,26 @@ def test_usage_error_exit_2(capsys):
     assert "g4 needs exactly 3 values of k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--criterion", "cyclic", "--kparams=1/0,0"],
+    ["transport", "--l", "2", "--k", "2", "--d", "0,0,0,0", "--a", "1/0", "--kparams=1,-1"],
+    ["smooth", "--a", "0/0", "--l", "2", "--n", "2", "--kparams=1,-1"],
+    ["quiver-check", "--rep", "{rep}"],
+    ["smooth", "--criterion", "quiver", "--l", "2", "--n", "0", "--a", "1", "--kparams=1,-1"],
+    ["smooth", "--criterion", "quiver", "--l", "2", "--n", "-3", "--a", "1", "--kparams=1,-1"],
+], ids=["kparams-zero-den", "a-zero-den", "a-zero-over-zero", "rep-entry-zero-den",
+        "quiver-n-0", "quiver-n-negative"])
+def test_zero_denominators_and_empty_n_exit_2(tmp_path, capsys, argv):
+    # {rep} is a representation with the entry "1/0"
+    obj = random_rep((1, 1), random.Random(0)).to_json()
+    obj["X"][0][0][0] = "1/0"
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps(obj))
+    code, out = run([str(f) if a == "{rep}" else a for a in argv])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_quiver_check(tmp_path):
     rep = random_rep((1, 1), random.Random(0))
     f = tmp_path / "rep.json"

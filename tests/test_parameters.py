@@ -93,6 +93,10 @@ def test_smooth_quiver_edge_cases():
     # l=1: the product is empty, condition is sigma != 0
     assert smooth_quiver((Fraction(-2),), 5)
     assert not smooth_quiver((Fraction(0),), 5)
+    # n = 0 would pass vacuously: the product over |k| < n is empty
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            smooth_quiver((Fraction(-2), Fraction(1)), n)
 
 
 def test_smooth_gl1n_edge_cases():

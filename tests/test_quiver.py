@@ -9,6 +9,7 @@ from cmfix.linalg import Mat
 from cmfix.parameters import theta_concat
 from cmfix.quiver import (
     QuiverRep,
+    SimplicityResult,
     block_immersion,
     gl_action,
     in_deformed_fiber,
@@ -17,8 +18,8 @@ from cmfix.quiver import (
     random_rep,
     scale_action,
 )
-from cmfix.quiver import _charpoly, _divisors, _spin
-from oracles import charpoly_fractions, divisors_loop, rref_rows, spin_closure
+from cmfix.quiver import _charpoly, _divisors, _embed_blocks, _path, _spin
+from oracles import charpoly_fractions, divisors_loop, rref_rows, spin_closure, total_matrix
 
 
 def test_mat_shapes_and_rank():
@@ -29,7 +30,7 @@ def test_mat_shapes_and_rank():
     assert Mat.zeros(3, 0).rank() == 0
     assert Mat.identity(4).rank() == 4
     b = Mat(2, 2, [[Fraction(1, 2), 0], [0, Fraction(3)]])
-    assert b.inverse() * b == Mat.identity(2, one=Fraction(1))
+    assert b.inverse() * b == Mat.identity(2)
     assert len(a.nullspace()) == 2
 
 
@@ -358,3 +359,48 @@ def test_charpoly_matches_the_fraction_recursion():
         a = Mat(n, n, [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.7
                         else rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         assert _charpoly(a) == charpoly_fractions(a)
+
+
+def test_path_block_matches_the_embedded_product():
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(400):
+        l = rng.randint(1, 4)
+        d = tuple(rng.choice((0, 1, 2, 3)) for _ in range(l))
+        rep = random_rep(d, rng)
+        if rng.random() < 0.5:
+            def frac(m):
+                return Mat(m.rows, m.cols, [[Fraction(x, rng.randint(1, 4)) for x in row]
+                                            for row in m.data])
+            rep = QuiverRep(d, tuple(map(frac, rep.X)), tuple(map(frac, rep.Y)))
+        if rng.random() < 0.5:
+            word = [(rng.choice("xy"), rng.randrange(l)) for _ in range(rng.randint(1, 9))]
+        else:
+            # a walk: each letter leaves the vertex the previous one entered
+            v = rng.randrange(l)
+            word = []
+            for _ in range(rng.randint(1, 9)):
+                kind = rng.choice("xy")
+                word.append((kind, v if kind == "y" else (v - 1) % l))
+                v = (v + (1 if kind == "y" else -1)) % l
+        n = sum(d)
+        offs = [sum(d[:i]) for i in range(l)]
+        path = _path(rep, word)
+        if path is None:
+            got = Mat.zeros(n, n)
+        else:
+            src, tgt, block = path
+            got = _embed_blocks(n, n, [(offs[tgt], offs[src], block)])
+        assert got == total_matrix(rep, word, n, offs), (d, word)
+        seen.add((path is None, len(word) > 3, 0 in d, l))
+    # both outcomes, long words, zero-dimensional vertices and every l were met
+    assert {(False, True, True), (True, True, True), (False, True, False)} \
+        <= {s[:3] for s in seen}
+    assert {s[3] for s in seen} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_simplicity_without_budget_is_unknown(budget):
+    rep = random_rep((2, 1, 1), random.Random(1))
+    assert norton_simplicity(rep).status == "Simple"
+    assert norton_simplicity(rep, budget=budget) == SimplicityResult("Unknown", trials=0)
