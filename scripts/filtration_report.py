@@ -16,8 +16,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cmfix.partitions import enumerate_core_tuples
 from cmfix.wreath import verify_filtration
 
-# the last five points have components of rank r >= 2, where the verdict can fail
-DEFAULT_GRID = "1,2,2;1,3,2;1,4,2;2,2,2;2,3,2;3,2,2;2,4,2;2,5,2;3,4,2;1,6,3;2,6,2"
+# the last eight points have components of rank r >= 2, where the verdict can fail
+DEFAULT_GRID = ("1,2,2;1,3,2;1,4,2;2,2,2;2,3,2;3,2,2;"
+                "2,4,2;2,5,2;3,4,2;1,6,3;2,6,2;3,6,2;4,5,2;2,9,2")
 
 
 def parse_grid(text: str) -> list[tuple[int, int, int]]:

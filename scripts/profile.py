@@ -9,6 +9,14 @@ temporary directory, and its CLI invocations run one after another through
 ``cmfix.cli.main`` in this one process, as in one benchmark sample.  Their
 stdout is discarded; the top 25 functions of the profile go to stderr.  The
 exit status is 1 when an invocation exits nonzero.
+
+cProfile keys a function by (file, line, name), so of two functions with
+one key the report keeps only one: the outer and inner generator
+expressions on the one line of ``linalg.Mat.apply`` both read
+``linalg.py:LINE(<genexpr>)``, and which of them the report shows depends
+on code elsewhere.  The total of function calls and the call counts of
+such generator expressions are then not comparable across changes; compare
+named functions.
 """
 
 import argparse

@@ -218,7 +218,8 @@ def cmd_quiver_check(args) -> int:
         raise ValueError("--theta is empty")
     with open(args.rep, "r", encoding="utf-8") as fh:
         rep = QuiverRep.from_json(json.load(fh))
-    if not all(isinstance(x, Fraction) for m in rep.X + rep.Y for row in m.data for x in row):
+    if not all(isinstance(x, (int, Fraction))
+               for m in rep.X + rep.Y for row in m.data for x in row):
         raise ValueError("quiver-check needs rational matrix entries")
     mm = moment_map(rep)
     out = {

@@ -94,7 +94,9 @@ class QuiverRep:
                     if isinstance(x, dict):
                         r.append(CyclotomicNumber.from_json(x))
                     else:
-                        r.append(parse_rational(str(x)))
+                        # integral entries as int, which the eliminations take as is
+                        q = parse_rational(str(x))
+                        r.append(q.numerator if q.denominator == 1 else q)
                 data.append(r)
             return Mat(shape[0], shape[1], data)
 

@@ -36,15 +36,21 @@ coefficient of z_D in i*_gamma(z_C) is
 
     (|C| / |W'|) sum_lam chi_lam(C) chi_mu(1) chi_mu(D^-1) / chi_lam(1),
 
-lam over the fibre and W' = G(kl,1,r).  It is summed on the raw int
-tuples of the tables in Z[x]/(x^(kl) - 1): chi_lam(C) lives in
-Z[x]/(x^l - 1), and zeta_l = zeta_kl^k embeds it by the index map
-t -> kt, where it is convolved with chi_mu(D^-1); with L the lcm of the
-fibre's chi_lam(1), each term is weighted by the int
-(L / chi_lam(1)) chi_mu(1), and each entry is reduced into Q(zeta_kl) once
-and scaled by |C| / (L |W'|).  ``i_gamma_star`` and ``verify_filtration``
-both read this matrix; the verdict needs only the support of each row and
-``codim``.
+lam over the fibre and W' = G(kl,1,r).  With L the lcm of the fibre's
+chi_lam(1), each term is weighted by the int (L / chi_lam(1)) chi_mu(1),
+and the sum runs on the raw int tuples of the tables by Kronecker
+substitution (``_Kronecker``): each lam's weighted target row
+(L / chi_lam(1)) chi_mu(1) chi_mu(D^-1) over every class D is packed into
+one int with 2m digit slots per D, m = kl, and chi_lam(C) into a second
+int with stride k, since zeta_l = zeta_m^k.  Row C is the sum over lam of
+the products of the two packs; the target packs of the labels that share
+a value chi_lam(C) are added first, so each distinct value costs one
+product.  The row is decoded from one ``to_bytes``, and x^u folds to
+x^(u mod m).  Each entry is kept as its int tuple reduced mod the m-th
+cyclotomic polynomial, which is monic, so the reduction stays in Z, and
+each row keeps one scale |C| / (L |W'|).  ``verify_filtration`` reads only
+the support of these integer rows and ``codim``; ``i_gamma_star`` is the
+only place that turns entries into cyclotomic numbers.
 
 The fibre is labelled through ``partitions.beta_flat_k_gamma``; the
 unreversed slot order gives no other verdict.  Let T be the sign twist
@@ -57,12 +63,13 @@ keeps every codim, and gamma -> gamma' permutes the components.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
 
-from .arith import CyclotomicNumber, embed
+from .arith import CyclotomicNumber, _reduce, embed
 from .partitions import (
     Multipartition,
     Partition,
@@ -378,44 +385,111 @@ def i_gamma_star(z: CentralElement, gamma: Multipartition, k: int) -> CentralEle
     rows = _restriction_matrix(l, n, k, gamma)
     out = {}
     for ctype, coeff in z.coeffs:
-        c = embed(coeff, m)
-        for d, x in rows[index[ctype]]:
-            out[d] = out.get(d, CyclotomicNumber.zero(m)) + c * x
+        scale, row = rows[index[ctype]]
+        c = embed(coeff, m) * scale
+        for d, x in row:
+            out[d] = out.get(d, CyclotomicNumber.zero(m)) + c * CyclotomicNumber(m, x)
     return CentralElement.from_dict(m, r, out)
+
+
+# the memoryview formats of native 1-, 2-, 4- and 8-byte unsigned ints
+_UINT_FORMATS = {memoryview(bytes(8)).cast(c).itemsize: c for c in "QLIHB"}
+
+
+class _Kronecker:
+    """Signed digits packed into one int, sum_i d_i 2^(8wi), and back.
+
+    Kronecker substitution: a product of digit polynomials is one product
+    of ints.  A slot is w whole bytes with 2^(8w - 1) > ``bound``, so
+    ``unpack`` reads back any sum of products of packs whose every digit is
+    at most ``bound`` in absolute value: it adds 2^(8w - 1) to each of the
+    ``count`` slots, which leaves every slot in [0, 2^(8w)) with nothing to
+    carry, and reads them all from one ``to_bytes``.  Up to 8 bytes, w is a
+    power of two, so the slots are read as one array of machine ints.
+    """
+
+    def __init__(self, bound: int, count: int):
+        w = (bound.bit_length() + 8) // 8
+        self.width = w if w > 8 else 1 << (w - 1).bit_length()
+        self.count = count
+        self.half = 1 << (8 * self.width - 1)
+        self.bias = int.from_bytes(self.half.to_bytes(self.width, "little") * count, "little")
+
+    def pack(self, digits) -> int:
+        w, half = self.width, self.half
+        biased = b"".join([(d + half).to_bytes(w, "little") for d in digits])
+        return int.from_bytes(biased, "little") - (self.bias & ((1 << 8 * len(biased)) - 1))
+
+    def unpack(self, value: int) -> list[int]:
+        w, half = self.width, self.half
+        biased = value + self.bias
+        if w in _UINT_FORMATS:
+            # in native byte order each slot is one machine int; big-endian
+            # bytes put the slots last to first
+            raw = biased.to_bytes(self.count * w, sys.byteorder)
+            slots = memoryview(raw).cast(_UINT_FORMATS[w]).tolist()
+            if sys.byteorder == "big":
+                slots.reverse()
+        else:
+            raw = biased.to_bytes(self.count * w, "little")
+            slots = [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+        return [x - half for x in slots]
 
 
 @lru_cache(maxsize=None)
 def _restriction_matrix(
     l: int, n: int, k: int, gamma: Multipartition
-) -> tuple[tuple[tuple[Multipartition, CyclotomicNumber], ...], ...]:
-    # row C: the nonzero (D, coefficient of z_D in i*_gamma(z_C)), D sorted,
+) -> tuple[tuple[Fraction, tuple[tuple[Multipartition, tuple[int, ...]], ...]], ...]:
+    # row C: (|C| / (L |W'|), the nonzero (D, coefficient of z_D in
+    # L |W'| / |C| i*_gamma(z_C) in the power basis of Q(zeta_m)), D sorted),
     # for every class C of G(l,1,n) in table order; gamma is already validated
     m, r = k * l, (n - msize(gamma)) // k
     t, t2 = character_table(l, n), character_table(m, r)
     pairs = [(t.index[lam], t2.index[beta_flat_k_gamma(lam, k, gamma)])
              for lam in core_fibres(l, n, k)[gamma]]
     L = lcm(*(t.dims[i] for i, _ in pairs))
-    # (L / chi_lam(1)) chi_mu(1) chi_mu(D^-1) for every class D, in Z[x]/(x^m - 1)
-    weighted = [
-        [[L // t.dims[i] * t2.dims[j] * c for c in t2.raw[j][inv]] for inv in t2.inverse]
-        for i, j in pairs
-    ]
+    targets = sorted(range(len(t2.classes)), key=t2.classes.__getitem__)
+    classes = [t2.classes[d] for d in targets]
+    # (L / chi_lam(1)) chi_mu(1) chi_mu(D^-1) for every class D in sorted
+    # order, each in 2m digit slots: a product chi_lam(C) zeta_l^s shifts it
+    # by ks < m, and x^u folds to x^(u mod m) after the decode
+    weighted = [[L // t.dims[i] * t2.dims[j] * c
+                 for d in targets for c in t2.raw[j][t2.inverse[d]] + (0,) * m]
+                for i, j in pairs]
+    # a row's digit sums, over lam, chi_lam(C) against one target digit per
+    # power of x, so it is at most the sum over lam of the largest target
+    # digit times the largest l1 norm of chi_lam(C)
+    bound = sum(max(abs(c) for c in target) * max(sum(map(abs, v)) for v in t.raw[i])
+                for (i, _), target in zip(pairs, weighted))
+    kron = _Kronecker(bound, 2 * m * len(targets))
+    packed = [kron.pack(target) for target in weighted]
+    spread = {}  # chi_lam(C) in Z[x]/(x^l - 1), zeta_l = x^k, packed
     rows = []
     for ci, size in enumerate(t.sizes):
-        acc = [[0] * m for _ in t2.classes]
-        for (i, _), target in zip(pairs, weighted):
-            for s, a in enumerate(t.raw[i][ci]):
-                if not a:
-                    continue
-                # a zeta_l^s = a zeta_m^(ks): shift each target entry by ks
-                for vec, b in zip(acc, target):
-                    for u, c in enumerate(b, start=k * s):
-                        if c:
-                            vec[u % m] += a * c
-        scale = Fraction(size, L * t2.order)
-        row = ((d, CyclotomicNumber.from_powers(m, vec))
-               for d, vec in zip(t2.classes, acc) if any(vec))
-        rows.append(tuple(sorted((d, x * scale) for d, x in row if x)))
+        # the fibre's targets summed per value of chi_lam(C), one product each
+        by_value = {}
+        for (i, _), target in zip(pairs, packed):
+            v = t.raw[i][ci]
+            by_value[v] = by_value.get(v, 0) + target
+        acc = 0
+        for v, total in by_value.items():
+            if v not in spread:
+                spaced = [0] * (k * (l - 1) + 1)
+                spaced[::k] = v
+                spread[v] = kron.pack(spaced)
+            acc += spread[v] * total
+        row = []
+        if acc:
+            digits = kron.unpack(acc)
+            # slot u of a block plus slot u + m; read only for u < m
+            folded = [a + b for a, b in zip(digits, digits[m:])]
+            for d, u in zip(classes, range(0, len(digits), 2 * m)):
+                vec = folded[u:u + m]
+                if any(vec):
+                    x = _reduce(m, vec)
+                    if any(x):
+                        row.append((d, tuple(x)))
+        rows.append((Fraction(size, L * t2.order), tuple(row)))
     return tuple(rows)
 
 
@@ -459,7 +533,7 @@ def verify_filtration(l: int, n: int, k: int, gamma: Multipartition) -> Filtrati
     r = check_core_tuple(gamma, k, l, n)
     classes = character_table(l, n).classes
     certs = []
-    for ctype, row in zip(classes, _restriction_matrix(l, n, k, gamma)):
+    for ctype, (_, row) in zip(classes, _restriction_matrix(l, n, k, gamma)):
         i = codim(ctype, n)
         for d_ctype, _ in row:
             dcod = codim(d_ctype, r)

@@ -19,13 +19,18 @@ bounded trial division of ``quiver._divisors``), ``charpoly_fractions``
 (Faddeev-LeVerrier over Fraction, which ``quiver._charpoly`` runs on ints)
 and ``total_matrix`` (a word in the arrows as a product of n x n
 embeddings, which ``quiver._path`` multiplies as blocks).
+
+``restriction_matrix_loop`` is the restriction matrix of ``wreath`` summed
+coefficient by coefficient in Z[x]/(x^(kl) - 1), with each entry reduced
+into a CyclotomicNumber and scaled: the reference for the Kronecker-packed
+integer rows that ``wreath._restriction_matrix`` keeps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, lcm
 
 import sys
 from pathlib import Path
@@ -35,7 +40,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cmfix.arith import CyclotomicNumber, embed, zeta
 from cmfix.linalg import Mat
 from cmfix.quiver import _embed_blocks
-from cmfix.partitions import core, partitions_of, quotient, residues
+from cmfix.partitions import (
+    beta_flat_k_gamma,
+    core,
+    core_fibres,
+    msize,
+    partitions_of,
+    quotient,
+    residues,
+)
 from cmfix.affine_weyl import is_plus
 from cmfix.wreath import character_table, from_omega, to_omega
 
@@ -424,3 +437,40 @@ def total_matrix(rep, word, n: int, offs) -> Mat:
         blk = (offs[i], offs[j], rep.X[i]) if kind == "x" else (offs[j], offs[i], rep.Y[i])
         out = _embed_blocks(n, n, [blk]) * out
     return out
+
+
+# ---------------------------------------------------------------------------
+# the restriction matrix, one coefficient at a time
+# ---------------------------------------------------------------------------
+
+
+def restriction_matrix_loop(l, n, k, gamma):
+    """Row C: the nonzero (D, coefficient of z_D in i*_gamma(z_C)), D sorted,
+    for every class C of G(l,1,n) in table order."""
+    m, r = k * l, (n - msize(gamma)) // k
+    t, t2 = character_table(l, n), character_table(m, r)
+    pairs = [(t.index[lam], t2.index[beta_flat_k_gamma(lam, k, gamma)])
+             for lam in core_fibres(l, n, k)[gamma]]
+    L = lcm(*(t.dims[i] for i, _ in pairs))
+    # (L / chi_lam(1)) chi_mu(1) chi_mu(D^-1) for every class D, in Z[x]/(x^m - 1)
+    weighted = [
+        [[L // t.dims[i] * t2.dims[j] * c for c in t2.raw[j][inv]] for inv in t2.inverse]
+        for i, j in pairs
+    ]
+    rows = []
+    for ci, size in enumerate(t.sizes):
+        acc = [[0] * m for _ in t2.classes]
+        for (i, _), target in zip(pairs, weighted):
+            for s, a in enumerate(t.raw[i][ci]):
+                if not a:
+                    continue
+                # a zeta_l^s = a zeta_m^(ks): shift each target entry by ks
+                for vec, b in zip(acc, target):
+                    for u, c in enumerate(b, start=k * s):
+                        if c:
+                            vec[u % m] += a * c
+        scale = Fraction(size, L * t2.order)
+        row = ((d, CyclotomicNumber.from_powers(m, vec))
+               for d, vec in zip(t2.classes, acc) if any(vec))
+        rows.append(tuple(sorted((d, x * scale) for d, x in row if x)))
+    return tuple(rows)

@@ -292,6 +292,18 @@ def test_json_round_trip():
     assert back2 == rep2
 
 
+def test_json_integral_entries_are_ints():
+    # an integral entry, written "p", "2p/2" or as a JSON number, is read as
+    # an int, so normal_form takes its all-int path on the arrows' rows
+    obj = {"d": [2, 1], "X": [[["3"], ["4/2"]], [["-6/3", 5]]],
+           "Y": [[["1/2", "0/7"]], [[-1], ["2/3"]]]}
+    rep = QuiverRep.from_json(obj)
+    entries = [x for m in rep.X + rep.Y for row in m.data for x in row]
+    assert entries == [3, 2, -2, 5, Fraction(1, 2), 0, -1, Fraction(2, 3)]
+    assert [type(x) for x in entries] == [int] * 4 + [Fraction, int, int, Fraction]
+    assert QuiverRep.from_json(json.loads(json.dumps(rep.to_json()))) == rep
+
+
 def test_simplicity_terminates_on_a_calogero_moser_point():
     # Jordan quiver, X = diag(x), Y_ij = 1/(x_i - x_j) off the diagonal: a
     # point of the Calogero-Moser fiber at theta = -1 whose random algebra

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from cmfix.wreath import (
     to_omega,
     verify_filtration,
 )
-from cmfix.wreath import _char_rec, _cycles
+from cmfix.wreath import _Kronecker, _char_rec, _cycles, _restriction_matrix
 from oracles import (
     beta_unreversed,
     brute_table_212,
@@ -32,6 +33,7 @@ from oracles import (
     matrix_class_type,
     monomial_class_rep,
     restrict_round_trip,
+    restriction_matrix_loop,
     sign,
     sn_character_table,
 )
@@ -314,6 +316,68 @@ def test_restriction_matrix_matches_the_round_trip(l, n, k):
         assert rep.certificates == tuple(certs)
         assert rep.passed == (not certs)
         assert rep.checked == len(enumerate_multipartitions(l, n))
+
+
+@pytest.mark.parametrize("l,n,k", [(2, 5, 2), (3, 4, 2), (2, 6, 3), (1, 6, 3), (4, 4, 2)])
+def test_packed_restriction_matrix_matches_the_loop(l, n, k):
+    # the Kronecker-packed integer rows, scaled into Q(zeta_kl), against the
+    # coefficient-by-coefficient sum, entry by entry and as certificates
+    m = k * l
+    classes = character_table(l, n).classes
+    for gamma in enumerate_core_tuples(k, l, n):
+        r = (n - sum(map(sum, gamma))) // k
+        want = restriction_matrix_loop(l, n, k, gamma)
+        packed = _restriction_matrix(l, n, k, gamma)
+        assert len(packed) == len(want) == len(classes)
+        for (scale, row), want_row in zip(packed, want):
+            assert [(d, (CyclotomicNumber(m, x) * scale).coeffs) for d, x in row] == [
+                (d, y.coeffs) for d, y in want_row]
+        certs = tuple((c, codim(c, n), d, codim(d, r)) for c, row in zip(classes, want)
+                      for d, _ in row if codim(d, r) > codim(c, n))
+        assert verify_filtration(l, n, k, gamma).certificates == certs
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kronecker_decodes_sums_of_products_at_the_bound(seed):
+    # digits of both signs, a bound met exactly by some digit, and
+    # borrows and carries that cross slot boundaries in the packed ints
+    rng = random.Random(seed)
+    size = rng.choice([3, 100, 10**4, 2**31, 10**30])
+    shorts = [[rng.randint(-size, size) for _ in range(rng.randint(1, 4))] for _ in range(3)]
+    longs = [[rng.randint(-size, size) for _ in range(rng.randint(5, 40))] for _ in range(3)]
+    count = max(len(a) + len(b) - 1 for a, b in zip(shorts, longs))
+    want = [0] * count
+    for a, b in zip(shorts, longs):
+        for i, x in enumerate(_convolve(a, b)):
+            want[i] += x
+    bound = max(map(abs, want + [c for a in shorts + longs for c in a]))
+    kron = _Kronecker(bound, count)
+    assert 2 ** (8 * kron.width - 1) > bound
+    got = kron.unpack(sum(kron.pack(a) * kron.pack(b) for a, b in zip(shorts, longs)))
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "bound", [1, 126, 127, 128, 2**15 - 1, 2**15, 2**31, 2**63 - 1, 2**63, 10**40])
+def test_kronecker_round_trips_the_widest_digits(bound):
+    kron = _Kronecker(bound, 6)
+    top = 2 ** (8 * kron.width - 1) - 1
+    assert top >= bound
+    digits = [top, -top, top, top, -top, -top]
+    assert kron.unpack(kron.pack(digits)) == digits
+    # a sum of two packs whose every slot lands on +-top
+    parts = [top - 1, -top + 1, 1, top, -top, 0]
+    ones = [1, -1, top - 1, 0, 0, -top]
+    assert kron.unpack(kron.pack(parts) + kron.pack(ones)) == digits
+    assert kron.unpack(kron.pack([3, -1])) == [3, -1, 0, 0, 0, 0]
 
 
 def test_verify_filtration_top_degree_trivial():
