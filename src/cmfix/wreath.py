@@ -43,12 +43,10 @@ substitution (``_Kronecker``): each lam's weighted target row
 (L / chi_lam(1)) chi_mu(1) chi_mu(D^-1) over every class D is packed into
 one int with 2m digit slots per D, m = kl, and chi_lam(C) into a second
 int with stride k, since zeta_l = zeta_m^k.  Row C is the sum over lam of
-the products of the two packs; the target packs of the labels that share
-a value chi_lam(C) are added first, so each distinct value costs one
-product.  The row is decoded from one ``to_bytes``, and x^u folds to
-x^(u mod m).  Each entry is kept as its int tuple reduced mod the m-th
-cyclotomic polynomial, which is monic, so the reduction stays in Z, and
-each row keeps one scale |C| / (L |W'|).  ``verify_filtration`` reads only
+the products of the two packs, decoded from one ``to_bytes``, and x^u
+folds to x^(u mod m).  Each entry is kept as its int tuple reduced mod the
+m-th cyclotomic polynomial, which is monic, so the reduction stays in Z,
+and each row keeps one scale |C| / (L |W'|).  ``verify_filtration`` reads only
 the support of these integer rows and ``codim``; ``i_gamma_star`` is the
 only place that turns entries into cyclotomic numbers.
 
@@ -63,7 +61,6 @@ keeps every codim, and gamma -> gamma' permutes the components.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -392,28 +389,22 @@ def i_gamma_star(z: CentralElement, gamma: Multipartition, k: int) -> CentralEle
     return CentralElement.from_dict(m, r, out)
 
 
-# the memoryview formats of native 1-, 2-, 4- and 8-byte unsigned ints
-_UINT_FORMATS = {memoryview(bytes(8)).cast(c).itemsize: c for c in "QLIHB"}
-
-
 class _Kronecker:
     """Signed digits packed into one int, sum_i d_i 2^(8wi), and back.
 
     Kronecker substitution: a product of digit polynomials is one product
-    of ints.  A slot is w whole bytes with 2^(8w - 1) > ``bound``, so
-    ``unpack`` reads back any sum of products of packs whose every digit is
-    at most ``bound`` in absolute value: it adds 2^(8w - 1) to each of the
+    of ints.  A slot is the fewest whole bytes w with 2^(8w - 1) > ``bound``,
+    so ``unpack`` reads back any sum of products of packs whose every digit
+    is at most ``bound`` in absolute value: it adds 2^(8w - 1) to each of the
     ``count`` slots, which leaves every slot in [0, 2^(8w)) with nothing to
-    carry, and reads them all from one ``to_bytes``.  Up to 8 bytes, w is a
-    power of two, so the slots are read as one array of machine ints.
+    carry, and reads them all from one ``to_bytes``.
     """
 
     def __init__(self, bound: int, count: int):
-        w = (bound.bit_length() + 8) // 8
-        self.width = w if w > 8 else 1 << (w - 1).bit_length()
+        self.width = w = (bound.bit_length() + 8) // 8
         self.count = count
-        self.half = 1 << (8 * self.width - 1)
-        self.bias = int.from_bytes(self.half.to_bytes(self.width, "little") * count, "little")
+        self.half = 1 << (8 * w - 1)
+        self.bias = int.from_bytes(self.half.to_bytes(w, "little") * count, "little")
 
     def pack(self, digits) -> int:
         w, half = self.width, self.half
@@ -422,18 +413,8 @@ class _Kronecker:
 
     def unpack(self, value: int) -> list[int]:
         w, half = self.width, self.half
-        biased = value + self.bias
-        if w in _UINT_FORMATS:
-            # in native byte order each slot is one machine int; big-endian
-            # bytes put the slots last to first
-            raw = biased.to_bytes(self.count * w, sys.byteorder)
-            slots = memoryview(raw).cast(_UINT_FORMATS[w]).tolist()
-            if sys.byteorder == "big":
-                slots.reverse()
-        else:
-            raw = biased.to_bytes(self.count * w, "little")
-            slots = [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
-        return [x - half for x in slots]
+        raw = (value + self.bias).to_bytes(self.count * w, "little")
+        return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, len(raw), w)]
 
 
 @lru_cache(maxsize=None)
@@ -466,18 +447,14 @@ def _restriction_matrix(
     spread = {}  # chi_lam(C) in Z[x]/(x^l - 1), zeta_l = x^k, packed
     rows = []
     for ci, size in enumerate(t.sizes):
-        # the fibre's targets summed per value of chi_lam(C), one product each
-        by_value = {}
+        acc = 0
         for (i, _), target in zip(pairs, packed):
             v = t.raw[i][ci]
-            by_value[v] = by_value.get(v, 0) + target
-        acc = 0
-        for v, total in by_value.items():
             if v not in spread:
                 spaced = [0] * (k * (l - 1) + 1)
                 spaced[::k] = v
                 spread[v] = kron.pack(spaced)
-            acc += spread[v] * total
+            acc += spread[v] * target
         row = []
         if acc:
             digits = kron.unpack(acc)

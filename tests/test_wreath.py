@@ -366,11 +366,12 @@ def test_kronecker_decodes_sums_of_products_at_the_bound(seed):
 
 
 @pytest.mark.parametrize(
-    "bound", [1, 126, 127, 128, 2**15 - 1, 2**15, 2**31, 2**63 - 1, 2**63, 10**40])
+    "bound", [1, 126, 127, 128, 2**15 - 1, 2**15, 2**23, 2**31, 2**39, 2**63 - 1, 2**63, 10**40])
 def test_kronecker_round_trips_the_widest_digits(bound):
     kron = _Kronecker(bound, 6)
     top = 2 ** (8 * kron.width - 1) - 1
-    assert top >= bound
+    # the fewest whole bytes that hold +-bound
+    assert top >= bound > top >> 8
     digits = [top, -top, top, top, -top, -top]
     assert kron.unpack(kron.pack(digits)) == digits
     # a sum of two packs whose every slot lands on +-top
