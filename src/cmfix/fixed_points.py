@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from .parameters import ParamSet, smooth_gl1n, transport
 from .partitions import (
     Multipartition,
-    beta_flat_k_gamma_inverse,
+    beta_flat_k_gamma,
     check_core_tuple,
+    core_and_quotient,
     core_fibres,
     core_multi,
     enumerate_core_tuples,
@@ -68,11 +69,10 @@ def delta_map(d, l: int) -> Multipartition:
     if not is_plus(d):
         raise ValueError(f"{d} is not in the nonnegative affine orbit")
     nu, _ = residue_to_core(d)
-    from .partitions import core, quotient
-
-    if core(nu, l)[0] != ():
+    nu_core, gamma = core_and_quotient(nu, l)
+    if nu_core != ():
         raise ValueError(f"the {m}-core {nu} of d has a nontrivial {l}-core")
-    return quotient(nu, l)
+    return gamma
 
 
 def delta_inverse(gamma: Multipartition, k: int, l: int, n: int) -> tuple[int, ...]:
@@ -87,7 +87,8 @@ class ComponentDescriptor:
     """One irreducible component of the mu_(kl)-fixed locus.
 
     gamma, labels and label_injection are all in the gordon convention;
-    label_injection maps the kl-multipartitions of r onto the label set.
+    label_injection is {beta_flat_k_gamma(lam): lam for lam in labels}, a
+    bijection from the kl-multipartitions of r onto the label set.
     """
 
     l: int
@@ -132,11 +133,8 @@ def component_catalog(l: int, n: int, k: int, p: ParamSet) -> list[ComponentDesc
         m = k * l
         d = delta_inverse(gamma, k, l, n)
         cp = transport(p, k, d)
-        inj = {
-            mu: beta_flat_k_gamma_inverse(mu, k, gamma)
-            for mu in enumerate_multipartitions(m, r)
-        }
-        assert set(inj.values()) == set(labels)
+        inj = {beta_flat_k_gamma(lam, k, gamma): lam for lam in labels}
+        assert len(inj) == len(labels) and set(inj) == set(enumerate_multipartitions(m, r))
         out.append(
             ComponentDescriptor(
                 l=l, n=n, k=k, gamma=gamma, r=r, m=m, d=d, c_prime=cp,

@@ -179,6 +179,16 @@ def smooth_g4(k0, k1, k2) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _transport_dims(p: ParamSet, k: int, d) -> tuple[int, ...]:
+    # the dimension vector d on Z/(kl)Z, validated with k
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    d = tuple(int(x) for x in d)
+    if len(d) != k * p.l:
+        raise ValueError(f"d must have length {k * p.l}")
+    return d
+
+
 def transport(p: ParamSet, k_factor: int, d) -> ParamSet:
     """Parameters of the component group G(kl,1,r) attached to d (closed form).
 
@@ -188,9 +198,7 @@ def transport(p: ParamSet, k_factor: int, d) -> ParamSet:
     """
     l, k = p.l, k_factor
     m = k * l
-    d = tuple(int(x) for x in d)
-    if len(d) != m:
-        raise ValueError(f"d must have length {m}")
+    d = _transport_dims(p, k, d)
     kp = [Fraction(0)] * m
     for j in range(1, m + 1):
         val = p.k[j % l] + p.a * (
@@ -218,12 +226,8 @@ def transport_via_theta(p: ParamSet, k_factor: int, d) -> ParamSet:
     theta[k] + k*sigma(theta)*bar(d)) and converts back.  Agrees with
     the closed form exactly, entry by entry.
     """
-    l, k = p.l, k_factor
-    m = k * l
-    d = tuple(int(x) for x in d)
-    if len(d) != m:
-        raise ValueError(f"d must have length {m}")
-    return ak_from_theta(translate_theta(d, theta_concat(theta_from_ak(p), k)))
+    d = _transport_dims(p, k_factor, d)
+    return ak_from_theta(translate_theta(d, theta_concat(theta_from_ak(p), k_factor)))
 
 
 # ---------------------------------------------------------------------------

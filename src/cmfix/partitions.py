@@ -17,12 +17,16 @@ runner down to its charge's ground state.  Cores biject with charge vectors,
 and the residue vector of a core determines the charges through
 ``Res_i - Res_{i+1} = s_i`` (cyclically).
 
-This is the only abacus in the package: ``wreath``'s rim-hook removal moves
-beads of the same B(lam), floored at ``-len(lam)``, and rebuilds partitions
-with ``_partition_from_beads``.
+This is the only abacus in the package, and ``_runner_data`` is its one
+pass: ``core_and_quotient`` (which ``core`` reads), ``quotient``,
+``is_l_core`` and ``from_core_and_quotient`` each read the runners once.
+``wreath``'s rim-hook removal moves beads of the same B(lam), floored at
+``-len(lam)``, and rebuilds partitions with ``_partition_from_beads``.
 
-``beta_flat_k_gamma`` is the one interleaving map: quotient t of component
-i goes to slot i + (k-1-t)l.  The unreversed slot order i + tl is
+``beta_flat_k_gamma`` is the only interleaving map in the package: quotient
+t of component i goes to slot i + (k-1-t)l.  Its inverse is a test oracle
+(``tests/oracles.py``); the catalog labels components through the forward
+map alone.  The unreversed slot order i + tl is
 conj . beta_flat_k_gamma(., k, gamma') . conj, with conj conjugating every
 component and gamma' = conj(gamma), because the k-quotient of lam' is the
 reversed, conjugated k-quotient of lam; ``wreath`` says why no restriction
@@ -47,8 +51,8 @@ __all__ = [
     "msize",
     "residues",
     "residues_infinite",
-    "charges",
     "core",
+    "core_and_quotient",
     "core_from_charges",
     "is_l_core",
     "quotient",
@@ -58,7 +62,6 @@ __all__ = [
     "core_multi",
     "check_core_tuple",
     "beta_flat_k_gamma",
-    "beta_flat_k_gamma_inverse",
     "partitions_of",
     "partitions_upto",
     "cores_upto",
@@ -124,6 +127,8 @@ def residues_infinite(lam: Partition) -> dict[int, int]:
 
 def _runner_data(lam: Partition, l: int) -> tuple[tuple[int, ...], Multipartition]:
     # charges and runner partitions of the bead set B(lam)
+    if l < 1:
+        raise ValueError("l must be >= 1")
     L = len(lam)
     explicit = [lam[i] - (i + 1) for i in range(L)]  # strictly decreasing
     charges_ = []
@@ -162,40 +167,36 @@ def core_from_charges(s) -> Partition:
     return _partition_from_beads(explicit, l * lo)
 
 
-def charges(lam: Partition, l: int) -> tuple[int, ...]:
-    """Runner charges of lam on the l-runner abacus (sum to 0)."""
-    return _runner_data(lam, l)[0]
+def core_and_quotient(lam: Partition, l: int) -> tuple[Partition, Multipartition]:
+    """The l-core and the l-quotient of lam, read off one abacus pass."""
+    ch, quots = _runner_data(lam, l)
+    nu = core_from_charges(ch)
+    assert size(lam) == size(nu) + msize(quots) * l
+    return nu, quots
 
 
 def core(lam: Partition, l: int) -> tuple[Partition, int]:
     """The l-core of lam and the number of l-box removals to reach it."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    ch, quots = _runner_data(lam, l)
-    nu = core_from_charges(ch)
-    removals = sum(sum(q) for q in quots)
-    assert size(lam) == size(nu) + removals * l
-    return nu, removals
+    nu, quots = core_and_quotient(lam, l)
+    return nu, msize(quots)
 
 
 def is_l_core(lam: Partition, l: int) -> bool:
-    return core(lam, l)[1] == 0
+    return not any(quotient(lam, l))
 
 
 def quotient(lam: Partition, l: int) -> Multipartition:
     """The l-quotient under the module's abacus convention."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
     return _runner_data(lam, l)[1]
 
 
 def from_core_and_quotient(nu: Partition, mu: Multipartition, l: int) -> Partition:
     """The unique partition with l-core nu and l-quotient mu."""
-    if not is_l_core(nu, l):
+    s, nu_quotient = _runner_data(nu, l)
+    if any(nu_quotient):
         raise ValueError(f"{nu} is not a {l}-core")
     if len(mu) != l:
         raise ValueError(f"quotient must have {l} components")
-    s = charges(nu, l)
     lo = min(s[j] - len(mu[j]) for j in range(l))
     lo = min(lo, 0) - 1
     explicit = []
@@ -266,23 +267,12 @@ def beta_flat_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Mul
     l = len(lam)
     mu: list[Partition] = [()] * (k * l)
     for i, (c, g) in enumerate(zip(lam, gamma)):
-        if core(c, k)[0] != g:
-            raise ValueError(
-                f"core mismatch in component {i}: Core_{k}{c} = {core(c, k)[0]} != {g}"
-            )
-        for t, q in enumerate(quotient(c, k)):
+        nu, quot = core_and_quotient(c, k)
+        if nu != g:
+            raise ValueError(f"core mismatch in component {i}: Core_{k}{c} = {nu} != {g}")
+        for t, q in enumerate(quot):
             mu[i + (k - 1 - t) * l] = q
     return tuple(mu)
-
-
-def beta_flat_k_gamma_inverse(mu: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
-    l = len(gamma)
-    if len(mu) != k * l:
-        raise ValueError("length mismatch")
-    return tuple(
-        from_core_and_quotient(gamma[i], tuple(mu[i + (k - 1 - t) * l] for t in range(k)), k)
-        for i in range(l)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,11 @@ bounded trial division of ``quiver._divisors``), ``charpoly_fractions``
 and ``total_matrix`` (a word in the arrows as a product of n x n
 embeddings, which ``quiver._path`` multiplies as blocks).
 
+``beta_flat_k_gamma_inverse`` is the inverse interleaving, rebuilt component
+by component with ``from_core_and_quotient``.  The package labels components
+through the forward ``partitions.beta_flat_k_gamma`` alone; this is the
+reference that the forward map is checked against.
+
 ``restriction_matrix_loop`` is the restriction matrix of ``wreath`` summed
 coefficient by coefficient in Z[x]/(x^(kl) - 1), with each entry reduced
 into a CyclotomicNumber and scaled: the reference for the Kronecker-packed
@@ -44,6 +49,7 @@ from cmfix.partitions import (
     beta_flat_k_gamma,
     core,
     core_fibres,
+    from_core_and_quotient,
     msize,
     partitions_of,
     quotient,
@@ -120,6 +126,16 @@ def beta_unreversed(lam, k):
         for t, q in enumerate(quotient(c, k)):
             mu[i + t * l] = q
     return tuple(mu)
+
+
+def beta_flat_k_gamma_inverse(mu, k, gamma):
+    l = len(gamma)
+    if len(mu) != k * l:
+        raise ValueError("length mismatch")
+    return tuple(
+        from_core_and_quotient(gamma[i], tuple(mu[i + (k - 1 - t) * l] for t in range(k)), k)
+        for i in range(l)
+    )
 
 
 def restrict_round_trip(z, gamma, k, beta):

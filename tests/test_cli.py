@@ -135,6 +135,11 @@ def test_usage_error_exit_2(capsys):
     code, out = run(["smooth", "--criterion", "g4", "--kparams=1,2"])
     assert code == 2 and out == ""
     assert "g4 needs exactly 3 values of k" in capsys.readouterr().err
+    for k in ("0", "-1"):
+        code, out = run(["transport", "--l", "2", "--a", "1", "--kparams=1,-1",
+                         "--k", k, "--d", "1,1"])
+        assert code == 2 and out == "", k
+        assert capsys.readouterr().err == "error: k must be >= 1\n", k
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,7 @@ from cmfix.partitions import (
     enumerate_multipartitions,
     msize,
 )
-from oracles import enumerate_E_direct
+from oracles import beta_flat_k_gamma_inverse, enumerate_E_direct
 
 GRID = [(1, 2, 2), (1, 3, 2), (1, 4, 2), (1, 4, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]
 
@@ -28,6 +29,13 @@ def generic_params(l, seed=0):
     ks = [Fraction(i + 1, 1) for i in range(l - 1)]
     ks.append(-sum(ks, Fraction(0)))
     return ParamSet(l, Fraction(1, 97), tuple(ks))
+
+
+def quiver_dim(d):
+    # 2 d_0 - (d, C d), C the Cartan matrix of type A~_(m-1); for m = 1 it
+    # is 0 and for m = 2 its off-diagonal entries are -2, as this form gives
+    m = len(d)
+    return 2 * d[0] - sum((d[i] - d[(i + 1) % m]) ** 2 for i in range(m))
 
 
 @pytest.mark.parametrize("l,n,k", GRID)
@@ -130,6 +138,7 @@ def test_catalog_labels_partition_everything(l, n, k):
     seen = []
     for c in cat:
         assert c.r == (n - msize(c.gamma)) // k
+        assert quiver_dim(c.d) == 2 * c.r
         assert all(core_multi(lam, k) == c.gamma for lam in c.labels)
         # the injection is a bijection onto the label set
         assert len(c.label_injection) == len(c.labels)
@@ -137,8 +146,23 @@ def test_catalog_labels_partition_everything(l, n, k):
         assert set(c.label_injection.keys()) == set(
             enumerate_multipartitions(c.m, c.r)
         )
+        for mu, lam in c.label_injection.items():
+            assert beta_flat_k_gamma_inverse(mu, k, c.gamma) == lam
         seen.extend(c.labels)
     assert sorted(seen) == sorted(enumerate_multipartitions(l, n))
+
+
+def test_component_dimension_is_2r():
+    # the component at d is a quiver variety of Z/mZ with framing Lambda_0, so
+    # its dimension is quiver_dim(d); the isomorphism with CM(G(kl,1,r))
+    # forces 2r
+    components = 0
+    for k, l, n in product(range(1, 5), range(1, 5), range(7)):
+        for d in enumerate_E(k, l, n):
+            r = (n - msize(delta_map(d, l))) // k
+            assert quiver_dim(d) == 2 * r, (k, l, n, d)
+            components += 1
+    assert components == 1898
 
 
 @pytest.mark.parametrize("l,n,k", [(2, 2, 2), (1, 4, 2), (3, 2, 2)])

@@ -170,6 +170,13 @@ def test_transport_routes_agree_on_index_set(l, n, k):
             assert sorted(t1.k) == sorted(t2.k)
 
 
+@pytest.mark.parametrize("route", [transport, transport_via_theta])
+@pytest.mark.parametrize("k,d", [(0, ()), (-1, (1, 1))])
+def test_transport_rejects_k_below_1(route, k, d):
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        route(ParamSet(2, Fraction(1), (Fraction(1), Fraction(-1))), k, d)
+
+
 def test_transport_is_linear():
     rng = random.Random(13)
     for (l, k) in ((2, 2), (3, 2), (2, 3)):

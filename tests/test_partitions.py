@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from cmfix.partitions import (
     beta_flat_k_gamma,
-    beta_flat_k_gamma_inverse,
     core,
+    core_and_quotient,
     core_fibres,
     core_multi,
     cores_upto,
@@ -21,7 +21,13 @@ from cmfix.partitions import (
     residues,
     residues_infinite,
 )
-from oracles import beta_unreversed, conjugate_multi, core_oracle, is_core_oracle
+from oracles import (
+    beta_flat_k_gamma_inverse,
+    beta_unreversed,
+    conjugate_multi,
+    core_oracle,
+    is_core_oracle,
+)
 
 parts_st = st.lists(st.integers(1, 5), max_size=5).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -106,6 +112,19 @@ def test_size_identity_and_round_trip_exhaustive():
                 assert sum(lam) == l * msize(mu) + sum(nu)
                 assert r == msize(mu)
                 assert from_core_and_quotient(nu, mu, l) == lam
+
+
+@given(parts_st, moduli_st)
+def test_core_and_quotient_reads_both_and_the_rebuild_checks_its_input(lam, l):
+    nu, mu = core_and_quotient(lam, l)
+    assert (nu, mu) == (core_oracle(lam, l)[0], quotient(lam, l))
+    assert from_core_and_quotient(nu, mu, l) == lam
+    with pytest.raises(ValueError, match=f"quotient must have {l} components"):
+        from_core_and_quotient(nu, mu + ((),), l)
+    if any(mu):  # lam is not an l-core: that error comes before the count error
+        for wrong in (mu, mu + ((),)):
+            with pytest.raises(ValueError, match=f"is not a {l}-core"):
+                from_core_and_quotient(lam, wrong, l)
 
 
 def test_from_core_and_quotient_rejects_non_core():

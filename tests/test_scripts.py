@@ -1,5 +1,5 @@
-"""Smoke tests of scripts/profile.py on the benchmark's tiny plans and of the
-exit codes of scripts/filtration_report.py."""
+"""Smoke tests of scripts/profile.py on the benchmark's tiny plans, of the
+exit codes of scripts/filtration_report.py and of scripts/component_census.py."""
 
 import importlib.util
 import io
@@ -11,6 +11,7 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "profile.py"
 FILTRATION_REPORT = SCRIPT.with_name("filtration_report.py")
+COMPONENT_CENSUS = SCRIPT.with_name("component_census.py")
 
 
 @pytest.fixture(scope="module")
@@ -49,3 +50,12 @@ def test_filtration_report_exit_codes(grid, code):
         assert proc.stderr.startswith("error: ") and proc.stdout == ""
     else:
         assert proc.stdout.endswith("0 failures\n")
+
+
+def test_component_census_counting_identity_holds_on_a_small_grid():
+    proc = subprocess.run([sys.executable, str(COMPONENT_CENSUS),
+                           "--lmax", "2", "--nmax", "3", "--kmax", "3"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "MISMATCH" not in proc.stdout
+    assert len(proc.stdout.splitlines()) == 1 + 2 * 3 * 2  # header, one row per (l, n, k)
