@@ -341,7 +341,11 @@ class CyclotomicNumber:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CyclotomicNumber":
-        return cls(obj["order"], [parse_rational(c) for c in obj["coeffs"]])
+        """Read {"order": m, "coeffs": [...]}: m an int >= 1, coefficients as rationals."""
+        order = obj.get("order") if isinstance(obj, dict) else None
+        if type(order) is not int or order < 1 or not isinstance(obj.get("coeffs"), list):
+            raise ValueError('a cyclotomic entry needs an int "order" >= 1 and a list "coeffs"')
+        return cls(order, [parse_rational(str(c)) for c in obj["coeffs"]])
 
 
 def zeta(m: int, e: int = 1) -> CyclotomicNumber:

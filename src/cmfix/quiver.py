@@ -5,6 +5,17 @@ X_i : C^(d_{i+1}) -> C^(d_i) and a map Y_i : C^(d_i) -> C^(d_{i+1}) to each
 pair of opposite arrows.  Everything is exact (Fraction or cyclotomic
 entries); nothing here constructs quotient varieties, it only verifies
 membership and identities.
+
+``norton_simplicity`` is Norton's irreducibility test (the MeatAxe: Parker
+1984, Holt-Rees 1994) on integer arrows.  Most of its spins generate the
+whole space, so each seed list is first spun over F_P, P = 2^31 - 1
+(``_spins_whole_mod_p``): the rank of integer vectors mod P is at most
+their rank over Q, so a whole F_P spin is a whole Q spin and the seed list
+is done.  Only a proper F_P spin runs the exact ``_spin``, which decides
+the verdict and builds every witness.  A seed list found whole once is
+not spun again: the kernels of later trials repeat the probes' unit
+vectors.  The characteristic polynomial (Faddeev-LeVerrier, ``_charpoly``)
+and the rational root search run on plain ints.
 """
 
 from __future__ import annotations
@@ -13,6 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 from .arith import CyclotomicNumber, format_rational, parse_rational
 from .linalg import Mat, insert_row, monic, normal_form
@@ -74,8 +86,9 @@ class QuiverRep:
     def from_json(cls, obj: dict) -> "QuiverRep":
         if not isinstance(obj, dict) or not {"d", "X", "Y"} <= obj.keys():
             raise ValueError('a representation needs the keys "d", "X" and "Y"')
-        if not isinstance(obj["d"], list):
-            raise ValueError('"d" must be a list of dimensions')
+        if not isinstance(obj["d"], list) or not all(
+                type(x) is int and x >= 0 for x in obj["d"]):
+            raise ValueError('"d" must be a list of non-negative integers')
         d = tuple(obj["d"])
         l = len(d)
         if obj.get("l", l) != l:
@@ -217,44 +230,101 @@ class SimplicityResult:
     trials: int = 0
 
 
-def _spin(rep: QuiverRep, seeds) -> list[list[tuple]]:
-    """Smallest subrepresentation containing the seed vectors.
+P = 2 ** 31 - 1  # the prime of the spin certificate of ``norton_simplicity``
 
-    seeds: iterable of (vertex, vector).  Returns per-vertex bases: the rows
-    of the reduced echelon form with pivot entry 1, in insertion order.
-    A vertex whose basis is full rejects every vector, so nothing is pushed
-    there, an arrow is applied only when its image is about to be inserted,
-    and the spin ends once the bases span the whole space.
 
-    The work list holds vectors in ``normal_form``: with integer arrows (as
-    ``norton_simplicity`` passes them) every vector is a primitive int
-    vector, and the bases are divided by their pivots only when the spin is
-    not the whole space, since a full vertex's rows are unit vectors already.
+def _grow(d, X, Y, work, insert, apply) -> tuple[list[list], int]:
+    """The work-list loop of a spin: per-vertex bases and the room left.
+
+    work holds (vertex, arrow to apply or None, vector); X and Y are the
+    arrows as ``apply`` takes them.  A vertex whose basis is full rejects
+    every vector, so nothing is pushed there, an arrow is applied only when
+    its image is about to be inserted, and the loop ends once the bases span
+    the whole space (room 0).
     """
-    l, d = rep.l, rep.d
-    bases: list[list[tuple]] = [[] for _ in range(l)]
+    l = len(d)
+    bases: list[list] = [[] for _ in range(l)]
     pivots: list[list[int]] = [[] for _ in range(l)]
     room = sum(d)
-    # (vertex, arrow to apply or None, vector)
-    work = [(i, None, normal_form(v)) for i, v in seeds]
     while work and room:
         i, arrow, v = work.pop()
         if len(bases[i]) == d[i]:
             continue
         if arrow is not None:
-            v = normal_form(arrow.apply(v))
-        if not insert_row(bases[i], pivots[i], v):
+            v = apply(arrow, v)
+        if not insert(bases[i], pivots[i], v):
             continue
         room -= 1
         # push through the arrows out of vertex i
         j, h = (i + 1) % l, (i - 1) % l
         if len(bases[j]) < d[j]:
-            work.append((j, rep.Y[i], v))
+            work.append((j, Y[i], v))
         if len(bases[h]) < d[h]:
-            work.append((h, rep.X[h], v))
+            work.append((h, X[h], v))
+    return bases, room
+
+
+def _spin(rep: QuiverRep, seeds) -> list[list[tuple]]:
+    """Smallest subrepresentation containing the seed vectors, over Q.
+
+    seeds: iterable of (vertex, vector).  Returns per-vertex bases: the rows
+    of the reduced echelon form with pivot entry 1, in insertion order.
+
+    The work list holds vectors in ``normal_form``: with integer arrows (as
+    ``norton_simplicity`` passes them) every vector is a primitive int
+    vector, and the bases are divided by their pivots only when the spin is
+    not the whole space, since a full vertex's rows are unit vectors already.
+    ``norton_simplicity`` runs it only on seed lists whose spin over F_P,
+    the same loop in ``_spins_whole_mod_p``, is proper.
+    """
+    work = [(i, None, normal_form(v)) for i, v in seeds]
+    bases, room = _grow(rep.d, rep.X, rep.Y, work, insert_row,
+                        lambda arrow, v: normal_form(arrow.apply(v)))
     if room:
         bases = [[monic(row) for row in b] for b in bases]
     return bases
+
+
+def _mod_p(m: Mat) -> tuple[tuple[int, ...], ...]:
+    """The rows of an integer matrix reduced mod P."""
+    return tuple(tuple(x % P for x in row) for row in m.data)
+
+
+def _insert_mod_p(rows: list[list[int]], pivots: list[int], vec) -> bool:
+    """Add vec to the semi-echelon basis (rows, pivots) over F_P if independent.
+
+    Each row is 1 at its pivot and 0 at the pivots of the rows before it, so
+    one pass in insertion order reduces vec, and earlier rows are not
+    cleared.  vec may hold any ints; the remainders mod P are taken once,
+    after the pass.
+    """
+    v = vec
+    for row, p in zip(rows, pivots):
+        f = v[p] % P
+        if f:
+            v = [x - f * y for x, y in zip(v, row)]
+    v = [x % P for x in v]
+    piv = next((c for c, x in enumerate(v) if x), None)
+    if piv is None:
+        return False
+    inv = pow(v[piv], -1, P)
+    rows.append([x * inv % P for x in v])
+    pivots.append(piv)
+    return True
+
+
+def _spins_whole_mod_p(d, X, Y, seeds) -> bool:
+    """Whether the seeds spin the whole space over F_P, by the loop of ``_spin``.
+
+    X and Y are integer arrows reduced mod P (``_mod_p``) and every seed an
+    integer vector.  The F_P spin is spanned by the reductions of the integer
+    vectors that span the spin over Q, and reduction mod P does not raise
+    the rank of an integer matrix, so a whole F_P spin means a whole Q spin.
+    A proper F_P spin decides nothing: P may divide a minor.
+    """
+    work = [(i, None, v) for i, v in seeds]
+    return not _grow(d, X, Y, work, _insert_mod_p,
+                     lambda rows, v: [sum(map(mul, row, v)) % P for row in rows])[1]
 
 
 def _path(rep: QuiverRep, word) -> tuple[int, int, Mat] | None:
@@ -286,19 +356,38 @@ def _cleared(m: Mat) -> tuple[int, Mat]:
 def _charpoly(a: Mat) -> list[Fraction]:
     """Monic characteristic polynomial of a rational matrix, by descending power.
 
-    Faddeev-LeVerrier on the integer matrix D*a: there every M_k is an
+    Faddeev-LeVerrier on the integer matrix B = D*a: there every M_k is an
     integer matrix and c_k = -tr(M_k)/k an integer, so the recursion runs on
-    ints and divides exactly; then c_k(a) = c_k(D*a) / D**k.
+    ints and divides exactly; then c_k(a) = c_k(B) / D**k.  M_k is a
+    polynomial in B, so (M_(k-1) + c_(k-1)) B = B (M_(k-1) + c_(k-1)), and
+    the product runs on int lists against the columns of B.
+
+    An index whose row or column of B is zero splits off a factor x
+    (expand det(x - B) along it), so such indices are dropped, until none
+    is left, and the recursion runs on the principal submatrix of the rest.
     """
     n = a.rows
     den, b = _cleared(a)
+    live = range(n)
+    while True:
+        keep = [i for i in live if any(b.data[i][j] for j in live)
+                and any(b.data[j][i] for j in live)]
+        if len(keep) == len(live):
+            break
+        live = keep
+    rows = [[b.data[i][j] for j in live] for i in live]
+    cols = list(zip(*rows))
     coeffs = [1]
-    m = Mat.zeros(n, n)
-    for k in range(1, n + 1):
-        m = b * (m + Mat.scalar(n, coeffs[-1]))
-        c, r = divmod(-m.trace(), k)
+    m = [[0] * len(live) for _ in live]
+    for k in range(1, len(live) + 1):
+        c = coeffs[-1]
+        for i, row in enumerate(m):
+            row[i] += c
+        m = [[sum(map(mul, row, col)) for col in cols] for row in m]
+        c, r = divmod(-sum(row[i] for i, row in enumerate(m)), k)
         assert r == 0, "Faddeev-LeVerrier divides exactly on an integer matrix"
         coeffs.append(c)
+    coeffs += [0] * (n - len(live))
     return [Fraction(c, den ** k) for k, c in enumerate(coeffs)]
 
 
@@ -343,7 +432,13 @@ def _rational_eigenvalues(z: Mat) -> list[Fraction]:
         else:
             cands = {Fraction(s * p) for p in ps[:20] for s in (1, -1)}
         for t in cands:
-            if sum(c * t ** (len(ints) - 1 - i) for i, c in enumerate(ints)) == 0:
+            # Horner on ints: v = q**deg * f(p/q)
+            p, q = t.numerator, t.denominator
+            v, qi = 0, 1
+            for c in ints:
+                v = v * p + c * qi
+                qi *= q
+            if v == 0:
                 roots.add(t)
     return sorted(roots)
 
@@ -361,8 +456,13 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     The entries must be rational (int or Fraction); a CyclotomicNumber entry
     raises ValueError.  The spins see each arrow times the lcm of its
     denominators, which leaves every subrepresentation as it is, so they run
-    on ints.  z sums words in the arrows' own values, each word one block
-    product of the small arrows (``_path``).
+    on ints.  Each seed list is spun over F_P first; a whole F_P spin
+    certifies a whole Q spin (reduction mod P does not raise a rank), and
+    only a proper one is spun exactly, so an unlucky P costs time, never a
+    verdict.  A seed list known to spin the whole space is skipped when it
+    comes again.  z sums words in the arrows' own values, each word one block
+    product of the small arrows (``_path``); its eigenvalues come from the
+    integer charpoly by integer Horner evaluation of every candidate p/q.
     """
     arrows = rep.X + rep.Y
     if not all(isinstance(x, (int, Fraction)) for m in arrows for row in m.data for x in row):
@@ -379,14 +479,29 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     primal = QuiverRep(d, tuple(cleared[:l]), tuple(cleared[l:]))
     # the dual representation: transposed maps with X and Y exchanged
     dual = QuiverRep(d, tuple(m.T for m in primal.Y), tuple(m.T for m in primal.X))
+    # each side with its arrows reduced mod P and the seed lists known to
+    # spin the whole space
+    sides = [(side, tuple(map(_mod_p, side.X)), tuple(map(_mod_p, side.Y)), set())
+             for side in (primal, dual)]
 
     def reducible(side, seed_lists):
         # the witness of the first seed list whose spin is proper: its bases,
-        # or on the dual side their per-vertex orthogonal complements
+        # or on the dual side their per-vertex orthogonal complements; a seed
+        # list seen whole before, or whole over F_P, is not spun over Q
+        module, X_p, Y_p, whole = side
         for seeds in seed_lists:
-            bases = _spin(side, seeds)
-            if 0 < sum(map(len, bases)) < n:
-                if side is primal:
+            seeds = tuple((i, normal_form(v)) for i, v in seeds)
+            if seeds in whole:
+                continue
+            if _spins_whole_mod_p(d, X_p, Y_p, seeds):
+                whole.add(seeds)
+                continue
+            bases = _spin(module, seeds)
+            spun = sum(map(len, bases))
+            if spun == n:
+                whole.add(seeds)
+            elif spun:
+                if module is primal:
                     return tuple(map(tuple, bases))
                 return tuple(tuple(Mat(len(b), di, b).nullspace()) for b, di in zip(bases, d))
         return None
@@ -398,7 +513,7 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     # deterministic probes: coordinate vectors at every vertex, both sides
     probes = [[(i, tuple(int(t == c) for t in range(di)))]
               for i, di in enumerate(d) for c in range(di)]
-    for side in (primal, dual):
+    for side in sides:
         if (w := reducible(side, probes)) is not None:
             return SimplicityResult("NotSimple", witness=w)
 
@@ -416,7 +531,7 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
         for t in _rational_eigenvalues(z):
             zz = z - Mat.scalar(n, t)
             kernels = []
-            for side, m in ((primal, zz), (dual, zz.T)):
+            for side, m in zip(sides, (zz, zz.T)):
                 kernels.append(m.nullspace())
                 if (w := reducible(side, map(graded, kernels[-1]))) is not None:
                     return SimplicityResult("NotSimple", witness=w, trials=trials)

@@ -13,12 +13,14 @@ it is a second path to the restriction matrix of ``wreath``, and with the
 unreversed interleaving ``beta_unreversed`` the only thing the sign-twist
 identity test compares is the label map.
 
-Three more are earlier versions of a library routine, kept as the reference
+Four more are earlier versions of a library routine, kept as the reference
 for a rewrite that must return the same values: ``divisors_loop`` (the
 bounded trial division of ``quiver._divisors``), ``charpoly_fractions``
-(Faddeev-LeVerrier over Fraction, which ``quiver._charpoly`` runs on ints)
-and ``total_matrix`` (a word in the arrows as a product of n x n
-embeddings, which ``quiver._path`` multiplies as blocks).
+(Faddeev-LeVerrier over Fraction, which ``quiver._charpoly`` runs on ints),
+``rational_roots_fractions`` (the root search with each candidate summed
+in Fraction powers, which ``quiver._rational_eigenvalues`` evaluates by
+integer Horner) and ``total_matrix`` (a word in the arrows as a product of
+n x n embeddings, which ``quiver._path`` multiplies as blocks).
 
 ``beta_flat_k_gamma_inverse`` is the inverse interleaving, rebuilt component
 by component with ``from_core_and_quotient``.  The package labels components
@@ -443,6 +445,33 @@ def charpoly_fractions(a: Mat) -> list[Fraction]:
         m = a * (m + Mat.scalar(n, coeffs[-1]))
         coeffs.append(Fraction(-m.trace(), k))
     return coeffs
+
+
+def rational_roots_fractions(z: Mat, cap: int) -> list[Fraction]:
+    """The rational root search of ``quiver._rational_eigenvalues`` over Fraction.
+
+    The same candidates (divisors of the cleared charpoly's constant over
+    divisors of its lead, or the first 20 constant divisors when there are
+    more than cap pairs), each tested by summing Fraction powers.
+    """
+    coeffs = charpoly_fractions(z)
+    denom = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    roots = set()
+    while ints[-1] == 0 and len(ints) > 1:
+        roots.add(Fraction(0))
+        ints.pop()
+    const, lead = abs(ints[-1]), abs(ints[0])
+    if const:
+        ps, qs = divisors_loop(const, cap), divisors_loop(lead, cap)
+        if len(ps) * len(qs) <= cap:
+            cands = {Fraction(s * p, q) for p in ps for q in qs for s in (1, -1)}
+        else:
+            cands = {Fraction(s * p) for p in ps[:20] for s in (1, -1)}
+        for t in cands:
+            if sum(c * t ** (len(ints) - 1 - i) for i, c in enumerate(ints)) == 0:
+                roots.add(t)
+    return sorted(roots)
 
 
 def total_matrix(rep, word, n: int, offs) -> Mat:

@@ -121,7 +121,7 @@ def test_smooth_subcommand():
     assert json.loads(out)["smooth"] is True
 
 
-def test_usage_error_exit_2(capsys):
+def test_usage_error_exit_2(capsys, tmp_path):
     code, _ = run(["cores", "--partition", "2,3", "--l", "2"])  # not decreasing
     assert code == 2
     code, _ = run(["transport", "--l", "2", "--k", "2", "--d", "0,0,0,0",
@@ -140,6 +140,24 @@ def test_usage_error_exit_2(capsys):
                          "--k", k, "--d", "1,1"])
         assert code == 2 and out == "", k
         assert capsys.readouterr().err == "error: k must be >= 1\n", k
+    # malformed cyclotomic entries and dimension vectors in a --rep file
+    f = tmp_path / "rep.json"
+    for obj, says in (({"d": [1], "X": [[[{}]]], "Y": [[["1"]]]}, '"order"'),
+                      ({"d": [1], "X": [[[{"order": 3, "coeffs": [1]}]]], "Y": [[["1"]]]},
+                       "rational matrix entries"),
+                      ({"d": [1], "X": [[[{"order": True, "coeffs": []}]]], "Y": [[["1"]]]},
+                       '"order"'),
+                      ({"d": [1], "X": [[[{"order": 3, "coeffs": "1"}]]], "Y": [[["1"]]]},
+                       '"coeffs"'),
+                      ({"d": [1], "X": [[[{"order": 3, "coeffs": [1.5]}]]], "Y": [[["1"]]]},
+                       "1.5"),
+                      *(({"d": [x], "X": [[["1"]]], "Y": [[["1"]]]}, '"d"')
+                        for x in (True, 1.5, -1, "2"))):
+        f.write_text(json.dumps(obj))
+        code, out = run(["quiver-check", "--rep", str(f)])
+        assert code == 2 and out == "", obj
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err, (obj, err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,22 +3,28 @@
 Between them these runs pass through the cyclotomic arithmetic, the abacus,
 the interleaving map, exact row reduction, the label fibres of the component
 catalog and the character-table conversions, so a change to any of those
-that alters a single output byte fails here.
+that alters a single output byte fails here.  The Norton test is pinned
+below the CLI as well: the verdicts, trials, witnesses and spins of a seeded
+family, and the verdicts and trials on the benchmark's representations.
 """
 
 import hashlib
 import io
 import json
 import random
+import sys
 from contextlib import redirect_stdout
-
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cmfix.cli import main
 from cmfix.linalg import Mat
 from cmfix.quiver import QuiverRep, _spin, norton_simplicity, random_rep, scale_action
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import NORTON_SEED, quiver_reps  # noqa: E402
 
 GOLDEN = [
     pytest.param(["chartable", "--l", "3", "--n", "3"],
@@ -193,3 +199,23 @@ def test_golden_norton_family():
         h.update(repr(_canon((res.status, str(res.trials), res.witness, bases))).encode())
     assert (counts["Simple"], counts["NotSimple"], counts["Unknown"]) == NORTON_COUNTS
     assert h.hexdigest() == NORTON_FAMILY_DIGEST
+
+
+# (status, trials) of the Norton test on the representations of the
+# benchmark's quiver workload, for its Norton seed and for seed 0; the CLI
+# prints no trials, so only this notices a change in the path to a verdict
+NORTON_WORKLOAD = {
+    NORTON_SEED: {"cm6": ("Simple", 1), "zero-vertex-2222": ("NotSimple", 0),
+                  "zero-arrow-222222": ("Simple", 16), "generic-3333": ("Simple", 27),
+                  "generic-444": ("Unknown", 32), "zero-arrow-2222": ("NotSimple", 0)},
+    0: {"cm6": ("Simple", 4), "zero-vertex-2222": ("NotSimple", 0),
+        "zero-arrow-222222": ("Simple", 21), "generic-3333": ("Simple", 16),
+        "generic-444": ("Unknown", 32), "zero-arrow-2222": ("NotSimple", 0)},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(NORTON_WORKLOAD))
+def test_golden_norton_on_the_workload_reps(seed):
+    reps = {stem: QuiverRep.from_json(obj) for stem, obj in quiver_reps(1, False).items()}
+    got = {stem: norton_simplicity(rep, seed=seed) for stem, rep in reps.items()}
+    assert {stem: (r.status, r.trials) for stem, r in got.items()} == NORTON_WORKLOAD[seed]

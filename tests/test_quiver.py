@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -18,8 +19,30 @@ from cmfix.quiver import (
     random_rep,
     scale_action,
 )
-from cmfix.quiver import _charpoly, _divisors, _embed_blocks, _path, _spin
-from oracles import charpoly_fractions, divisors_loop, rref_rows, spin_closure, total_matrix
+from cmfix import quiver
+from cmfix.linalg import normal_form
+from cmfix.quiver import (
+    P,
+    _ROOT_CAP,
+    _charpoly,
+    _cleared,
+    _divisors,
+    _embed_blocks,
+    _mod_p,
+    _path,
+    _rational_eigenvalues,
+    _spin,
+    _spins_whole_mod_p,
+)
+from oracles import (
+    charpoly_fractions,
+    divisors_loop,
+    rational_roots_fractions,
+    rref_rows,
+    spin_closure,
+    total_matrix,
+)
+from test_golden import norton_family
 
 
 def test_mat_shapes_and_rank():
@@ -320,11 +343,9 @@ def test_simplicity_terminates_on_a_calogero_moser_point():
     assert norton_simplicity(rep, seed=0).status in {"Simple", "Unknown"}
 
 
-def test_spin_matches_brute_force_closure():
-    # random reps with zero dimensions and zero arrows; _spin stops early and
-    # skips full vertices, which must not change the row spaces it returns
+def spin_family():
+    """150 random (rep, seeds) with zero dimensions, zero arrows and zero seeds."""
     rng = random.Random(23)
-    kinds = set()
     for _ in range(150):
         l = rng.randint(1, 4)
         d = tuple(rng.randint(0, 3) for _ in range(l))
@@ -337,11 +358,61 @@ def test_spin_matches_brute_force_closure():
         verts = [i for i in range(l) if d[i]]
         seeds = [(i, tuple(rng.randint(-1, 1) for _ in range(d[i])))
                  for i in (rng.choices(verts, k=rng.randint(1, 2)) if verts else ())]
+        yield rep, seeds
+
+
+def test_spin_matches_brute_force_closure():
+    # _spin stops early and skips full vertices, which must not change the
+    # row spaces it returns
+    kinds = set()
+    for rep, seeds in spin_family():
+        d = rep.d
         bases = _spin(rep, seeds)
         assert [rref_rows(b, d[i]) for i, b in enumerate(bases)] == spin_closure(rep, seeds)
         total = sum(len(b) for b in bases)
         kinds.add("zero" if total == 0 else "whole" if total == sum(d) else "proper")
     assert kinds == {"zero", "proper", "whole"}
+
+
+def _whole_mod_p(rep, seeds):
+    # the certificate as norton_simplicity asks it: cleared arrows, seeds in normal_form
+    X, Y = ([_mod_p(_cleared(m)[1]) for m in ms] for ms in (rep.X, rep.Y))
+    return _spins_whole_mod_p(rep.d, X, Y, [(i, normal_form(v)) for i, v in seeds])
+
+
+def test_a_whole_spin_mod_p_is_a_whole_spin():
+    # the spin family, and the seeds of the Norton family one at a time and
+    # all together, on the representation and on its dual
+    cases = list(spin_family())
+    for _, rep, seeds in norton_family():
+        dual = QuiverRep(rep.d, tuple(m.T for m in rep.Y), tuple(m.T for m in rep.X))
+        for side in (rep, dual):
+            cases += [(side, [s]) for s in seeds] + [(side, seeds)]
+    seen = set()
+    for rep, seeds in cases:
+        mod_p = _whole_mod_p(rep, seeds)
+        exact = sum(map(len, _spin(rep, seeds))) == sum(rep.d)
+        assert exact or not mod_p, (rep, seeds)
+        seen.add((mod_p, exact))
+    assert {(True, True), (False, False)} <= seen
+
+
+def test_an_unlucky_prime_changes_no_result(monkeypatch):
+    # every arrow times P: every image vanishes mod P, so only seed lists that
+    # span the whole space by themselves are certified, and the results must be
+    # those of the exact spins alone
+    reps = []
+    for i, rep, _ in norton_family():
+        if i % 3:
+            continue
+        rep = QuiverRep(rep.d, tuple(m.scale(P) for m in rep.X), tuple(m.scale(P) for m in rep.Y))
+        assert not any(x for m in rep.X + rep.Y for row in _mod_p(_cleared(m)[1]) for x in row)
+        reps.append((i, rep))
+    got = [norton_simplicity(rep, seed=i, budget=16) for i, rep in reps]
+    monkeypatch.setattr(quiver, "_spins_whole_mod_p", lambda *a: False)
+    assert got == [norton_simplicity(rep, seed=i, budget=16) for i, rep in reps]
+    assert "Simple" in {r.status for r in got}
+    assert any(r.status == "NotSimple" and r.witness is not None for r in got)
 
 
 def test_simplicity_rejects_cyclotomic_entries():
@@ -365,12 +436,55 @@ def test_divisors_match_the_bounded_loop():
 
 
 def test_charpoly_matches_the_fraction_recursion():
+    # mixed int and Fraction entries, all-int matrices, zero matrices, and
+    # sparse matrices whose zero rows and columns _charpoly splits off
     rng = random.Random(13)
-    for _ in range(120):
-        n = rng.randint(0, 6)
-        a = Mat(n, n, [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.7
-                        else rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        assert _charpoly(a) == charpoly_fractions(a)
+    for i in range(160):
+        n = rng.randint(0, 12)
+        if i % 4 == 0:
+            a = Mat.zeros(n, n)
+        elif i % 4 == 1:
+            a = Mat(n, n, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        else:
+            density = 0.15 if i % 4 == 3 else 1
+            a = Mat(n, n, [[0 if rng.random() > density
+                            else Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.7
+                            else rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        assert _charpoly(a) == charpoly_fractions(a), a
+
+
+def test_root_search_matches_the_fraction_evaluation():
+    # triangular matrices with repeated zero and small rational eigenvalues,
+    # random matrices with zero columns, and highly composite diagonals whose
+    # divisor pairs exceed _ROOT_CAP, so that only small roots are looked for
+    rng = random.Random(19)
+    seen = set()
+    for i in range(240):
+        n = rng.randint(1, 8)
+        if i % 3 == 0:
+            diag = [rng.choice((0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-3, 4))) for _ in range(n)]
+        elif i % 3 == 2:
+            diag = [rng.choice((2, -3, 360, 720, -840, 2520, 5040, -27720)) for _ in range(n)]
+        if i % 3 == 1:
+            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                    for _ in range(n)]
+            for c in rng.sample(range(n), rng.randint(0, n)):
+                for row in rows:
+                    row[c] = 0
+        else:
+            rows = [[diag[r] if r == c else rng.randint(-3, 3) if c > r else 0
+                     for c in range(n)] for r in range(n)]
+        z = Mat(n, n, rows)
+        roots = _rational_eigenvalues(z)
+        assert roots == rational_roots_fractions(z, _ROOT_CAP), rows
+        poly = charpoly_fractions(z)
+        zeros = next(k for k in range(n + 1) if poly[n - k] != 0)
+        ints = [c * lcm(*(c.denominator for c in poly)) for c in poly[:n + 1 - zeros]]
+        capped = len(_divisors(abs(int(ints[-1])), _ROOT_CAP)) \
+            * len(_divisors(int(ints[0]), _ROOT_CAP)) > _ROOT_CAP
+        seen.add(("zeros>1" if zeros > 1 else "zeros<=1", capped, any(roots)))
+    assert {("zeros>1", False, True), ("zeros<=1", True, True), ("zeros<=1", False, True),
+            ("zeros<=1", False, False)} <= seen
 
 
 def test_path_block_matches_the_embedded_product():
