@@ -23,6 +23,7 @@ RootLatticeElement = tuple[int, ...]
 
 __all__ = [
     "reflect_dim",
+    "quiver_dim",
     "reflect_theta",
     "pairing",
     "sigma",
@@ -54,6 +55,19 @@ def reflect_dim(j: int, d) -> tuple[int, ...]:
     new = list(d)
     new[j] = (1 if j == 0 else 0) + d[(j + 1) % l] + d[(j - 1) % l] - d[j]
     return tuple(new)
+
+
+def quiver_dim(d) -> int:
+    """Dimension 2 d_0 - (d, C d) of the quiver variety of Z/mZ at d, framed at 0.
+
+    C is the Cartan matrix of type A~_(m-1), so (d, C d) is the sum over i
+    of (d_i - d_(i+1))^2, indices mod m.  At m = 2 the two arrows between
+    the vertices make the off-diagonal entries -2, and at m = 1 the loop
+    makes C = (0), so the dimension is 2 d_0; the sum gives both cases.
+    """
+    d = tuple(d)
+    m = len(d)
+    return 2 * d[0] - sum((d[i] - d[(i + 1) % m]) ** 2 for i in range(m))
 
 
 def reflect_theta(j: int, theta) -> ThetaVector:

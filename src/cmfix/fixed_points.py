@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .parameters import ParamSet, smooth_gl1n, transport
 from .partitions import (
     Multipartition,
-    beta_flat_k_gamma,
     check_core_tuple,
     core_and_quotient,
     core_fibres,
@@ -88,7 +87,9 @@ class ComponentDescriptor:
 
     gamma, labels and label_injection are all in the gordon convention;
     label_injection is {beta_flat_k_gamma(lam): lam for lam in labels}, a
-    bijection from the kl-multipartitions of r onto the label set.
+    bijection from the kl-multipartitions of r onto the label set.  Both
+    are read off the fibre ``partitions.core_fibres(l, n, k)[gamma]``, which
+    already maps each label to that image.
     """
 
     l: int
@@ -128,17 +129,17 @@ def component_catalog(l: int, n: int, k: int, p: ParamSet) -> list[ComponentDesc
     if not smooth_gl1n(p, n):
         raise ValueError("parameters are not smooth; the catalog needs smoothness")
     out = []
-    for gamma, labels in core_fibres(l, n, k).items():
+    for gamma, fibre in core_fibres(l, n, k).items():
         r = (n - msize(gamma)) // k
         m = k * l
         d = delta_inverse(gamma, k, l, n)
         cp = transport(p, k, d)
-        inj = {beta_flat_k_gamma(lam, k, gamma): lam for lam in labels}
-        assert len(inj) == len(labels) and set(inj) == set(enumerate_multipartitions(m, r))
+        inj = {mu: lam for lam, mu in fibre.items()}
+        assert len(inj) == len(fibre) and set(inj) == set(enumerate_multipartitions(m, r))
         out.append(
             ComponentDescriptor(
                 l=l, n=n, k=k, gamma=gamma, r=r, m=m, d=d, c_prime=cp,
-                labels=labels, label_injection=inj,
+                labels=tuple(fibre), label_injection=inj,
             )
         )
     return out

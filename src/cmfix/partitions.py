@@ -20,11 +20,16 @@ and the residue vector of a core determines the charges through
 This is the only abacus in the package, and ``_runner_data`` is its one
 pass: ``core_and_quotient`` (which ``core`` reads), ``quotient``,
 ``is_l_core`` and ``from_core_and_quotient`` each read the runners once.
+``core_fibres`` reads every partition of size <= n once and
+``enumerate_core_tuples`` tests each for being a k-core once, however many
+labels or tuples it is a component of.
 ``wreath``'s rim-hook removal moves beads of the same B(lam), floored at
 ``-len(lam)``, and rebuilds partitions with ``_partition_from_beads``.
 
 ``beta_flat_k_gamma`` is the only interleaving map in the package: quotient
-t of component i goes to slot i + (k-1-t)l.  Its inverse is a test oracle
+t of component i goes to slot i + (k-1-t)l.  The slot rule is the private
+``_interleave``, which ``core_fibres`` shares, so each fibre carries every
+label's ``beta_flat_k_gamma`` image.  The inverse is a test oracle
 (``tests/oracles.py``); the catalog labels components through the forward
 map alone.  The unreversed slot order i + tl is
 conj . beta_flat_k_gamma(., k, gamma') . conj, with conj conjugating every
@@ -33,7 +38,8 @@ reversed, conjugated k-quotient of lam; ``wreath`` says why no restriction
 verdict can tell the two orders apart.
 
 ``core_fibres`` is the one label-fibre map: the labels of the fixed-locus
-component gamma are ``core_fibres(l, n, k)[gamma]`` wherever they are needed.
+component gamma are ``core_fibres(l, n, k)[gamma]`` wherever they are needed,
+a dict from each label to its interleaved k-quotient.
 """
 
 from __future__ import annotations
@@ -256,6 +262,12 @@ def check_core_tuple(gamma: Multipartition, k: int, l: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _interleave(quotients, k: int) -> Multipartition:
+    # the slot rule: quotient t of component i fills slot i + (k-1-t)l, so
+    # slot s*l + i holds quotient k-1-s of component i
+    return tuple(quot[k - 1 - s] for s in range(k) for quot in quotients)
+
+
 def beta_flat_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
     """Interleave the k-quotients of the components of lam into an m-tuple.
 
@@ -264,15 +276,13 @@ def beta_flat_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Mul
     """
     if len(lam) != len(gamma):
         raise ValueError("component count mismatch")
-    l = len(lam)
-    mu: list[Partition] = [()] * (k * l)
+    quotients = []
     for i, (c, g) in enumerate(zip(lam, gamma)):
         nu, quot = core_and_quotient(c, k)
         if nu != g:
             raise ValueError(f"core mismatch in component {i}: Core_{k}{c} = {nu} != {g}")
-        for t, q in enumerate(quot):
-            mu[i + (k - 1 - t) * l] = q
-    return tuple(mu)
+        quotients.append(quot)
+    return _interleave(quotients, k)
 
 
 # ---------------------------------------------------------------------------
@@ -338,15 +348,15 @@ def enumerate_core_tuples(k: int, l: int, n: int) -> list[Multipartition]:
     if n < 0:
         raise ValueError("n must be >= 0")
 
+    cores = [[p for p in partitions_of(s) if is_l_core(p, k)] for s in range(n + 1)]
+
     def gen(comps: int, budget: int, total: int) -> Iterator[Multipartition]:
         if comps == 0:
             if (n - total) % k == 0:
                 yield ()
             return
         for s in range(budget, -1, -1):
-            for p in partitions_of(s):
-                if not is_l_core(p, k):
-                    continue
+            for p in cores[s]:
                 for rest in gen(comps - 1, budget - s, total + s):
                     yield (p,) + rest
 
@@ -354,14 +364,22 @@ def enumerate_core_tuples(k: int, l: int, n: int) -> list[Multipartition]:
 
 
 @lru_cache(maxsize=None)
-def core_fibres(l: int, n: int, k: int) -> dict[Multipartition, tuple[Multipartition, ...]]:
-    """The l-multipartitions of n grouped by componentwise k-core.
+def core_fibres(
+    l: int, n: int, k: int
+) -> dict[Multipartition, dict[Multipartition, Multipartition]]:
+    """The l-multipartitions of n grouped by componentwise k-core, each with
+    its interleaved k-quotient.
 
-    Keys are enumerate_core_tuples(k, l, n) in that order; each fibre keeps
-    the enumerate_multipartitions(l, n) order.  Shared by every caller, so
-    treat the result as read-only.
+    Keys are enumerate_core_tuples(k, l, n) in that order.  The fibre of
+    gamma maps each label lam to beta_flat_k_gamma(lam, k, gamma), and
+    iterates its labels in the enumerate_multipartitions(l, n) order.  Each
+    distinct partition of size <= n takes one abacus pass, whatever the
+    number of labels it is a component of.  Shared by every caller, so treat
+    the result as read-only.
     """
-    fibres = {g: [] for g in enumerate_core_tuples(k, l, n)}
+    reads = {p: core_and_quotient(p, k) for p in partitions_upto(n)}
+    fibres = {g: {} for g in enumerate_core_tuples(k, l, n)}
     for lam in enumerate_multipartitions(l, n):
-        fibres[core_multi(lam, k)].append(lam)
-    return {g: tuple(f) for g, f in fibres.items()}
+        cqs = [reads[c] for c in lam]
+        fibres[tuple(nu for nu, _ in cqs)][lam] = _interleave([q for _, q in cqs], k)
+    return fibres

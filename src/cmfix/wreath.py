@@ -50,13 +50,15 @@ and each row keeps one scale |C| / (L |W'|).  ``verify_filtration`` reads only
 the support of these integer rows and ``codim``; ``i_gamma_star`` is the
 only place that turns entries into cyclotomic numbers.
 
-The fibre is labelled through ``partitions.beta_flat_k_gamma``; the
-unreversed slot order gives no other verdict.  Let T be the sign twist
-e_lam -> e_lam' (conjugate every component), i.e. z_C -> eps(C) z_C with
-eps(C) = prod over cycles of (-1)^(length - 1), since chi_lam' = eps
-chi_lam.  The unreversed restriction at gamma is
-T . i_gamma_star(., gamma', k) . T; T is diagonal on class sums, so it
-keeps every codim, and gamma -> gamma' permutes the components.
+The fibre is labelled through ``partitions.beta_flat_k_gamma``: each
+(lam, mu) pair is read off ``partitions.core_fibres``, whose fibres carry
+that image of every label.  The unreversed slot order gives no other
+verdict.  Let T be the sign twist e_lam -> e_lam' (conjugate every
+component), i.e. z_C -> eps(C) z_C with eps(C) = prod over cycles of
+(-1)^(length - 1), since chi_lam' = eps chi_lam.  The unreversed
+restriction at gamma is T . i_gamma_star(., gamma', k) . T; T is diagonal
+on class sums, so it keeps every codim, and gamma -> gamma' permutes the
+components.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .partitions import (
     Multipartition,
     Partition,
     _partition_from_beads,
-    beta_flat_k_gamma,
     check_core_tuple,
     core_fibres,
     enumerate_multipartitions,
@@ -426,8 +427,7 @@ def _restriction_matrix(
     # for every class C of G(l,1,n) in table order; gamma is already validated
     m, r = k * l, (n - msize(gamma)) // k
     t, t2 = character_table(l, n), character_table(m, r)
-    pairs = [(t.index[lam], t2.index[beta_flat_k_gamma(lam, k, gamma)])
-             for lam in core_fibres(l, n, k)[gamma]]
+    pairs = [(t.index[lam], t2.index[mu]) for lam, mu in core_fibres(l, n, k)[gamma].items()]
     L = lcm(*(t.dims[i] for i, _ in pairs))
     targets = sorted(range(len(t2.classes)), key=t2.classes.__getitem__)
     classes = [t2.classes[d] for d in targets]

@@ -9,6 +9,7 @@ from cmfix.affine_weyl import (
     is_plus,
     orbit_normalize,
     pairing,
+    quiver_dim,
     reflect_dim,
     reflect_theta,
     sigma,
@@ -80,6 +81,25 @@ def test_pairing_identity_randomized():
             assert pairing(reflect_dim(j, d), reflect_theta(j, th)) == pairing(
                 d, th
             ) - (th[0] if j == 0 else 0)
+
+
+def test_quiver_dim_examples():
+    # m = 1: the Calogero-Moser space of n points has dimension 2n
+    assert quiver_dim((5,)) == 10
+    # m = 2: the off-diagonal Cartan entries are -2
+    assert quiver_dim((2, 1)) == 4 - 2
+    assert quiver_dim((1, 1, 1)) == 2 and quiver_dim((0, 0, 0)) == 0
+    assert quiver_dim((1, 0, 0)) == 2 - 2
+
+
+def test_quiver_dim_is_invariant_under_reflections():
+    # the reflections s_j, framing term included, fix the dimension
+    rng = random.Random(20200513)
+    for _ in range(4000):
+        m = rng.randint(1, 7)
+        d = tuple(rng.randint(-5, 9) for _ in range(m))
+        for j in range(m):
+            assert quiver_dim(reflect_dim(j, d)) == quiver_dim(d), (j, d)
 
 
 def test_pairing_basics():

@@ -151,6 +151,8 @@ def test_usage_error_exit_2(capsys, tmp_path):
                        '"coeffs"'),
                       ({"d": [1], "X": [[[{"order": 3, "coeffs": [1.5]}]]], "Y": [[["1"]]]},
                        "1.5"),
+                      ({"d": [1], "X": [[[{"order": 200000, "coeffs": [1]}]]],
+                        "Y": [[["1"]]]}, "at most 1000"),
                       *(({"d": [x], "X": [[["1"]]], "Y": [[["1"]]]}, '"d"')
                         for x in (True, 1.5, -1, "2"))):
         f.write_text(json.dumps(obj))

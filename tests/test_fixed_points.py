@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+import cmfix.partitions
+from cmfix.affine_weyl import quiver_dim
 from cmfix.fixed_points import (
     component_catalog,
     delta_inverse,
@@ -13,10 +15,12 @@ from cmfix.fixed_points import (
 )
 from cmfix.parameters import ParamSet, smooth_gl1n
 from cmfix.partitions import (
+    core_fibres,
     core_multi,
     enumerate_core_tuples,
     enumerate_multipartitions,
     msize,
+    partitions_upto,
 )
 from oracles import beta_flat_k_gamma_inverse, enumerate_E_direct
 
@@ -29,13 +33,6 @@ def generic_params(l, seed=0):
     ks = [Fraction(i + 1, 1) for i in range(l - 1)]
     ks.append(-sum(ks, Fraction(0)))
     return ParamSet(l, Fraction(1, 97), tuple(ks))
-
-
-def quiver_dim(d):
-    # 2 d_0 - (d, C d), C the Cartan matrix of type A~_(m-1); for m = 1 it
-    # is 0 and for m = 2 its off-diagonal entries are -2, as this form gives
-    m = len(d)
-    return 2 * d[0] - sum((d[i] - d[(i + 1) % m]) ** 2 for i in range(m))
 
 
 @pytest.mark.parametrize("l,n,k", GRID)
@@ -150,6 +147,21 @@ def test_catalog_labels_partition_everything(l, n, k):
             assert beta_flat_k_gamma_inverse(mu, k, c.gamma) == lam
         seen.extend(c.labels)
     assert sorted(seen) == sorted(enumerate_multipartitions(l, n))
+
+
+def test_the_catalog_reads_each_partition_once(monkeypatch):
+    # counts of abacus passes, not times: the fibres read every partition of
+    # size <= n once, where a pass per label component made 9,681 at (3,9,2)
+    passes = []
+    abacus = cmfix.partitions._runner_data
+    monkeypatch.setattr(cmfix.partitions, "_runner_data",
+                        lambda lam, l: passes.append(lam) or abacus(lam, l))
+    core_fibres.cache_clear()
+    component_catalog(3, 9, 2, generic_params(3))
+    assert 0 < len(passes) <= 400
+    passes.clear()
+    enumerate_core_tuples(2, 3, 9)
+    assert 0 < len(passes) <= len(partitions_upto(9)) == 97
 
 
 def test_component_dimension_is_2r():

@@ -45,6 +45,20 @@ GOLDEN = [
                   "--kparams=1/89,-1/89", "--format", "csv"],
                  "5cd9008f664fac9964b0944738a68a304839e0552a2ffcf352775e9e32ef61ea",
                  id="components-l2-n6-k3-csv"),
+    # the slot rule i + (k-1-t)l is least symmetric at l = 3, and at k > n
+    # every quotient is empty
+    pytest.param(["components", "--l", "3", "--n", "5", "--k", "2", "--a", "1/97",
+                  "--kparams=1/89,1/83,-172/7387"],
+                 "06b57e2b020c6d86782145faa13e0c3584368e1034a349c8d59c3b7836a631a5",
+                 id="components-l3-n5-k2"),
+    pytest.param(["components", "--l", "1", "--n", "4", "--k", "6", "--a", "1/97",
+                  "--kparams=0"],
+                 "2822f0b90da1481acf041d9d943301bf6f5f0e1303707374522a6a710ef8b276",
+                 id="components-l1-n4-k6"),
+    pytest.param(["verify-filtration", "--l", "3", "--n", "3", "--k", "2",
+                  "--gamma", "[[1],[],[]]"],
+                 "3386994b0dc30914f8e45cd1538a9f1e9c3bf13c0adaf7a087aa5b0a438efe5a",
+                 id="verify-filtration-l3-n3-k2-gamma"),
     pytest.param(["verify-filtration", "--l", "3", "--n", "2", "--k", "2"],
                  "87634ebba7e2d5c3c5be20f7d5c2e5fc5c2369f21003715876de3566ee80ea9e",
                  id="verify-filtration-l3-n2-k2"),

@@ -296,3 +296,30 @@ def test_core_fibres_partition_the_labels_by_core(l, n, k):
         assert fibre, gamma  # every core tuple labels a component
         assert list(fibre) == [lam for lam in labels if lam in fibre]  # enumeration order
         assert all(core_multi(lam, k) == gamma for lam in fibre)
+
+
+# l = 1, k = 1, n = 0 and k > n, then l = 3 and k = 3, where the slot rule
+# i + (k-1-t)l is least symmetric
+FIBRE_GRID = [(1, 5, 2), (2, 3, 1), (3, 0, 2), (2, 2, 5), (1, 4, 6), (3, 4, 2), (2, 6, 3)]
+
+
+@pytest.mark.parametrize("l,n,k", FIBRE_GRID)
+def test_fibre_map_agrees_with_the_forward_and_inverse_maps(l, n, k):
+    for gamma, fibre in core_fibres(l, n, k).items():
+        r = (n - msize(gamma)) // k
+        for lam, mu in fibre.items():
+            assert mu == beta_flat_k_gamma(lam, k, gamma), (gamma, lam)
+            assert beta_flat_k_gamma_inverse(mu, k, gamma) == lam, (gamma, mu)
+        targets = enumerate_multipartitions(k * l, r)
+        assert len(fibre) == len(targets) and set(fibre.values()) == set(targets), gamma
+
+
+@pytest.mark.parametrize("l,n,k", FIBRE_GRID + [(3, 9, 2)])
+def test_core_tuples_match_the_brute_force_filter(l, n, k):
+    # the first l components of the (l+1)-multipartitions of n whose last
+    # component is one row or empty are the l-tuples of size <= n, each
+    # once, in the order that enumerate_core_tuples keeps
+    brute = [lam[:-1] for lam in enumerate_multipartitions(l + 1, n) if len(lam[-1]) <= 1]
+    brute = [g for g in brute
+             if (n - msize(g)) % k == 0 and all(is_core_oracle(c, k) for c in g)]
+    assert enumerate_core_tuples(k, l, n) == brute
