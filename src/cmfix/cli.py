@@ -29,7 +29,7 @@ from .parameters import (
     theta_from_ak,
     transport,
 )
-from .partitions import core, partition, quotient, residues
+from .partitions import core, enumerate_core_tuples, partition, quotient, residues
 from .fixed_points import component_catalog, enumerate_E
 from .wreath import character_table, verify_filtration
 from .quiver import QuiverRep, in_deformed_fiber, moment_map, norton_simplicity
@@ -178,8 +178,6 @@ def cmd_chartable(args) -> int:
 
 
 def cmd_verify_filtration(args) -> int:
-    from .partitions import enumerate_core_tuples
-
     if args.gamma is not None:
         gammas = [_parse_gamma(args.gamma)]
     else:
@@ -205,8 +203,6 @@ def cmd_smooth(args) -> int:
         if len(ks) != 3:
             raise ValueError(f"g4 needs exactly 3 values of k, got {len(ks)}")
         val = smooth_g4(*ks)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown criterion {crit}")
     _emit({"criterion": crit, "smooth": val})
     return 0
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .affine_weyl import reflect_theta, sigma, translate_theta
+from .affine_weyl import sigma, translate_theta
 from .arith import format_rational
 
 __all__ = [
@@ -258,13 +258,6 @@ class CyclicCMSurface:
             coeffs = [Fraction(0)] + coeffs
             coeffs = [c - r * h for c, h in zip(coeffs, coeffs[1:] + [Fraction(0)])]
         return tuple(coeffs)
-
-    def to_json(self) -> dict:
-        return {
-            "l": self.l,
-            "roots": [format_rational(r) for r in self.roots],
-            "weight": self.weight,
-        }
 
 
 def cyclic_cm_polynomial(k) -> CyclicCMSurface:

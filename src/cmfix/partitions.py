@@ -20,6 +20,9 @@ and the residue vector of a core determines the charges through
 This is the only abacus in the package, and ``_runner_data`` is its one
 pass: ``core_and_quotient`` (which ``core`` reads), ``quotient``,
 ``is_l_core`` and ``from_core_and_quotient`` each read the runners once.
+``_from_runners`` is its one inverse, from runner charges and runner
+partitions back to a partition: ``core_from_charges`` and
+``from_core_and_quotient`` both rebuild their bead sets through it.
 ``core_fibres`` reads every partition of size <= n once and
 ``enumerate_core_tuples`` tests each for being a k-core once, however many
 labels or tuples it is a component of.
@@ -162,15 +165,24 @@ def _partition_from_beads(explicit: list[int], floor: int) -> Partition:
     return tuple(parts)
 
 
+def _from_runners(s, mu: Multipartition) -> Partition:
+    # the inverse of _runner_data: runner j has charge s[j] and partition
+    # mu[j]; its ground beads are made explicit down to a common floor
+    l = len(s)
+    lo = min(min(sj - len(q) for sj, q in zip(s, mu)), 0) - 1
+    explicit = []
+    for j, (sj, q) in enumerate(zip(s, mu)):
+        explicit += [l * (p - t + sj) + j for t, p in enumerate(q, start=1)]
+        explicit += [l * x + j for x in range(lo, sj - len(q))]
+    return _partition_from_beads(explicit, l * lo)
+
+
 def core_from_charges(s) -> Partition:
     """The l-core whose runner charges are s (entries must sum to 0)."""
     s = tuple(int(x) for x in s)
     if sum(s) != 0:
         raise ValueError(f"charges must sum to 0, got {s}")
-    l = len(s)
-    lo = min(min(s), 0) - 1
-    explicit = [l * x + j for j, sj in enumerate(s) for x in range(lo, sj)]
-    return _partition_from_beads(explicit, l * lo)
+    return _from_runners(s, ((),) * len(s))
 
 
 def core_and_quotient(lam: Partition, l: int) -> tuple[Partition, Multipartition]:
@@ -203,17 +215,7 @@ def from_core_and_quotient(nu: Partition, mu: Multipartition, l: int) -> Partiti
         raise ValueError(f"{nu} is not a {l}-core")
     if len(mu) != l:
         raise ValueError(f"quotient must have {l} components")
-    lo = min(s[j] - len(mu[j]) for j in range(l))
-    lo = min(lo, 0) - 1
-    explicit = []
-    for j in range(l):
-        q = mu[j]
-        for t, p in enumerate(q, start=1):
-            explicit.append(l * (p - t + s[j]) + j)
-        # ground beads of runner j made explicit down to the common floor
-        for x in range(lo, s[j] - len(q)):
-            explicit.append(l * x + j)
-    lam = _partition_from_beads(explicit, l * lo)
+    lam = _from_runners(s, mu)
     assert size(lam) == size(nu) + l * msize(mu)
     return lam
 

@@ -10,7 +10,10 @@ cycle colour) and live in Q(zeta_l).  The recursion runs in the group ring
 Z[x]/(x^l - 1) on int tuples, entry t the coefficient of zeta_l^t: a cycle
 weight +-zeta^e is a signed cyclic shift and nothing divides.  Reduction mod
 the l-th cyclotomic polynomial is a ring map out of Z[x]/(x^l - 1), so each
-value is reduced into Q(zeta_l) once, at the end.
+value is reduced into Q(zeta_l) once, at the end.  The recursion's memo
+(``_char_rec``) lives only while one table is built: ``character_table``
+clears it once ``raw`` is read, because the table is cached whole and
+nothing reads the intermediate (label, cycles) values again.
 
 The centre of the group algebra is handled in two bases: class sums (the
 filtration-friendly basis) and primitive central idempotents (the
@@ -269,6 +272,7 @@ def character_table(l: int, n: int) -> WreathTable:
     sizes = tuple(s for _, s in classes_sizes)
     cycles = [_cycles(c) for c in classes]
     raw = tuple(tuple(_char_rec(lam, cyc, l) for cyc in cycles) for lam in labels)
+    _char_rec.cache_clear()
     index = {lam: i for i, lam in enumerate(labels)}
     inverse = tuple(index[inverse_class(c)] for c in classes)
     dims = tuple(char_dimension(lam) for lam in labels)
@@ -304,11 +308,6 @@ class CentralElement:
         for k, v in other.coeffs:
             d[k] = d.get(k, CyclotomicNumber.zero(self.l)) + v
         return CentralElement.from_dict(self.l, self.n, d)
-
-    def scale(self, c) -> "CentralElement":
-        return CentralElement.from_dict(
-            self.l, self.n, {k: v * c for k, v in self.coeffs}
-        )
 
     def __mul__(self, other: "CentralElement") -> "CentralElement":
         if (self.l, self.n) != (other.l, other.n):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cmfix import wreath
 from cmfix.cli import _dumps, main, run_selftest
 from cmfix.arith import zeta
 from cmfix.quiver import random_rep, scale_action
@@ -99,6 +100,15 @@ def test_verify_filtration_exit_codes():
         "--gamma", "[[2],[]]",
     ])
     assert code == 2 and out == ""
+
+
+def test_verify_filtration_exits_1_under_a_wrong_codim(monkeypatch):
+    argv = ["verify-filtration", "--l", "2", "--n", "2", "--k", "2", "--gamma", "[[],[]]"]
+    code, out = run(argv)
+    assert code == 0 and '"passed": true' in out
+    monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: len(ctype[0]))
+    code, out = run(argv)
+    assert code == 1 and '"passed": false' in out
 
 
 @pytest.mark.parametrize("gamma", [

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import cmfix.fixed_points
 import cmfix.partitions
 from cmfix.affine_weyl import quiver_dim
 from cmfix.fixed_points import (
@@ -19,6 +20,7 @@ from cmfix.partitions import (
     core_multi,
     enumerate_core_tuples,
     enumerate_multipartitions,
+    flip,
     msize,
     partitions_upto,
 )
@@ -209,6 +211,16 @@ def test_nesting_exhaustive():
     assert rep.pairs_checked == len(enumerate_core_tuples(2, 2, 3)) * len(
         enumerate_core_tuples(4, 2, 3)
     )
+
+
+def test_nesting_fails_under_reversed_cores(monkeypatch):
+    # the k1-cores with their components reversed are the wrong convention
+    assert nesting_check(2, 4, 2, 3).passed
+    monkeypatch.setattr(cmfix.fixed_points, "core_multi", lambda lam, k: flip(core_multi(lam, k)))
+    rep = nesting_check(2, 4, 2, 3)
+    assert not rep.passed and rep.pairs_checked == 40 and len(rep.failures) == 20
+    assert rep.failures[0] == {"gamma1": ((1,), ()), "gamma2": ((3,), ()),
+                               "contained": True, "core_match": False}
 
 
 def test_nesting_requires_divisibility():

@@ -1,0 +1,58 @@
+"""Modules are the API: importing one layer loads only the layers beneath it.
+
+Each ``cmfix.<module>`` is imported in a fresh interpreter, which then lists
+the ``cmfix.*`` modules it loaded.  The package itself holds only
+``__version__``, so a module that starts reaching into another layer, or a
+package that starts re-exporting names, shows here as a changed set.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+ALL = {"arith", "linalg", "partitions", "affine_weyl", "parameters", "fixed_points",
+       "wreath", "quiver", "invariants", "cli"}
+
+LOADS = {
+    "arith": {"arith"},
+    "linalg": {"linalg"},
+    "partitions": {"partitions"},
+    "affine_weyl": {"affine_weyl", "partitions"},
+    "parameters": {"parameters", "affine_weyl", "arith", "partitions"},
+    "fixed_points": {"fixed_points", "parameters", "affine_weyl", "arith", "partitions"},
+    "wreath": {"wreath", "arith", "partitions"},
+    "quiver": {"quiver", "arith", "linalg"},
+    "invariants": ALL - {"cli"},
+    # run_selftest imports invariants only when selftest runs
+    "cli": ALL - {"invariants"},
+}
+
+PROBE = "import sys, cmfix.{0}; print(' '.join(m[6:] for m in sys.modules if m.startswith('cmfix.')))"
+
+
+def _fresh(code):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_every_module_is_listed():
+    assert {p.stem for p in (SRC / "cmfix").glob("*.py")} - {"__init__"} == ALL == set(LOADS)
+
+
+@pytest.mark.parametrize("module", sorted(LOADS))
+def test_importing_a_module_loads_only_the_layers_beneath_it(module):
+    assert set(_fresh(PROBE.format(module))) == LOADS[module]
+
+
+def test_the_package_loads_no_layer_and_binds_only_its_version():
+    names = _fresh("import sys, cmfix; print(*[m for m in sys.modules if m.startswith('cmfix.')],"
+                   " *[k for k in vars(cmfix) if not k.startswith('__')])")
+    assert names == []

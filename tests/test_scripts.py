@@ -1,8 +1,10 @@
 """Smoke tests of scripts/profile.py on the benchmark's tiny plans, of the
-exit codes of scripts/filtration_report.py and of scripts/component_census.py."""
+exit codes of scripts/filtration_report.py, of scripts/component_census.py
+and of scripts/uncovered.py."""
 
 import importlib.util
 import io
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "profile.py"
 FILTRATION_REPORT = SCRIPT.with_name("filtration_report.py")
 COMPONENT_CENSUS = SCRIPT.with_name("component_census.py")
+UNCOVERED = SCRIPT.with_name("uncovered.py")
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +62,20 @@ def test_component_census_counting_identity_holds_on_a_small_grid():
     assert proc.returncode == 0, proc.stderr
     assert "MISMATCH" not in proc.stdout
     assert len(proc.stdout.splitlines()) == 1 + 2 * 3 * 2  # header, one row per (l, n, k)
+
+
+def test_uncovered_reports_the_lines_a_selection_never_runs():
+    selection = Path(__file__).resolve().parent / "test_linalg.py"
+    proc = subprocess.run([sys.executable, str(UNCOVERED), str(selection), "-q",
+                           "-p", "no:cacheprovider"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def counts(module):
+        found = re.search(rf"^cmfix/{module}\.py: (\d+) of (\d+) lines not run", proc.stdout, re.M)
+        return int(found[1]), int(found[2])
+
+    missed, total = counts("linalg")
+    assert 0 < missed < total  # Mat runs, but not every branch of it
+    missed, total = counts("cli")
+    assert missed == total  # the selection never imports it
+    assert re.search(r"^total: \d+ of \d+ executable lines not run$", proc.stdout, re.M)

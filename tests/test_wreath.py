@@ -24,6 +24,7 @@ from cmfix.wreath import (
     to_omega,
     verify_filtration,
 )
+from cmfix import wreath
 from cmfix.wreath import _Kronecker, _char_rec, _cycles, _restriction_matrix
 from oracles import (
     beta_unreversed,
@@ -391,6 +392,29 @@ def test_verify_filtration_report_shape():
     rep = verify_filtration(1, 2, 2, ((),))
     obj = rep.to_json()
     assert obj["passed"] is True and obj["certificates"] == []
+
+
+def test_verify_filtration_fails_under_a_wrong_codim(monkeypatch):
+    # counting the fixed cycles in place of the rest is the wrong filtration
+    assert verify_filtration(2, 2, 2, ((), ())).passed
+    monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: len(ctype[0]))
+    rep = verify_filtration(2, 2, 2, ((), ()))
+    assert not rep.passed and rep.checked == 5
+    assert rep.certificates[0] == (((), (1, 1)), 0, ((1,), (), (), ()), 1)
+    obj = rep.to_json()
+    assert list(obj) == ["l", "n", "k", "gamma", "passed", "classes_checked", "certificates"]
+    assert obj["passed"] is False
+    assert obj["certificates"][0] == {
+        "class": [[], [1, 1]], "codim": 0, "offending_class": [[1], [], [], []],
+        "offending_codim": 1,
+    }
+
+
+def test_character_table_clears_the_rim_hook_memo():
+    # the uncached body, so the table is built here whatever ran before
+    t = wreath.character_table.__wrapped__(2, 3)
+    assert _char_rec.cache_info().currsize == 0
+    assert t.raw == character_table(2, 3).raw
 
 
 @pytest.mark.parametrize("l,n", SIZES)
