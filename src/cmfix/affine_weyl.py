@@ -15,6 +15,7 @@ force; the per-index reading breaks all three.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .partitions import residue_to_core
 
@@ -87,12 +88,14 @@ def reflect_theta(j: int, theta) -> ThetaVector:
 
 
 def pairing(d, theta) -> Fraction:
-    """The bilinear pairing sum(d_i * theta_i)."""
+    """The bilinear pairing sum(d_i * theta_i); theta holds ints or Fractions."""
     d = tuple(d)
     theta = tuple(theta)
     if len(d) != len(theta):
         raise ValueError(f"modulus mismatch: {len(d)} vs {len(theta)}")
-    return sum((Fraction(t) * x for x, t in zip(d, theta)), Fraction(0))
+    # one integer sum over the common denominator, one reduction at the end
+    den = lcm(*[t.denominator for t in theta])
+    return Fraction(sum(x * t.numerator * (den // t.denominator) for x, t in zip(d, theta)), den)
 
 
 def bar(alpha) -> tuple[int, ...]:

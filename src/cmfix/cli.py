@@ -68,13 +68,22 @@ def _emit(obj) -> None:
 _quote = json.encoder.encode_basestring_ascii
 
 
+class _Raw(str):
+    """JSON text that ``_dumps`` emits as it is, already rendered at the
+    indent of the line it lands on."""
+
+    __slots__ = ()
+
+
 def _dumps(obj, nl: str = "\n") -> str:
     """obj as ``json.dumps(obj, indent=2)`` prints it, byte for byte.
 
     Takes str, int, bool, None, lists, tuples and dicts with str keys;
     anything else raises TypeError.  ``nl`` is the newline and indent of
-    obj's own line.
+    obj's own line.  A ``_Raw`` is spliced in unquoted.
     """
+    if type(obj) is _Raw:
+        return obj
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
@@ -161,18 +170,24 @@ def cmd_components(args) -> int:
     return 0
 
 
+# newline and indent of an entry of chartable's "values": top-level object,
+# then the list of rows, then a row
+_VALUE_NL = "\n" + " " * 6
+
+
 def cmd_chartable(args) -> int:
     t = character_table(args.l, args.n)
-    # t.values holds one object per distinct value: serialize each once
+    # t.values holds one object per distinct value: render each one's text
+    # once, at the indent of a values entry, and splice it in as it is
     distinct = {id(v): v for row in t.values for v in row}
-    as_json = {i: v.to_json() for i, v in distinct.items()}
+    text = {i: _Raw(_dumps(v.to_json(), _VALUE_NL)) for i, v in distinct.items()}
     _emit({
         "l": t.l,
         "n": t.n,
         "labels": [[list(c) for c in lam] for lam in t.labels],
         "classes": [[list(c) for c in ct] for ct in t.classes],
         "sizes": list(t.sizes),
-        "values": [[as_json[id(v)] for v in row] for row in t.values],
+        "values": [[text[id(v)] for v in row] for row in t.values],
     })
     return 0
 

@@ -53,7 +53,7 @@ def enumerate_E(k: int, l: int, n: int) -> list[tuple[int, ...]]:
     """All d on Z/klZ with every l-residue class sum equal to n, in the
     nonnegative affine orbit.  Enumerated through the core-tuple bijection,
     so the order matches enumerate_core_tuples(k, l, n)."""
-    return [delta_inverse(g, k, l, n) for g in enumerate_core_tuples(k, l, n)]
+    return [_delta_inverse(g, k, l, (n - msize(g)) // k) for g in enumerate_core_tuples(k, l, n)]
 
 
 def delta_map(d, l: int) -> Multipartition:
@@ -69,14 +69,20 @@ def delta_map(d, l: int) -> Multipartition:
         raise ValueError(f"{d} is not in the nonnegative affine orbit")
     nu, _ = residue_to_core(d)
     nu_core, gamma = core_and_quotient(nu, l)
-    if nu_core != ():
-        raise ValueError(f"the {m}-core {nu} of d has a nontrivial {l}-core")
+    # equal class sums make Res_l(nu) a multiple of delta_l, so every charge
+    # of nu's l-core is 0: the l-core is empty for any d that gets here
+    assert nu_core == (), (d, nu)
     return gamma
 
 
 def delta_inverse(gamma: Multipartition, k: int, l: int, n: int) -> tuple[int, ...]:
     """d = Res_m(nu) + r*delta_m with nu rebuilt from gamma, r = (n-|gamma|)/k."""
-    r = check_core_tuple(gamma, k, l, n)
+    return _delta_inverse(gamma, k, l, check_core_tuple(gamma, k, l, n))
+
+
+def _delta_inverse(gamma: Multipartition, k: int, l: int, r: int) -> tuple[int, ...]:
+    # gamma must already be a valid core tuple of rank r, as every gamma of
+    # enumerate_core_tuples is
     nu = from_core_and_quotient((), gamma, l)
     return tuple(x + r for x in residues(nu, k * l))
 
@@ -132,7 +138,7 @@ def component_catalog(l: int, n: int, k: int, p: ParamSet) -> list[ComponentDesc
     for gamma, fibre in core_fibres(l, n, k).items():
         r = (n - msize(gamma)) // k
         m = k * l
-        d = delta_inverse(gamma, k, l, n)
+        d = _delta_inverse(gamma, k, l, r)
         cp = transport(p, k, d)
         inj = {mu: lam for lam, mu in fibre.items()}
         assert len(inj) == len(fibre) and set(inj) == set(enumerate_multipartitions(m, r))

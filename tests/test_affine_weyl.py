@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from cmfix.affine_weyl import (
@@ -106,6 +107,23 @@ def test_pairing_basics():
     th = (Fraction(1, 2), Fraction(-1, 3), Fraction(2))
     assert pairing(delta(3), th) == sigma(th)
     assert pairing((0, 0, 0), th) == 0
+
+
+def test_pairing_is_the_fraction_sum():
+    rng = random.Random(20200513)
+    for l in (1, 2, 3, 5):
+        for _ in range(500):
+            d = tuple(rng.randint(-5, 7) for _ in range(l))
+            th = tuple(rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+                       for _ in range(l))
+            got = pairing(d, th)
+            assert type(got) is Fraction
+            assert got == sum((Fraction(t) * x for x, t in zip(d, th)), Fraction(0))
+
+
+def test_pairing_rejects_a_modulus_mismatch():
+    with pytest.raises(ValueError, match="modulus mismatch: 2 vs 3"):
+        pairing((1, 2), (Fraction(1), Fraction(2), Fraction(3)))
 
 
 def test_braid_relations():

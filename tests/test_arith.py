@@ -200,3 +200,9 @@ def test_json_order_bound_is_refused_before_any_arithmetic(monkeypatch):
     for order in (MAX_JSON_ORDER + 1, 50_000, 200_000):
         with pytest.raises(ValueError, match=f"at most {MAX_JSON_ORDER}, got {order}"):
             CyclotomicNumber.from_json({"order": order, "coeffs": [1]})
+
+
+def test_repr_lists_the_nonzero_power_basis_terms():
+    assert repr(CyclotomicNumber(5, [Fraction(1, 2), 1, 0, -3])) == "1/2 + z5 + -3*z5^3"
+    assert repr(CyclotomicNumber(6, [0, 1])) == "z6"
+    assert repr(CyclotomicNumber.zero(5)) == "0"

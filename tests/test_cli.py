@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cmfix import wreath
-from cmfix.cli import _dumps, main, run_selftest
+from cmfix import cli, wreath
+from cmfix.cli import _dumps, _Raw, main, run_selftest
 from cmfix.arith import zeta
 from cmfix.quiver import random_rep, scale_action
 
@@ -83,6 +83,45 @@ def test_chartable():
     obj = json.loads(out)
     assert obj["sizes"] == [1, 1]
     assert len(obj["labels"]) == 2 and len(obj["values"]) == 2
+
+
+@pytest.mark.parametrize("l,n", [(1, 0), (2, 0), (1, 5), (2, 1), (6, 2), (3, 4)])
+def test_chartable_prints_what_the_stdlib_prints(l, n):
+    # the spliced value text must give the bytes of the plain encoder
+    t = wreath.character_table(l, n)
+    obj = {
+        "l": l,
+        "n": n,
+        "labels": [[list(c) for c in lam] for lam in t.labels],
+        "classes": [[list(c) for c in ct] for ct in t.classes],
+        "sizes": list(t.sizes),
+        "values": [[v.to_json() for v in row] for row in t.values],
+    }
+    assert run(["chartable", "--l", str(l), "--n", str(n)]) == (0, json.dumps(obj, indent=2) + "\n")
+
+
+def test_chartable_serializes_each_distinct_value_once(monkeypatch):
+    calls = [0]
+    dumps = cli._dumps
+
+    def counted(obj, nl="\n"):
+        calls[0] += 1
+        return dumps(obj, nl)
+
+    monkeypatch.setattr(cli, "_dumps", counted)
+    code, out = run(["chartable", "--l", "3", "--n", "5"])
+    entries = sum(len(row) for row in json.loads(out)["values"])
+    assert code == 0 and entries == 108 * 108
+    # one call per entry, plus the distinct values' own text and the frame;
+    # walking every entry's {"order", "coeffs"} again takes about 5 per entry
+    assert calls[0] < 2 * entries
+
+
+def test_writer_splices_raw_text_and_quotes_plain_strings():
+    text = '{\n  "a": [1]\n}'
+    assert _dumps(_Raw(text)) == text
+    assert _dumps(text) == json.dumps(text)
+    assert _dumps({"x": [_Raw("[]"), "[]"]}) == '{\n  "x": [\n    [],\n    "[]"\n  ]\n}'
 
 
 def test_verify_filtration_exit_codes():

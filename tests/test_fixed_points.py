@@ -129,6 +129,11 @@ def test_catalog_rejects_non_smooth():
         component_catalog(1, 2, 2, p)
 
 
+def test_catalog_rejects_parameters_of_another_l():
+    with pytest.raises(ValueError, match="parameter set has the wrong l"):
+        component_catalog(3, 2, 2, generic_params(2))
+
+
 @pytest.mark.parametrize("l,n,k", GRID)
 def test_catalog_labels_partition_everything(l, n, k):
     p = generic_params(l)

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from cmfix.partitions import (
     beta_flat_k_gamma,
+    check_core_tuple,
     core,
     core_and_quotient,
     core_fibres,
@@ -46,6 +47,14 @@ def test_partition_canonicalization():
         partition([1, 2])
     with pytest.raises(ValueError):
         partition([-1])
+
+
+def test_check_core_tuple_rejects_a_bad_k_or_component_count():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        check_core_tuple(((), ()), 0, 2, 2)
+    with pytest.raises(ValueError, match="gamma must have 2 components"):
+        check_core_tuple(((),), 2, 2, 2)
+    assert check_core_tuple(((), ()), 2, 2, 2) == 1
 
 
 def test_residues_paper_example():

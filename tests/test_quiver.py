@@ -67,6 +67,11 @@ def test_mat_rank_cyclotomic():
 def test_rep_shape_validation():
     with pytest.raises(ValueError):
         QuiverRep((1, 2), (Mat(1, 1, [[1]]), Mat(2, 1, [[1], [0]])), (Mat(2, 1, [[0], [0]]), Mat(1, 2, [[0, 0]])))
+    one = Mat(1, 1, [[1]])
+    with pytest.raises(ValueError, match="need one X and one Y per vertex"):
+        QuiverRep((1, 1), (one, one), (one,))
+    with pytest.raises(ValueError, match="need one X and one Y per vertex"):
+        QuiverRep((1, 1), (one,), (one, one))
 
 
 def test_moment_map_zero_and_scalar():

@@ -238,6 +238,14 @@ def test_filtration_degree():
         assert filtration_degree(e) == 2  # idempotents have full support here
 
 
+@pytest.mark.parametrize("op", ["__add__", "__mul__"])
+def test_central_elements_of_different_algebras_do_not_combine(op):
+    a = class_sum(2, 1, ((1,), ()))
+    for b in (class_sum(1, 1, ((1,),)), class_sum(2, 2, ((1, 1), ()))):
+        with pytest.raises(ValueError, match="mismatched algebras"):
+            getattr(a, op)(b)
+
+
 # -- the restriction morphism ---------------------------------------------------
 
 
