@@ -4,9 +4,18 @@
 Every component restriction morphism Z(C G(l,1,n)) ->> Z(C G(kl,1,r)) is
 checked class sum by class sum.  The script exits 1 if any certificate of
 violation shows up and 2 on a malformed --grid.
+
+With --fresh each grid point runs in its own cold ``python`` process, which
+builds the character table of G(l,1,n) and then checks every gamma, and the
+script prints one line per point: the table time, the all-gamma time after
+the table (including the target tables of G(kl,1,r)) and the process's
+peak RSS (``ru_maxrss``).
 """
 
 import argparse
+import json
+import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -14,11 +23,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cmfix.partitions import enumerate_core_tuples
-from cmfix.wreath import verify_filtration
+from cmfix.wreath import character_table, verify_filtration
 
-# the last eight points have components of rank r >= 2, where the verdict can fail
+# the points from (2,4,2) on have components of rank r >= 2, where the verdict
+# can fail; the last two, (3,7,2) and (5,5,2), take a few seconds each
 DEFAULT_GRID = ("1,2,2;1,3,2;1,4,2;2,2,2;2,3,2;3,2,2;"
-                "2,4,2;2,5,2;3,4,2;1,6,3;2,6,2;3,6,2;4,5,2;2,9,2")
+                "2,4,2;2,5,2;3,4,2;1,6,3;2,6,2;3,6,2;4,5,2;2,9,2;3,7,2;5,5,2")
 
 
 def parse_grid(text: str) -> list[tuple[int, int, int]]:
@@ -34,16 +44,65 @@ def parse_grid(text: str) -> list[tuple[int, int, int]]:
     return grid
 
 
+def certificate_lines(rep) -> list[str]:
+    return [f"      violates: class {cert[0]} (codim {cert[1]}) -> {cert[2]} (codim {cert[3]})"
+            for cert in rep.certificates]
+
+
+def measure_point(l: int, n: int, k: int) -> dict:
+    """Table time, all-gamma time, peak RSS and failures of one point in this process."""
+    t0 = time.perf_counter()
+    character_table(l, n)
+    t1 = time.perf_counter()
+    reports = [verify_filtration(l, n, k, g) for g in enumerate_core_tuples(k, l, n)]
+    t2 = time.perf_counter()
+    bad = [rep for rep in reports if not rep.passed]
+    return {
+        "gammas": len(reports),
+        "failing": len(bad),
+        "table_s": t1 - t0,
+        "gamma_s": t2 - t1,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
+        "lines": [line for rep in bad
+                  for line in [f"      gamma={rep.gamma}", *certificate_lines(rep)]],
+    }
+
+
+def run_fresh(grid) -> int:
+    failures = 0
+    for l, n, k in grid:
+        proc = subprocess.run([sys.executable, __file__, "--point", f"{l},{n},{k}"],
+                              stdout=subprocess.PIPE, text=True, check=True)
+        point = json.loads(proc.stdout)
+        print(f"[{'BAD' if point['failing'] else 'ok '}] l={l} n={n} k={k}: "
+              f"{point['gammas']} gamma, {point['failing']} failing, "
+              f"table {point['table_s']:.2f}s, all gamma {point['gamma_s']:.2f}s, "
+              f"peak RSS {point['peak_rss_mib']:.1f} MiB", flush=True)
+        for line in point["lines"]:
+            print(line)
+        failures += point["failing"]
+    print(f"{failures} failures")
+    return 1 if failures else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", default=DEFAULT_GRID,
                     help="semicolon-separated l,n,k triples")
+    ap.add_argument("--fresh", action="store_true",
+                    help="run each point in its own process and print its times and peak RSS")
+    ap.add_argument("--point", help=argparse.SUPPRESS)  # one --fresh point, as JSON
     args = ap.parse_args()
     try:
-        grid = parse_grid(args.grid)
+        grid = parse_grid(args.grid if args.point is None else args.point)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.point is not None:
+        print(json.dumps(measure_point(*grid[0])))
+        return 0
+    if args.fresh:
+        return run_fresh(grid)
 
     failures = 0
     for l, n, k in grid:
@@ -55,9 +114,7 @@ def main() -> int:
                   f"({rep.checked} classes, {time.time()-t0:.2f}s)")
             if not rep.passed:
                 failures += 1
-                for cert in rep.certificates:
-                    print(f"      violates: class {cert[0]} (codim {cert[1]}) "
-                          f"-> {cert[2]} (codim {cert[3]})")
+                print("\n".join(certificate_lines(rep)))
     print(f"{failures} failures")
     return 1 if failures else 0
 

@@ -130,6 +130,8 @@ class ComponentDescriptor:
 
 def component_catalog(l: int, n: int, k: int, p: ParamSet) -> list[ComponentDescriptor]:
     """One descriptor per gamma; requires smooth parameters."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if p.l != l:
         raise ValueError("parameter set has the wrong l")
     if not smooth_gl1n(p, n):

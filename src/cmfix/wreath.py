@@ -42,14 +42,19 @@ coefficient of z_D in i*_gamma(z_C) is
 lam over the fibre and W' = G(kl,1,r).  With L the lcm of the fibre's
 chi_lam(1), each term is weighted by the int (L / chi_lam(1)) chi_mu(1),
 and the sum runs on the raw int tuples of the tables by Kronecker
-substitution (``_Kronecker``): each lam's weighted target row
-(L / chi_lam(1)) chi_mu(1) chi_mu(D^-1) over every class D is packed into
-one int with 2m digit slots per D, m = kl, and chi_lam(C) into a second
-int with stride k, since zeta_l = zeta_m^k.  Row C is the sum over lam of
-the products of the two packs, decoded from one ``to_bytes``, and x^u
-folds to x^(u mod m).  Each entry is kept as its int tuple reduced mod the
-m-th cyclotomic polynomial, which is monic, so the reduction stays in Z,
-and each row keeps one scale |C| / (L |W'|).  ``verify_filtration`` reads only
+substitution (``_Kronecker``) in the phi(m) power-basis coordinates of
+Z[zeta_m], m = kl.  Since zeta_l = zeta_m^k, chi_lam(C) = sum_{s<l}
+chi_lam(C)[s] zeta_m^(ks), so for each lam and each power s < l one int,
+pack_s(lam), holds (L / chi_lam(1)) chi_mu(1) zeta_m^(ks) chi_mu(D^-1)
+already reduced mod the m-th cyclotomic polynomial (monic, so the
+reduction stays in Z), phi(m) digit slots per class D in sorted order.  Row
+C is the sum over lam and s of the small int chi_lam(C)[s] times
+pack_s(lam), and the digits of one ``to_bytes`` decode are its entries,
+with nothing left to fold or reduce.  A digit is at most the sum over lam
+of the largest digit of lam's l packs times the largest l1 norm of
+chi_lam(C); the bound is read off the reduced packs, because reduction can
+grow a digit (at m = 15, sum_{even t} zeta^t has coordinates -2 and 2).
+Each row keeps one scale |C| / (L |W'|).  ``verify_filtration`` reads only
 the support of these integer rows and ``codim``; ``i_gamma_star`` is the
 only place that turns entries into cyclotomic numbers.
 
@@ -428,44 +433,37 @@ def _restriction_matrix(
     t, t2 = character_table(l, n), character_table(m, r)
     pairs = [(t.index[lam], t2.index[mu]) for lam, mu in core_fibres(l, n, k)[gamma].items()]
     L = lcm(*(t.dims[i] for i, _ in pairs))
+    weights = [L // t.dims[i] * t2.dims[j] for i, j in pairs]
     targets = sorted(range(len(t2.classes)), key=t2.classes.__getitem__)
+    columns = [t2.inverse[d] for d in targets]
+    # zeta_m^(ks) v reduced mod Phi_m for s < l, for each distinct value v of
+    # G(m,r)'s table, every row of which is a target in the fibre
+    shifted = {v: [tuple(_reduce(m, v[-k * s:] + v[:-k * s])) for s in range(l)]
+               for v in {v for row in t2.raw for v in row}}
+    # pack_s(lam) holds (L / chi_lam(1)) chi_mu(1) zeta_m^(ks) chi_mu(D^-1),
+    # reduced, for every class D in sorted order; row C is the sum over lam
+    # and s < l of chi_lam(C)[s] pack_s(lam), so its digits are at most the
+    # sum over lam of its packs' largest digit (taken after the reduction,
+    # which can grow one) times chi_lam(C)'s largest l1 norm
+    top = {v: max(abs(c) for x in xs for c in x) for v, xs in shifted.items()}
+    bound = sum(w * max(map(top.__getitem__, t2.raw[j]))
+                * max(sum(map(abs, v)) for v in set(t.raw[i])) for w, (i, j) in zip(weights, pairs))
+    phi = len(_reduce(m, [1]))
+    kron = _Kronecker(bound, phi * len(targets))
+    packs = [(i, [kron.pack([w * c for d in columns for c in shifted[t2.raw[j][d]][s]])
+                  for s in range(l)]) for w, (i, j) in zip(weights, pairs)]
+    del shifted, top
     classes = [t2.classes[d] for d in targets]
-    # (L / chi_lam(1)) chi_mu(1) chi_mu(D^-1) for every class D in sorted
-    # order, each in 2m digit slots: a product chi_lam(C) zeta_l^s shifts it
-    # by ks < m, and x^u folds to x^(u mod m) after the decode
-    weighted = [[L // t.dims[i] * t2.dims[j] * c
-                 for d in targets for c in t2.raw[j][t2.inverse[d]] + (0,) * m]
-                for i, j in pairs]
-    # a row's digit sums, over lam, chi_lam(C) against one target digit per
-    # power of x, so it is at most the sum over lam of the largest target
-    # digit times the largest l1 norm of chi_lam(C)
-    bound = sum(max(abs(c) for c in target) * max(sum(map(abs, v)) for v in t.raw[i])
-                for (i, _), target in zip(pairs, weighted))
-    kron = _Kronecker(bound, 2 * m * len(targets))
-    packed = [kron.pack(target) for target in weighted]
-    spread = {}  # chi_lam(C) in Z[x]/(x^l - 1), zeta_l = x^k, packed
     rows = []
     for ci, size in enumerate(t.sizes):
         acc = 0
-        for (i, _), target in zip(pairs, packed):
-            v = t.raw[i][ci]
-            if v not in spread:
-                spaced = [0] * (k * (l - 1) + 1)
-                spaced[::k] = v
-                spread[v] = kron.pack(spaced)
-            acc += spread[v] * target
-        row = []
-        if acc:
-            digits = kron.unpack(acc)
-            # slot u of a block plus slot u + m; read only for u < m
-            folded = [a + b for a, b in zip(digits, digits[m:])]
-            for d, u in zip(classes, range(0, len(digits), 2 * m)):
-                vec = folded[u:u + m]
-                if any(vec):
-                    x = _reduce(m, vec)
-                    if any(x):
-                        row.append((d, tuple(x)))
-        rows.append((Fraction(size, L * t2.order), tuple(row)))
+        for i, pack in packs:
+            for a, p in zip(t.raw[i][ci], pack):
+                if a:
+                    acc += a * p
+        blocks = zip(*[iter(kron.unpack(acc))] * phi) if acc else ()  # phi digits per D
+        row = tuple((d, x) for d, x in zip(classes, blocks) if any(x))
+        rows.append((Fraction(size, L * t2.order), row))
     return tuple(rows)
 
 

@@ -185,10 +185,11 @@ def test_usage_error_exit_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "g4 needs exactly 3 values of k" in capsys.readouterr().err
     for k in ("0", "-1"):
-        code, out = run(["transport", "--l", "2", "--a", "1", "--kparams=1,-1",
-                         "--k", k, "--d", "1,1"])
-        assert code == 2 and out == "", k
-        assert capsys.readouterr().err == "error: k must be >= 1\n", k
+        for argv in (["transport", "--l", "2", "--a", "1", "--kparams=1,-1", "--d", "1,1"],
+                     ["components", "--l", "2", "--n", "3", "--a", "1/97", "--kparams=1,-1"]):
+            code, out = run([*argv, "--k", k])
+            assert code == 2 and out == "", (argv, k)
+            assert capsys.readouterr().err == "error: k must be >= 1\n", (argv, k)
     # malformed cyclotomic entries and dimension vectors in a --rep file
     f = tmp_path / "rep.json"
     for obj, says in (({"d": [1], "X": [[[{}]]], "Y": [[["1"]]]}, '"order"'),

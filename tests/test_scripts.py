@@ -55,6 +55,40 @@ def test_filtration_report_exit_codes(grid, code):
         assert proc.stdout.endswith("0 failures\n")
 
 
+def test_filtration_report_fresh_prints_one_line_per_point():
+    proc = subprocess.run([sys.executable, str(FILTRATION_REPORT), "--fresh",
+                           "--grid", "1,2,2;2,2,2"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *points, summary = proc.stdout.splitlines()
+    assert summary == "0 failures"
+    assert len(points) == 2
+    for line, point in zip(points, ("l=1 n=2 k=2: 1 gamma", "l=2 n=2 k=2: 2 gamma")):
+        assert re.fullmatch(rf"\[ok \] {point}, 0 failing, table \d+\.\d\ds, "
+                            r"all gamma \d+\.\d\ds, peak RSS \d+\.\d MiB", line), line
+    proc = subprocess.run([sys.executable, str(FILTRATION_REPORT), "--fresh", "--grid", "2,4"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+
+
+def test_filtration_report_point_lists_each_failing_gamma(monkeypatch):
+    # counting the fixed cycles in place of the rest is the wrong filtration
+    spec = importlib.util.spec_from_file_location("cmfix_filtration_report", FILTRATION_REPORT)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    spec.loader.exec_module(module)
+    sys.path[:] = saved
+    from cmfix import wreath
+
+    monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: len(ctype[0]))
+    point = module.measure_point(2, 2, 2)
+    assert (point["gammas"], point["failing"]) == (2, 1)
+    assert point["peak_rss_mib"] > 0 and point["table_s"] >= 0 and point["gamma_s"] >= 0
+    assert point["lines"] == [
+        "      gamma=((), ())",
+        "      violates: class ((), (1, 1)) (codim 0) -> ((1,), (), (), ()) (codim 1)"]
+
+
 def test_component_census_counting_identity_holds_on_a_small_grid():
     proc = subprocess.run([sys.executable, str(COMPONENT_CENSUS),
                            "--lmax", "2", "--nmax", "3", "--kmax", "3"],

@@ -327,7 +327,11 @@ def test_restriction_matrix_matches_the_round_trip(l, n, k):
         assert rep.checked == len(enumerate_multipartitions(l, n))
 
 
-@pytest.mark.parametrize("l,n,k", [(2, 5, 2), (3, 4, 2), (2, 6, 3), (1, 6, 3), (4, 4, 2)])
+# (5, 3, 3) and (3, 4, 5) reach m = 15, the first order with two odd prime factors
+PACKED_GRID = [(2, 5, 2), (3, 4, 2), (2, 6, 3), (1, 6, 3), (4, 4, 2), (5, 3, 3), (3, 4, 5)]
+
+
+@pytest.mark.parametrize("l,n,k", PACKED_GRID)
 def test_packed_restriction_matrix_matches_the_loop(l, n, k):
     # the Kronecker-packed integer rows, scaled into Q(zeta_kl), against the
     # coefficient-by-coefficient sum, entry by entry and as certificates
@@ -344,6 +348,31 @@ def test_packed_restriction_matrix_matches_the_loop(l, n, k):
         certs = tuple((c, codim(c, n), d, codim(d, r)) for c, row in zip(classes, want)
                       for d, _ in row if codim(d, r) > codim(c, n))
         assert verify_filtration(l, n, k, gamma).certificates == certs
+
+
+@pytest.mark.parametrize("l,n,k", PACKED_GRID)
+def test_restriction_rows_decode_within_their_digit_bound(l, n, k, monkeypatch):
+    # every digit decoded from a row is within the bound its _Kronecker was
+    # built for, and that bound fits a slot; the matrix is rebuilt past its cache
+    decoded = []
+    init, unpack = _Kronecker.__init__, _Kronecker.unpack
+
+    def recording_init(self, bound, count):
+        init(self, bound, count)
+        self.bound = bound
+
+    def recording_unpack(self, value):
+        digits = unpack(self, value)
+        decoded.append((self.bound, self.width, max(map(abs, digits))))
+        return digits
+
+    monkeypatch.setattr(_Kronecker, "__init__", recording_init)
+    monkeypatch.setattr(_Kronecker, "unpack", recording_unpack)
+    for gamma in enumerate_core_tuples(k, l, n):
+        _restriction_matrix.__wrapped__(l, n, k, gamma)
+    assert decoded
+    for bound, width, top in decoded:
+        assert top <= bound < 2 ** (8 * width - 1)
 
 
 def _convolve(a, b):
