@@ -2,14 +2,16 @@
 """Run the codimension-filtration check over a grid and print a summary.
 
 Every component restriction morphism Z(C G(l,1,n)) ->> Z(C G(kl,1,r)) is
-checked class sum by class sum.  The script exits 1 if any certificate of
-violation shows up and 2 on a malformed --grid.
+checked class sum by class sum.  Each grid point runs in its own cold
+``python`` process, which builds the character table of G(l,1,n) and then
+checks every gamma, and the script prints one line per point: its verdict,
+the table time, the all-gamma time after the table (including the target
+tables of G(kl,1,r)) and the process's peak RSS (``ru_maxrss``), followed by
+the certificate lines of any failing gamma.
 
-With --fresh each grid point runs in its own cold ``python`` process, which
-builds the character table of G(l,1,n) and then checks every gamma, and the
-script prints one line per point: the table time, the all-gamma time after
-the table (including the target tables of G(kl,1,r)) and the process's
-peak RSS (``ru_maxrss``).
+Exit status: 1 if a certificate of violation shows up, 2 on a malformed
+--grid, 3 if no certificate shows up but some point's process did not finish
+(its exit code goes to stderr).
 """
 
 import argparse
@@ -68,11 +70,16 @@ def measure_point(l: int, n: int, k: int) -> dict:
     }
 
 
-def run_fresh(grid) -> int:
-    failures = 0
+def run_grid(grid) -> int:
+    failures = crashed = 0
     for l, n, k in grid:
         proc = subprocess.run([sys.executable, __file__, "--point", f"{l},{n},{k}"],
-                              stdout=subprocess.PIPE, text=True, check=True)
+                              stdout=subprocess.PIPE, text=True)
+        if proc.returncode:
+            print(f"error: point {l},{n},{k} exited with {proc.returncode}",
+                  file=sys.stderr, flush=True)
+            crashed += 1
+            continue
         point = json.loads(proc.stdout)
         print(f"[{'BAD' if point['failing'] else 'ok '}] l={l} n={n} k={k}: "
               f"{point['gammas']} gamma, {point['failing']} failing, "
@@ -81,17 +88,17 @@ def run_fresh(grid) -> int:
         for line in point["lines"]:
             print(line)
         failures += point["failing"]
-    print(f"{failures} failures")
-    return 1 if failures else 0
+    tail = f", {crashed} of {len(grid)} points did not finish" if crashed else ""
+    print(f"{failures} failures{tail}")
+    return 1 if failures else 3 if crashed else 0
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--grid", default=DEFAULT_GRID,
                     help="semicolon-separated l,n,k triples")
-    ap.add_argument("--fresh", action="store_true",
-                    help="run each point in its own process and print its times and peak RSS")
-    ap.add_argument("--point", help=argparse.SUPPRESS)  # one --fresh point, as JSON
+    ap.add_argument("--point", help=argparse.SUPPRESS)  # one grid point, reported as JSON
     args = ap.parse_args()
     try:
         grid = parse_grid(args.grid if args.point is None else args.point)
@@ -101,22 +108,7 @@ def main() -> int:
     if args.point is not None:
         print(json.dumps(measure_point(*grid[0])))
         return 0
-    if args.fresh:
-        return run_fresh(grid)
-
-    failures = 0
-    for l, n, k in grid:
-        t0 = time.time()
-        for gamma in enumerate_core_tuples(k, l, n):
-            rep = verify_filtration(l, n, k, gamma)
-            mark = "ok " if rep.passed else "BAD"
-            print(f"[{mark}] l={l} n={n} k={k} gamma={gamma} "
-                  f"({rep.checked} classes, {time.time()-t0:.2f}s)")
-            if not rep.passed:
-                failures += 1
-                print("\n".join(certificate_lines(rep)))
-    print(f"{failures} failures")
-    return 1 if failures else 0
+    return run_grid(grid)
 
 
 if __name__ == "__main__":

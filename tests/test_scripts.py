@@ -55,9 +55,19 @@ def test_filtration_report_exit_codes(grid, code):
         assert proc.stdout.endswith("0 failures\n")
 
 
-def test_filtration_report_fresh_prints_one_line_per_point():
-    proc = subprocess.run([sys.executable, str(FILTRATION_REPORT), "--fresh",
-                           "--grid", "1,2,2;2,2,2"], capture_output=True, text=True, timeout=120)
+@pytest.fixture
+def filtration_report():
+    spec = importlib.util.spec_from_file_location("cmfix_filtration_report", FILTRATION_REPORT)
+    module = importlib.util.module_from_spec(spec)
+    saved = list(sys.path)
+    spec.loader.exec_module(module)
+    sys.path[:] = saved
+    return module
+
+
+def test_filtration_report_prints_one_line_per_point():
+    proc = subprocess.run([sys.executable, str(FILTRATION_REPORT), "--grid", "1,2,2;2,2,2"],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     *points, summary = proc.stdout.splitlines()
     assert summary == "0 failures"
@@ -65,23 +75,33 @@ def test_filtration_report_fresh_prints_one_line_per_point():
     for line, point in zip(points, ("l=1 n=2 k=2: 1 gamma", "l=2 n=2 k=2: 2 gamma")):
         assert re.fullmatch(rf"\[ok \] {point}, 0 failing, table \d+\.\d\ds, "
                             r"all gamma \d+\.\d\ds, peak RSS \d+\.\d MiB", line), line
-    proc = subprocess.run([sys.executable, str(FILTRATION_REPORT), "--fresh", "--grid", "2,4"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ")
 
 
-def test_filtration_report_point_lists_each_failing_gamma(monkeypatch):
+def test_filtration_report_tells_a_dead_point_from_a_certificate(filtration_report, monkeypatch,
+                                                                 capsys):
+    # the first point's process dies as a MemoryError would leave it; the second runs
+    run = subprocess.run
+
+    def first_point_dies(cmd, **kw):
+        if cmd[-1] == "1,2,2":
+            cmd = [sys.executable, "-c", "raise SystemExit(7)"]
+        return run(cmd, **kw)
+
+    monkeypatch.setattr(subprocess, "run", first_point_dies)
+    assert filtration_report.run_grid([(1, 2, 2), (2, 2, 2)]) == 3
+    out, err = capsys.readouterr()
+    assert err == "error: point 1,2,2 exited with 7\n"
+    *points, summary = out.splitlines()
+    assert summary == "0 failures, 1 of 2 points did not finish"
+    assert len(points) == 1 and points[0].startswith("[ok ] l=2 n=2 k=2: 2 gamma, 0 failing")
+
+
+def test_filtration_report_point_lists_each_failing_gamma(filtration_report, monkeypatch):
     # counting the fixed cycles in place of the rest is the wrong filtration
-    spec = importlib.util.spec_from_file_location("cmfix_filtration_report", FILTRATION_REPORT)
-    module = importlib.util.module_from_spec(spec)
-    saved = list(sys.path)
-    spec.loader.exec_module(module)
-    sys.path[:] = saved
     from cmfix import wreath
 
     monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: len(ctype[0]))
-    point = module.measure_point(2, 2, 2)
+    point = filtration_report.measure_point(2, 2, 2)
     assert (point["gammas"], point["failing"]) == (2, 1)
     assert point["peak_rss_mib"] > 0 and point["table_s"] >= 0 and point["gamma_s"] >= 0
     assert point["lines"] == [
