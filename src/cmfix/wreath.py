@@ -3,29 +3,26 @@
 Conjugacy classes and irreducible characters are both indexed by
 l-multipartitions of n: component j of a class type collects the lengths of
 cycles whose cycle product is zeta^j, and component i of a character label
-carries the i-th linear character t -> zeta^i of the cyclic group.  Character
-values are computed by iterated rim-hook removal (the Murnaghan-Nakayama rule
-for wreath products: the rule for S_n weighted by root-of-unity factors per
-cycle colour) and live in Q(zeta_l).  The recursion runs in the group ring
-Z[x]/(x^l - 1) on int tuples, entry t the coefficient of zeta_l^t: a cycle
-weight +-zeta^e is a signed cyclic shift and nothing divides.  Reduction mod
-the l-th cyclotomic polynomial is a ring map out of Z[x]/(x^l - 1), so each
-value is reduced into Q(zeta_l) once, at the end.  The recursion's memo
-(``_char_rec``) lives only while one table is built: ``character_table``
-clears it once ``raw`` is read, because the table is cached whole and
-nothing reads the intermediate (label, cycles) values again.
+carries the i-th linear character t -> zeta^i of the cyclic group.  Values
+follow the Murnaghan-Nakayama rule for wreath products (Macdonald, Ch. I,
+App. B): chi_lam on cycles (a, c), rest sums, over the a-rim-hooks h of each
+component i of lam, sign(h) zeta^(ci) chi_(lam - h) on rest.  It runs in
+Z[x]/(x^l - 1) on int tuples, entry t the coefficient of zeta_l^t, where a
+weight is a signed cyclic shift; each value is reduced mod the l-th
+cyclotomic polynomial (a ring map) once, at the end.  ``character_table``
+runs the rule a column at a time.  A class's cycles, longest first, are a
+chain of suffixes; the column of a suffix, over the labels of its size,
+reads the column of the next suffix at the indices of one hook table per
+(size, a).  Columns are shared by suffix and, like the hook tables, live
+only while one table is built.
 
-The centre of the group algebra is handled in two bases: class sums (the
-filtration-friendly basis) and primitive central idempotents (the
-multiplication-friendly basis); conversion goes through the central
-characters w_chi(z_C) = |C| chi(C) / chi(1).  Each table carries, computed
-once: ``raw`` (the int tuples of the recursion, before reduction), ``index``
-(a multipartition's row as a label, which is also its column as a class),
-``inverse`` (each column's inverse class) and ``dims`` (chi(1)).  The
-reduced ``values`` are built from ``raw`` on first read, since the
-restriction matrix never reads them, with one shared CyclotomicNumber per
-distinct entry; they are a function of (l, n), so they take no part in
-table equality.
+The centre of the group algebra has two bases: class sums and primitive
+central idempotents, converted through the central characters
+w_chi(z_C) = |C| chi(C) / chi(1).  Each table carries ``raw`` (the int
+tuples), ``index`` (a multipartition's row as a label and column as a
+class), ``inverse`` (each column's inverse class) and ``dims`` (chi(1)).
+The reduced ``values`` are built from ``raw`` on first read, one shared
+CyclotomicNumber per distinct entry, and take no part in equality.
 
 ``codim`` of a class is the codimension of the fixed space of any of its
 elements: a cycle contributes a fixed line exactly when its cycle product
@@ -34,39 +31,30 @@ is 1, so codim = n - (number of parts of component 0).
 The restriction i*_gamma: Z(C G(l,1,n)) ->> Z(C G(kl,1,r)) sends e_lam to
 e_mu, mu = beta_flat_k_gamma(lam), for lam in the fibre of gamma (the
 labels with componentwise k-core gamma) and every other e_lam to 0.  On
-class sums it is one matrix per (l, n, k, gamma), built once: the
-coefficient of z_D in i*_gamma(z_C) is
+class sums it is one matrix per (l, n, k, gamma): the coefficient of z_D
+in i*_gamma(z_C) is
 
     (|C| / |W'|) sum_lam chi_lam(C) chi_mu(1) chi_mu(D^-1) / chi_lam(1),
 
 lam over the fibre and W' = G(kl,1,r).  With L the lcm of the fibre's
 chi_lam(1), each term is weighted by the int (L / chi_lam(1)) chi_mu(1),
-and the sum runs on the raw int tuples of the tables by Kronecker
-substitution (``_Kronecker``) in the phi(m) power-basis coordinates of
-Z[zeta_m], m = kl.  Since zeta_l = zeta_m^k, chi_lam(C) = sum_{s<l}
-chi_lam(C)[s] zeta_m^(ks), so for each lam and each power s < l one int,
-pack_s(lam), holds (L / chi_lam(1)) chi_mu(1) zeta_m^(ks) chi_mu(D^-1)
-already reduced mod the m-th cyclotomic polynomial (monic, so the
-reduction stays in Z), phi(m) digit slots per class D in sorted order.  Row
-C is the sum over lam and s of the small int chi_lam(C)[s] times
-pack_s(lam), and the digits of one ``to_bytes`` decode are its entries,
-with nothing left to fold or reduce.  A digit is at most the sum over lam
-of the largest digit of lam's l packs times the largest l1 norm of
-chi_lam(C); the bound is read off the reduced packs, because reduction can
-grow a digit (at m = 15, sum_{even t} zeta^t has coordinates -2 and 2).
-Each row keeps one scale |C| / (L |W'|).  ``verify_filtration`` reads only
-the support of these integer rows and ``codim``; ``i_gamma_star`` is the
-only place that turns entries into cyclotomic numbers.
+and the sum runs by Kronecker substitution (``_Kronecker``) in the phi(m)
+coordinates of Z[zeta_m], m = kl.  As zeta_l = zeta_m^k, for each lam and
+s < l one int, pack_s(lam), holds (L / chi_lam(1)) chi_mu(1) zeta_m^(ks)
+chi_mu(D^-1) reduced mod the m-th cyclotomic polynomial, phi(m) digit slots
+per class D in sorted order.  Row C is the sum over lam and s of
+chi_lam(C)[s] pack_s(lam), and its decoded digits are its entries.  A digit
+is at most the sum over lam of the largest digit of lam's packs times the
+largest l1 norm of chi_lam(C), read off the reduced packs, since reduction
+can grow a digit (at m = 15, sum_{even t} zeta^t has coordinates -2 and 2).
+Each row keeps one scale |C| / (L |W'|); only ``i_gamma_star`` turns
+entries into cyclotomic numbers.
 
-The fibre is labelled through ``partitions.beta_flat_k_gamma``: each
-(lam, mu) pair is read off ``partitions.core_fibres``, whose fibres carry
-that image of every label.  The unreversed slot order gives no other
-verdict.  Let T be the sign twist e_lam -> e_lam' (conjugate every
-component), i.e. z_C -> eps(C) z_C with eps(C) = prod over cycles of
-(-1)^(length - 1), since chi_lam' = eps chi_lam.  The unreversed
-restriction at gamma is T . i_gamma_star(., gamma', k) . T; T is diagonal
-on class sums, so it keeps every codim, and gamma -> gamma' permutes the
-components.
+The fibre's (lam, mu) pairs are read off ``partitions.core_fibres``.  The
+unreversed slot order gives no other verdict: with T the sign twist
+e_lam -> e_lam', i.e. z_C -> eps(C) z_C, eps(C) = prod over cycles of
+(-1)^(length - 1), the unreversed restriction at gamma is
+T . i_gamma_star(., gamma', k) . T, and T keeps every codim.
 """
 
 from __future__ import annotations
@@ -75,6 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
+from operator import add, sub
 
 from .arith import CyclotomicNumber, _reduce, embed
 from .partitions import (
@@ -147,13 +136,11 @@ def inverse_class(ctype: Multipartition) -> Multipartition:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _rim_hooks(lam: Partition, a: int) -> tuple[tuple[Partition, int], ...]:
-    """All removals of a rim hook of size a: (smaller partition, sign).
+def _rim_hooks(lam: Partition, a: int) -> list[tuple[Partition, object]]:
+    """All removals of a rim hook of size a: (smaller partition, add or sub).
 
     A hook is a bead of B(lam) moved a steps down to an empty position
-    (abacus of ``partitions``, floor -len(lam)); its sign is the parity of
-    the beads it passes.
+    (floor -len(lam)); sub when it passes an odd number of beads.
     """
     beads = [p - i for i, p in enumerate(lam, start=1)]
     floor = -len(lam)
@@ -164,45 +151,65 @@ def _rim_hooks(lam: Partition, a: int) -> tuple[tuple[Partition, int], ...]:
             continue
         height = sum(1 for c in beads if nb < c < b)
         new_lam = _partition_from_beads([nb if c == b else c for c in beads], floor)
-        out.append((new_lam, -1 if height % 2 else 1))
-    return tuple(out)
+        out.append((new_lam, sub if height % 2 else add))
+    return out
 
 
-@lru_cache(maxsize=None)
-def _char_rec(lam: Multipartition, cycles: tuple[tuple[int, int], ...], l: int) -> tuple[int, ...]:
-    # chi_lam on the (length, colour) cycles, in Z[x]/(x^l - 1)
-    if not cycles:
-        assert msize(lam) == 0
-        return (1,) + (0,) * (l - 1)
-    a, colour = cycles[0]
-    rest = cycles[1:]
-    total = [0] * l
-    for i, comp in enumerate(lam):
-        if sum(comp) < a:
-            continue
-        s = colour * i % l  # the weight zeta^s shifts entry t to t + s
-        for new_comp, sign in _rim_hooks(comp, a):
-            sub = _char_rec(lam[:i] + (new_comp,) + lam[i + 1:], rest, l)
-            for t, c in enumerate(sub, start=s):
-                if c:
-                    total[t % l] += sign * c
-    return tuple(total)
-
-
-def _cycles(ctype: Multipartition) -> tuple[tuple[int, int], ...]:
-    # the (length, colour) cycles of the class, longest first
-    return tuple(sorted(((a, c) for c, comp in enumerate(ctype) for a in comp), reverse=True))
+def _columns(l: int, n: int, classes) -> list[list[tuple[int, ...]]]:
+    # chi_lam(C) in Z[x]/(x^l - 1): a column per C of ``classes``, an entry
+    # per lam of enumerate_multipartitions(l, n)
+    labels = [enumerate_multipartitions(l, m) for m in range(n + 1)]
+    zero = (0,) * l
+    columns = {(): [(1,) + zero[1:]]}  # by suffix of a class's cycles
+    # (m, a): per label of size m, per a-rim-hook, (its component, the index
+    # of the label it leaves, add or sub)
+    tables = {}
+    out = []
+    for ctype in classes:
+        cycles = tuple(sorted(((a, c) for c, comp in enumerate(ctype) for a in comp), reverse=True))
+        m = 0
+        for s in range(len(cycles) - 1, -1, -1):
+            (a, c), suffix = cycles[s], cycles[s:]
+            m += a
+            if suffix in columns:
+                continue
+            if (m, a) not in tables:
+                index = {lam: j for j, lam in enumerate(labels[m - a])}
+                hooks = {comp: _rim_hooks(comp, a) for comp in set().union(*labels[m])}
+                tables[m, a] = [[(i, index[lam[:i] + (new,) + lam[i + 1:]], op)
+                                 for i, comp in enumerate(lam) for new, op in hooks[comp]]
+                                for lam in labels[m]]
+            rest = columns[suffix[1:]]
+            # weight zeta^(ci) in component i: entry t moves to t + ci
+            shifted = {k: [v if v is zero else v[-k:] + v[:-k] for v in rest] if k else rest
+                       for k in {c * i % l for i in range(l)}}
+            by_comp = [shifted[c * i % l] for i in range(l)]
+            col = []
+            for row in tables[m, a]:
+                acc = zero
+                for i, j, op in row:
+                    v = by_comp[i][j]
+                    if v is not zero:
+                        acc = v if acc is zero and op is add else tuple(map(op, acc, v))
+                col.append(acc if any(acc) else zero)
+            columns[suffix] = col
+        out.append(columns[cycles])
+    return out
 
 
 def character_value(lam: Multipartition, ctype: Multipartition, l: int | None = None) -> CyclotomicNumber:
-    """chi_lam evaluated on the class of type ctype, exact in Q(zeta_l)."""
+    """chi_lam evaluated on the class of type ctype: an entry of ``character_table``."""
     if l is None:
         l = len(lam)
-    if len(lam) != l or len(ctype) != l:
-        raise ValueError("component count mismatch")
-    if msize(lam) != msize(ctype):
-        raise ValueError("size mismatch between label and class")
-    return CyclotomicNumber.from_powers(l, _char_rec(lam, _cycles(ctype), l))
+    for x, what in ((lam, "label"), (ctype, "class")):
+        if not (type(x) is tuple and len(x) == l and all(
+                type(c) is tuple and all(type(p) is int and p > 0 for p in c)
+                and list(c) == sorted(c, reverse=True) for c in x)):
+            raise ValueError(f"{what} {x!r} is not a canonical {l}-multipartition")
+    n = msize(lam)
+    if msize(ctype) != n:
+        raise ValueError(f"class {ctype} is not of size {n}")
+    return character_table(l, n).value(lam, ctype)
 
 
 def char_dimension(lam: Multipartition) -> int:
@@ -275,9 +282,7 @@ def character_table(l: int, n: int) -> WreathTable:
     classes = tuple(t for t, _ in classes_sizes)
     assert classes == labels  # one enumeration indexes rows and columns
     sizes = tuple(s for _, s in classes_sizes)
-    cycles = [_cycles(c) for c in classes]
-    raw = tuple(tuple(_char_rec(lam, cyc, l) for cyc in cycles) for lam in labels)
-    _char_rec.cache_clear()
+    raw = tuple(zip(*_columns(l, n, classes)))
     index = {lam: i for i, lam in enumerate(labels)}
     inverse = tuple(index[inverse_class(c)] for c in classes)
     dims = tuple(char_dimension(lam) for lam in labels)
@@ -440,11 +445,7 @@ def _restriction_matrix(
     # G(m,r)'s table, every row of which is a target in the fibre
     shifted = {v: [tuple(_reduce(m, v[-k * s:] + v[:-k * s])) for s in range(l)]
                for v in {v for row in t2.raw for v in row}}
-    # pack_s(lam) holds (L / chi_lam(1)) chi_mu(1) zeta_m^(ks) chi_mu(D^-1),
-    # reduced, for every class D in sorted order; row C is the sum over lam
-    # and s < l of chi_lam(C)[s] pack_s(lam), so its digits are at most the
-    # sum over lam of its packs' largest digit (taken after the reduction,
-    # which can grow one) times chi_lam(C)'s largest l1 norm
+    # pack_s(lam) and the digit bound of the module docstring
     top = {v: max(abs(c) for x in xs for c in x) for v, xs in shifted.items()}
     bound = sum(w * max(map(top.__getitem__, t2.raw[j]))
                 * max(sum(map(abs, v)) for v in set(t.raw[i])) for w, (i, j) in zip(weights, pairs))

@@ -27,6 +27,12 @@ by component with ``from_core_and_quotient``.  The package labels components
 through the forward ``partitions.beta_flat_k_gamma`` alone; this is the
 reference that the forward map is checked against.
 
+``char_rec`` is the Murnaghan-Nakayama rule for G(l,1,n) one entry at a
+time: chi_lam on a class's (length, colour) cycles, longest first, by
+removing a rim hook of the first cycle's length from each component in turn,
+memoised per (label, remaining cycles).  ``wreath.character_table`` computes
+the same values a column at a time; this is the reference for its ``raw``.
+
 ``restriction_matrix_loop`` is the restriction matrix of ``wreath`` summed
 coefficient by coefficient in Z[x]/(x^(kl) - 1), with each entry reduced
 into a CyclotomicNumber and scaled: the reference for the Kronecker-packed
@@ -36,6 +42,7 @@ integer rows that ``wreath._restriction_matrix`` keeps.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 
@@ -48,6 +55,7 @@ from cmfix.arith import CyclotomicNumber, embed, zeta
 from cmfix.linalg import Mat
 from cmfix.quiver import _embed_blocks
 from cmfix.partitions import (
+    _partition_from_beads,
     beta_flat_k_gamma,
     core,
     core_fibres,
@@ -519,3 +527,55 @@ def restriction_matrix_loop(l, n, k, gamma):
                for d, vec in zip(t2.classes, acc) if any(vec))
         rows.append(tuple(sorted((d, x * scale) for d, x in row if x)))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# character values by rim-hook removal, one entry at a time
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def rim_hooks(lam, a):
+    """All removals of a rim hook of size a: (smaller partition, sign).
+
+    A hook is a bead of B(lam) moved a steps down to an empty position
+    (floor -len(lam)); its sign is the parity of the beads it passes.
+    """
+    beads = [p - i for i, p in enumerate(lam, start=1)]
+    floor = -len(lam)
+    out = []
+    for b in beads:
+        nb = b - a
+        if nb < floor or nb in beads:
+            continue
+        height = sum(1 for c in beads if nb < c < b)
+        new_lam = _partition_from_beads([nb if c == b else c for c in beads], floor)
+        out.append((new_lam, -1 if height % 2 else 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def char_rec(lam, cycles, l):
+    """chi_lam on the (length, colour) cycles, in Z[x]/(x^l - 1): entry t is
+    the coefficient of zeta_l^t."""
+    if not cycles:
+        assert msize(lam) == 0
+        return (1,) + (0,) * (l - 1)
+    a, colour = cycles[0]
+    rest = cycles[1:]
+    total = [0] * l
+    for i, comp in enumerate(lam):
+        if sum(comp) < a:
+            continue
+        s = colour * i % l  # the weight zeta^s shifts entry t to t + s
+        for new_comp, sign in rim_hooks(comp, a):
+            sub = char_rec(lam[:i] + (new_comp,) + lam[i + 1:], rest, l)
+            for t, c in enumerate(sub, start=s):
+                if c:
+                    total[t % l] += sign * c
+    return tuple(total)
+
+
+def class_cycles(ctype):
+    """The (length, colour) cycles of a class type, longest first."""
+    return tuple(sorted(((a, c) for c, comp in enumerate(ctype) for a in comp), reverse=True))

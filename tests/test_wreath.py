@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -25,10 +27,12 @@ from cmfix.wreath import (
     verify_filtration,
 )
 from cmfix import wreath
-from cmfix.wreath import _Kronecker, _char_rec, _cycles, _restriction_matrix
+from cmfix.wreath import _Kronecker, _restriction_matrix
 from oracles import (
     beta_unreversed,
     brute_table_212,
+    char_rec,
+    class_cycles,
     conjugate_multi,
     hyperoctahedral2_elements,
     matrix_class_type,
@@ -192,6 +196,20 @@ def test_character_value_input_validation():
         character_value(((1,),), ((1,), ()), 1)
     with pytest.raises(ValueError):
         character_value(((2,), ()), ((1,), ()), 2)
+    # not canonical multipartitions of n: each is named in the error
+    for lam, ctype, l, bad in [
+        (((1, 2),), ((2, 1),), 1, ((1, 2),)),
+        (((2, 1),), ((1, 2),), 1, ((1, 2),)),
+        (((2, 0), ()), ((2,), ()), 2, ((2, 0), ())),
+        (([2], [1]), ((2,), (1,)), 2, ([2], [1])),
+        (((2,), (1,)), ((2,), (1,), ()), 2, ((2,), (1,), ())),
+        (((3, -1),), ((2,),), 1, ((3, -1),)),
+        (((True,),), ((1,),), 1, ((True,),)),
+        (((2,),), ((1,),), 1, ((1,),)),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            character_value(lam, ctype, l)
+    assert character_value(((2, 1),), ((2, 1),), 1) == 0
 
 
 # -- centre of the group algebra ----------------------------------------------
@@ -447,10 +465,31 @@ def test_verify_filtration_fails_under_a_wrong_codim(monkeypatch):
     }
 
 
-def test_character_table_clears_the_rim_hook_memo():
-    # the uncached body, so the table is built here whatever ran before
+def _module_caches():
+    # every lru cache and module-level dict, list or set of the loaded cmfix modules
+    found = {id(x): x for name, mod in list(sys.modules.items()) if name.startswith("cmfix")
+             for attr, x in vars(mod).items()
+             if hasattr(x, "cache_info") or type(x) in (dict, list, set) and not attr.startswith("__")}
+    return list(found.values())
+
+
+def _cache_sizes(caches):
+    return [x.cache_info().currsize if hasattr(x, "cache_info") else len(x) for x in caches]
+
+
+def test_character_table_leaves_no_module_level_memo():
+    # start every package cache empty, then read what the build may read
+    # from its callees' caches; the uncached body then builds the table,
+    # and nothing it made may outlive it
+    caches = _module_caches()
+    for x in caches:
+        if hasattr(x, "cache_clear"):
+            x.cache_clear()
+    for m in range(4):
+        enumerate_multipartitions(2, m)
+    before = _cache_sizes(caches)
     t = wreath.character_table.__wrapped__(2, 3)
-    assert _char_rec.cache_info().currsize == 0
+    assert _cache_sizes(caches) == before
     assert t.raw == character_table(2, 3).raw
 
 
@@ -514,18 +553,26 @@ def test_unreversed_restriction_is_the_sign_twist_conjugate(l, n, k):
                 assert unreversed[d] == coeff * (sign(ctype) * sign(d))
 
 
+@pytest.mark.parametrize("l,n", SIZES + [(2, 6), (3, 5), (4, 4), (5, 3), (6, 2)])
+def test_table_matches_the_entrywise_rim_hook_recursion(l, n):
+    # the column recursion against the Murnaghan-Nakayama rule entry by entry
+    t = character_table(l, n)
+    cycles = [class_cycles(c) for c in t.classes]
+    assert t.raw == tuple(tuple(char_rec(lam, cyc, l) for cyc in cycles) for lam in t.labels)
+    char_rec.cache_clear()
+
+
 @pytest.mark.parametrize("l,n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (6, 2)])
 def test_character_values_are_algebraic_integers(l, n):
-    # the rim-hook recursion runs on int tuples in Z[x]/(x^l - 1) and each
+    # the column recursion runs on int tuples in Z[x]/(x^l - 1) and each
     # value is reduced mod Phi_l once; for l > 1 some value has a term
     # zeta^t with t >= phi(l) that the reduction folds (zeta^2, zeta^3 at l = 4)
     t = character_table(l, n)
     deg = len(cyclotomic_polynomial(l)) - 1
     folded = False
-    for lam, row in zip(t.labels, t.values):
-        for ctype, value in zip(t.classes, row):
+    for raw_row, row in zip(t.raw, t.values, strict=True):
+        for raw, value in zip(raw_row, row, strict=True):
             assert all(c.denominator == 1 for c in value.coeffs)
-            raw = _char_rec(lam, _cycles(ctype), l)
             assert len(raw) == l and all(type(c) is int for c in raw)
             assert value == CyclotomicNumber.from_powers(l, raw)
             folded |= any(raw[deg:])
