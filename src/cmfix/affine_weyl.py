@@ -80,10 +80,9 @@ def reflect_theta(j: int, theta) -> ThetaVector:
     j %= l
     new = list(theta)
     new[j] = -theta[j]
-    for step in (1, -1):
+    for step in (1, -1):  # l >= 2, so both neighbours differ from j
         i = (j + step) % l
-        if i != j:
-            new[i] = new[i] + theta[j]
+        new[i] = new[i] + theta[j]
     return tuple(new)
 
 

@@ -32,13 +32,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-Rational = Fraction
-
 # the largest order a JSON cyclotomic entry may carry
 MAX_JSON_ORDER = 1000
 
 __all__ = [
-    "Rational",
     "MAX_JSON_ORDER",
     "parse_rational",
     "format_rational",
@@ -97,8 +94,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, low degree first."""
     if m < 1:
         raise ValueError("order must be positive")
-    if m == 1:
-        return (-1, 1)
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
@@ -180,11 +175,6 @@ class CyclotomicNumber:
     def from_powers(cls, order: int, coeffs) -> "CyclotomicNumber":
         """sum_t coeffs[t] * zeta_m^t, for exponents t below max(m, 2*phi(m) - 1)."""
         return cls(order, _reduce(order, coeffs))
-
-    @classmethod
-    def zeta_power(cls, order: int, e: int) -> "CyclotomicNumber":
-        """zeta_m^e in canonical form (e taken modulo m)."""
-        return cls(order, _power_reductions(order)[e % order])
 
     # -- basic structure ---------------------------------------------------
 
@@ -362,8 +352,8 @@ class CyclotomicNumber:
 
 
 def zeta(m: int, e: int = 1) -> CyclotomicNumber:
-    """The root of unity zeta_m^e."""
-    return CyclotomicNumber.zeta_power(m, e)
+    """The root of unity zeta_m^e in canonical form (e taken modulo m)."""
+    return CyclotomicNumber(m, _power_reductions(m)[e % m])
 
 
 def embed(x: CyclotomicNumber, m: int) -> CyclotomicNumber:

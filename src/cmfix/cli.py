@@ -206,7 +206,7 @@ def cmd_smooth(args) -> int:
     crit = args.criterion
     if crit == "gl1n":
         p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
-        val = smooth_gl1n(p, args.n, include_a=not args.n1_no_a)
+        val = smooth_gl1n(p, args.n)
     elif crit == "quiver":
         p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
         val = smooth_quiver(theta_from_ak(p), args.n)
@@ -236,8 +236,7 @@ def cmd_quiver_check(args) -> int:
     out = {
         "l": rep.l,
         "d": list(rep.d),
-        "moment_traces": [format_rational(m.trace()) if rep.d[i] else "0"
-                          for i, m in enumerate(mm)],
+        "moment_traces": [format_rational(m.trace()) for m in mm],
         "total_trace": format_rational(sum((m.trace() for m in mm), Fraction(0))),
     }
     if args.theta is not None:
@@ -339,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--a", default="0")
     p.add_argument("--kparams", required=True)
-    p.add_argument("--n1-no-a", action="store_true",
-                   help="drop the a-factor (rank-1 spaces carry no parameter a)")
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("quiver-check", help="moment-map and membership checks on a representation")

@@ -4,16 +4,16 @@ Shape-carrying so that 0-row / 0-column matrices compose correctly (dimension
 vectors of quiver representations routinely contain zeros).  Entries are any
 exact scalars supporting +, -, *, /, == 0: int, Fraction, CyclotomicNumber.
 
-All elimination goes through one routine, ``insert_row``: it reduces a new
-row against rows already in reduced echelon form and inserts it when it is
-independent.  It does not divide: it reduces by cross-multiplication and
-keeps each stored row in ``normal_form``, which for a rational row is a
-primitive integer vector (Fraction-free elimination, as in Bareiss 1968),
-so rational elimination runs on plain ints.  ``rank`` is the pivot count
-and divides nothing; ``rref`` inserts the rows one by one, sorts them by
-pivot and divides each row by its pivot entry once, at the end (``monic``);
-``nullspace`` and ``inverse`` read the rref.  ``quiver`` spins
-subrepresentations with the same routine.
+Elimination over Q and Q(zeta_m) goes through one routine, ``insert_row``:
+it reduces a new row against rows already in reduced echelon form and
+inserts it when it is independent, by cross-multiplication, never dividing.
+Each stored row is kept in ``normal_form``, for a rational row a primitive
+integer vector (Fraction-free elimination, as in Bareiss 1968), so rational
+elimination runs on plain ints.  ``rank`` is the pivot count; ``rref``
+inserts the rows, sorts them by pivot and divides each by its pivot entry
+once, at the end (``monic``); ``nullspace`` and ``inverse`` read the rref.
+``rank``, ``rref``, ``nullspace`` and the exact spin ``quiver._spin`` share
+``insert_row``; the F_P pre-spin has its own, ``quiver._insert_mod_p``.
 """
 
 from __future__ import annotations
@@ -43,10 +43,6 @@ class Mat:
         return cls(rows, cols, [[0] * cols for _ in range(rows)])
 
     @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls.scalar(n, 1)
-
-    @classmethod
     def scalar(cls, n: int, value) -> "Mat":
         return cls(n, n, [[value if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -73,8 +69,6 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat(self.cols, self.rows,
                    [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
-    T = property(transpose)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ for the rank-2 exceptional-group cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_weyl import sigma, translate_theta
@@ -50,7 +50,9 @@ class ParamSet:
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "k", tuple(Fraction(x) for x in self.k))
-        if self.l < 1 or len(self.k) != self.l:
+        if self.l < 1:
+            raise ValueError("l must be >= 1")
+        if len(self.k) != self.l:
             raise ValueError(f"need exactly l={self.l} values of k")
         if sum(self.k) != 0:
             raise ValueError(f"k must sum to 0, got {self.k}")
@@ -138,15 +140,14 @@ def smooth_quiver(theta, n: int) -> bool:
     return True
 
 
-def smooth_gl1n(p: ParamSet, n: int, include_a: bool = True) -> bool:
+def smooth_gl1n(p: ParamSet, n: int) -> bool:
     """Smoothness of the Calogero-Moser space of G(l,1,n).
 
-    True iff a * prod_(i != j, 0 <= r < n) (k_i - k_j - r a) != 0.  At n = 1
-    the space has no parameter a; pass include_a=False to drop that factor.
+    True iff a * prod_(i != j, 0 <= r < n) (k_i - k_j - r a) != 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if include_a and p.a == 0:
+    if p.a == 0:
         return False
     for i in range(p.l):
         for j in range(p.l):
@@ -207,8 +208,7 @@ def transport(p: ParamSet, k_factor: int, d) -> ParamSet:
             + k * (d[(1 - j) % m] - d[(-j) % m])
         )
         kp[j % m] = val
-    out = ParamSet(m, k * p.a, tuple(kp))  # sum(k') = 0 is re-checked here
-    return out
+    return ParamSet(m, k * p.a, tuple(kp))  # sum(k') = 0 is re-checked here
 
 
 def theta_concat(theta, k: int) -> tuple[Fraction, ...]:
@@ -237,16 +237,13 @@ def transport_via_theta(p: ParamSet, k_factor: int, d) -> ParamSet:
 
 @dataclass(frozen=True)
 class CyclicCMSurface:
-    """The surface prod_i (e - roots_i) = xy with its scaling weight on x."""
+    """The surface prod_i (e - roots_i) = xy; x has scaling weight l."""
 
     l: int
     roots: tuple[Fraction, ...]
-    weight: int = field(default=0)
 
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(Fraction(r) for r in self.roots))
-        if self.weight == 0:
-            object.__setattr__(self, "weight", self.l)
 
     def root_multiset(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self.roots))

@@ -143,8 +143,6 @@ def in_deformed_fiber(rep: QuiverRep, theta) -> bool:
             return False
     p0 = mm[0] - Mat.scalar(rep.d[0], theta[0])
     want_trace = -sum((t * di for t, di in zip(theta, rep.d)), Fraction(0))
-    if rep.d[0] == 0:
-        return want_trace == 0
     return p0.rank() <= 1 and p0.trace() == want_trace
 
 
@@ -195,10 +193,7 @@ def scale_action(xi, rep: QuiverRep) -> QuiverRep:
     """The scaling xi . (X, Y) = (xi^(-1) X, xi Y); leaves the moment map fixed."""
     if xi == 0:
         raise ValueError("xi must be invertible")
-    if isinstance(xi, CyclotomicNumber):
-        inv = xi.inverse()
-    else:
-        inv = Fraction(1) / Fraction(xi)
+    inv = Fraction(1) / xi
     return QuiverRep(
         rep.d,
         tuple(m.scale(inv) for m in rep.X),
@@ -415,31 +410,28 @@ def _rational_eigenvalues(z: Mat) -> list[Fraction]:
     """All rational eigenvalues of z, by rational root search on the charpoly."""
     coeffs = _charpoly(z)
     # clear denominators: integer polynomial, leading lead > 0
-    denom = 1
-    for c in coeffs:
-        denom = lcm(denom, Fraction(c).denominator)
+    denom = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
-    # strip trailing zero coefficients: each is a root 0
+    # strip trailing zero coefficients, each a root 0, down to a nonzero constant
     roots = set()
     while ints[-1] == 0 and len(ints) > 1:
         roots.add(Fraction(0))
         ints.pop()
     const, lead = abs(ints[-1]), abs(ints[0])
-    if const:
-        ps, qs = _divisors(const, _ROOT_CAP), _divisors(lead, _ROOT_CAP)
-        if len(ps) * len(qs) <= _ROOT_CAP:
-            cands = {Fraction(s * p, q) for p in ps for q in qs for s in (1, -1)}
-        else:
-            cands = {Fraction(s * p) for p in ps[:20] for s in (1, -1)}
-        for t in cands:
-            # Horner on ints: v = q**deg * f(p/q)
-            p, q = t.numerator, t.denominator
-            v, qi = 0, 1
-            for c in ints:
-                v = v * p + c * qi
-                qi *= q
-            if v == 0:
-                roots.add(t)
+    ps, qs = _divisors(const, _ROOT_CAP), _divisors(lead, _ROOT_CAP)
+    if len(ps) * len(qs) <= _ROOT_CAP:
+        cands = {Fraction(s * p, q) for p in ps for q in qs for s in (1, -1)}
+    else:
+        cands = {Fraction(s * p) for p in ps[:20] for s in (1, -1)}
+    for t in cands:
+        # Horner on ints: v = q**deg * f(p/q)
+        p, q = t.numerator, t.denominator
+        v, qi = 0, 1
+        for c in ints:
+            v = v * p + c * qi
+            qi *= q
+        if v == 0:
+            roots.add(t)
     return sorted(roots)
 
 
@@ -478,7 +470,8 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     cleared = [_cleared(m)[1] for m in arrows]
     primal = QuiverRep(d, tuple(cleared[:l]), tuple(cleared[l:]))
     # the dual representation: transposed maps with X and Y exchanged
-    dual = QuiverRep(d, tuple(m.T for m in primal.Y), tuple(m.T for m in primal.X))
+    dual = QuiverRep(d, tuple(m.transpose() for m in primal.Y),
+                     tuple(m.transpose() for m in primal.X))
     # each side with its arrows reduced mod P and the seed lists known to
     # spin the whole space
     sides = [(side, tuple(map(_mod_p, side.X)), tuple(map(_mod_p, side.Y)), set())
@@ -531,7 +524,7 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
         for t in _rational_eigenvalues(z):
             zz = z - Mat.scalar(n, t)
             kernels = []
-            for side, m in zip(sides, (zz, zz.T)):
+            for side, m in zip(sides, (zz, zz.transpose())):
                 kernels.append(m.nullspace())
                 if (w := reducible(side, map(graded, kernels[-1]))) is not None:
                     return SimplicityResult("NotSimple", witness=w, trials=trials)

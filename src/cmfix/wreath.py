@@ -427,7 +427,6 @@ class _Kronecker:
         return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, len(raw), w)]
 
 
-@lru_cache(maxsize=None)
 def _restriction_matrix(
     l: int, n: int, k: int, gamma: Multipartition
 ) -> tuple[tuple[Fraction, tuple[tuple[Multipartition, tuple[int, ...]], ...]], ...]:

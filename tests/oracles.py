@@ -484,7 +484,7 @@ def rational_roots_fractions(z: Mat, cap: int) -> list[Fraction]:
 
 def total_matrix(rep, word, n: int, offs) -> Mat:
     """A word's product of generators, each embedded in End of the total space."""
-    out = Mat.identity(n)
+    out = Mat.scalar(n, 1)
     for kind, i in word:
         j = (i + 1) % rep.l
         blk = (offs[i], offs[j], rep.X[i]) if kind == "x" else (offs[j], offs[i], rep.Y[i])

@@ -163,11 +163,16 @@ def test_verify_filtration_rejects_a_malformed_gamma(capsys, gamma):
 def test_smooth_subcommand():
     code, out = run(["smooth", "--criterion", "g4", "--kparams=1,2,-3"])
     assert code == 0 and json.loads(out)["smooth"] is True
-    code, out = run(["smooth", "--criterion", "gl1n", "--l", "2", "--n", "2",
-                     "--a", "0", "--kparams=1,-1"])
-    assert json.loads(out)["smooth"] is False
+    # a = 0 is singular at every n, n = 1 included
+    for n in ("1", "2", "3"):
+        code, out = run(["smooth", "--criterion", "gl1n", "--l", "2", "--n", n,
+                         "--a", "0", "--kparams=1,-1"])
+        assert code == 0 and json.loads(out)["smooth"] is False, n
+    # the k-differences alone are the cyclic criterion
     code, out = run(["smooth", "--criterion", "cyclic", "--kparams=1,-1"])
     assert json.loads(out)["smooth"] is True
+    code, out = run(["smooth", "--criterion", "cyclic", "--kparams=0,0"])
+    assert json.loads(out)["smooth"] is False
 
 
 def test_usage_error_exit_2(capsys, tmp_path):
@@ -176,6 +181,10 @@ def test_usage_error_exit_2(capsys, tmp_path):
     code, _ = run(["transport", "--l", "2", "--k", "2", "--d", "0,0,0,0",
                    "--a", "1", "--kparams=1,1"])  # k does not sum to 0
     assert code == 2
+    code, out = run(["transport", "--l", "0", "--k", "2", "--d", "0,0,0,0",
+                     "--a", "1", "--kparams=-2,2"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.splitlines()[-1] == "error: l must be >= 1"
     for argv in (["enumerate-e", "--k", "2", "--l", "1", "--n", "-3"],
                  ["verify-filtration", "--l", "2", "--n", "-1", "--k", "2"],
                  ["chartable", "--l", "2", "--n", "-1"]):

@@ -104,9 +104,9 @@ def test_smooth_gl1n_edge_cases():
     assert not smooth_gl1n(p, 2)
     p1 = ParamSet(1, Fraction(3), (Fraction(0),))
     assert smooth_gl1n(p1, 4)
-    # n=1 with the a-factor dropped: only k-differences matter
+    # a = 0 is singular at n = 1 too; the k-differences alone are smooth_cyclic
     p2 = ParamSet(2, Fraction(0), (Fraction(1), Fraction(-1)))
-    assert smooth_gl1n(p2, 1, include_a=False)
+    assert smooth_cyclic(p2.k)
     assert not smooth_gl1n(p2, 1)
 
 
@@ -204,7 +204,6 @@ def test_theta_concat():
 def test_cyclic_surface():
     s = cyclic_cm_polynomial((Fraction(-2), Fraction(2)))
     assert s.l == 2 and s.root_multiset() == (Fraction(-4), Fraction(4))
-    assert s.weight == 2
     # (e+4)(e-4) = e^2 - 16
     assert s.polynomial_coeffs() == (Fraction(-16), Fraction(0), Fraction(1))
     assert sum(s.roots) == 0

@@ -48,12 +48,12 @@ from test_golden import norton_family
 def test_mat_shapes_and_rank():
     a = Mat(2, 3, [[1, 2, 3], [2, 4, 6]])
     assert a.rank() == 1
-    assert a.T.rank() == 1
+    assert a.transpose().rank() == 1
     assert Mat.zeros(0, 3).rank() == 0
     assert Mat.zeros(3, 0).rank() == 0
-    assert Mat.identity(4).rank() == 4
+    assert Mat.scalar(4, 1).rank() == 4
     b = Mat(2, 2, [[Fraction(1, 2), 0], [0, Fraction(3)]])
-    assert b.inverse() * b == Mat.identity(2)
+    assert b.inverse() * b == Mat.scalar(2, 1)
     assert len(a.nullspace()) == 2
 
 
@@ -390,7 +390,8 @@ def test_a_whole_spin_mod_p_is_a_whole_spin():
     # all together, on the representation and on its dual
     cases = list(spin_family())
     for _, rep, seeds in norton_family():
-        dual = QuiverRep(rep.d, tuple(m.T for m in rep.Y), tuple(m.T for m in rep.X))
+        dual = QuiverRep(rep.d, tuple(m.transpose() for m in rep.Y),
+                         tuple(m.transpose() for m in rep.X))
         for side in (rep, dual):
             cases += [(side, [s]) for s in seeds] + [(side, seeds)]
     seen = set()

@@ -7,7 +7,13 @@ import pytest
 
 from cmfix.arith import CyclotomicNumber, cyclotomic_polynomial, zeta
 from cmfix.linalg import Mat
-from cmfix.partitions import beta_flat_k_gamma, enumerate_core_tuples, enumerate_multipartitions
+from cmfix.partitions import (
+    beta_flat_k_gamma,
+    core_fibres,
+    enumerate_core_tuples,
+    enumerate_multipartitions,
+    msize,
+)
 from cmfix.wreath import (
     CentralElement,
     central_idempotent,
@@ -387,7 +393,7 @@ def test_restriction_rows_decode_within_their_digit_bound(l, n, k, monkeypatch):
     monkeypatch.setattr(_Kronecker, "__init__", recording_init)
     monkeypatch.setattr(_Kronecker, "unpack", recording_unpack)
     for gamma in enumerate_core_tuples(k, l, n):
-        _restriction_matrix.__wrapped__(l, n, k, gamma)
+        _restriction_matrix(l, n, k, gamma)
     assert decoded
     for bound, width, top in decoded:
         assert top <= bound < 2 ** (8 * width - 1)
@@ -491,6 +497,23 @@ def test_character_table_leaves_no_module_level_memo():
     t = wreath.character_table.__wrapped__(2, 3)
     assert _cache_sizes(caches) == before
     assert t.raw == character_table(2, 3).raw
+
+
+def test_verify_filtration_leaves_no_module_level_memo():
+    # warm what the check reads: the source and target tables, the fibres
+    # and the powers of zeta_kl; checking every gamma must then leave every
+    # package cache as it was, so no gamma's restriction matrix outlives it
+    l, n, k = 2, 3, 2
+    gammas = enumerate_core_tuples(k, l, n)
+    character_table(l, n)
+    for gamma in gammas:
+        character_table(k * l, (n - msize(gamma)) // k)
+    core_fibres(l, n, k)
+    zeta(k * l)
+    caches = _module_caches()
+    before = _cache_sizes(caches)
+    assert all(verify_filtration(l, n, k, gamma).passed for gamma in gammas)
+    assert _cache_sizes(caches) == before
 
 
 @pytest.mark.parametrize("l,n", SIZES)
