@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .partitions import residue_to_core
 
@@ -27,6 +28,7 @@ __all__ = [
     "quiver_dim",
     "reflect_theta",
     "pairing",
+    "common_denominator",
     "sigma",
     "bar",
     "translate_theta",
@@ -93,8 +95,14 @@ def pairing(d, theta) -> Fraction:
     if len(d) != len(theta):
         raise ValueError(f"modulus mismatch: {len(d)} vs {len(theta)}")
     # one integer sum over the common denominator, one reduction at the end
-    den = lcm(*[t.denominator for t in theta])
-    return Fraction(sum(x * t.numerator * (den // t.denominator) for x, t in zip(d, theta)), den)
+    den, nums = common_denominator(theta)
+    return Fraction(sum(map(mul, d, nums)), den)
+
+
+def common_denominator(xs) -> tuple[int, list[int]]:
+    """(D, [D*x for x in xs]) as ints, D the lcm of the denominators of xs (ints or Fractions)."""
+    den = lcm(*[x.denominator for x in xs])
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def bar(alpha) -> tuple[int, ...]:

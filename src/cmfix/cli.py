@@ -147,11 +147,35 @@ def cmd_transport(args) -> int:
     return 0
 
 
+# newline and indent of an entry of a component's "labels", and of the
+# "mu" and "lambda" of an entry of its "label_injection"
+_LABEL_NL = "\n" + " " * 6
+_PAIR_NL = "\n" + " " * 8
+
+
+def _label(lam, nl: str) -> _Raw:
+    """The multipartition lam, a tuple of tuples of ints, as ``_dumps(lam, nl)``."""
+    inner, part = nl + "  ", nl + "    "
+    return _Raw("[" + inner + ("," + inner).join(
+        ["[" + part + ("," + part).join(map(str, c)) + inner + "]" if c else "[]" for c in lam])
+        + nl + "]")
+
+
 def cmd_components(args) -> int:
     p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
     cat = component_catalog(args.l, args.n, args.k, p)
     if args.format == "json":
-        _emit([c.to_json() for c in cat])
+        _emit([{
+            "gamma": [list(x) for x in c.gamma],
+            "r": c.r,
+            "m": c.m,
+            "d": _residue_json(c.d),
+            "c_prime": c.c_prime.to_json(),
+            "labels": [_label(lam, _LABEL_NL) for lam in c.labels],
+            "label_injection": [{"mu": _label(mu, _PAIR_NL), "lambda": _label(lam, _PAIR_NL)}
+                                for mu, lam in sorted(c.label_injection.items())],
+            "convention": "gordon",
+        } for c in cat])
         return 0
     # csv flattening
     buf = io.StringIO()
@@ -227,11 +251,11 @@ def cmd_quiver_check(args) -> int:
         raise ValueError(f"--budget must be at least 0, got {args.budget}")
     if args.theta is not None and not args.theta.strip():
         raise ValueError("--theta is empty")
+    th = None if args.theta is None else _parse_rationals(args.theta)
     with open(args.rep, "r", encoding="utf-8") as fh:
         rep = QuiverRep.from_json(json.load(fh))
-    if not all(isinstance(x, (int, Fraction))
-               for m in rep.X + rep.Y for row in m.data for x in row):
-        raise ValueError("quiver-check needs rational matrix entries")
+    # first: it refuses a cyclotomic entry before any arithmetic meets one
+    res = norton_simplicity(rep, seed=args.seed, budget=args.budget)
     mm = moment_map(rep)
     out = {
         "l": rep.l,
@@ -239,10 +263,8 @@ def cmd_quiver_check(args) -> int:
         "moment_traces": [format_rational(m.trace()) for m in mm],
         "total_trace": format_rational(sum((m.trace() for m in mm), Fraction(0))),
     }
-    if args.theta is not None:
-        th = _parse_rationals(args.theta)
-        out["in_deformed_fiber"] = in_deformed_fiber(rep, th)
-    res = norton_simplicity(rep, seed=args.seed, budget=args.budget)
+    if th is not None:
+        out["in_deformed_fiber"] = in_deformed_fiber(mm, rep.d, th)
     out["simplicity"] = res.status
     _emit(out)
     return 0

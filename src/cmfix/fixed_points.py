@@ -109,24 +109,6 @@ class ComponentDescriptor:
     labels: tuple[Multipartition, ...]
     label_injection: dict
 
-    def to_json(self) -> dict:
-        return {
-            "gamma": [list(c) for c in self.gamma],
-            "r": self.r,
-            "m": self.m,
-            "d": {"modulus": self.m, "entries": list(self.d)},
-            "c_prime": self.c_prime.to_json(),
-            "labels": [[list(c) for c in lab] for lab in self.labels],
-            "label_injection": [
-                {
-                    "mu": [list(c) for c in mu],
-                    "lambda": [list(c) for c in lam],
-                }
-                for mu, lam in sorted(self.label_injection.items())
-            ],
-            "convention": "gordon",
-        }
-
 
 def component_catalog(l: int, n: int, k: int, p: ParamSet) -> list[ComponentDescriptor]:
     """One descriptor per gamma; requires smooth parameters."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine_weyl import sigma, translate_theta
+from .affine_weyl import common_denominator, sigma, translate_theta
 from .arith import format_rational
 
 __all__ = [
@@ -120,42 +120,46 @@ def smooth_quiver(theta, n: int) -> bool:
     """Quiver-side smoothness at dimension vector n*delta_l.
 
     sigma(theta) times the product over non-wrapping index segments
-    [i..j] in 1..l-1 and |k| < n of (theta_i + ... + theta_j + k*sigma)
-    must be nonzero.
+    [i..j] in 1..l-1 and |q| < n of (theta_i + ... + theta_j + q*sigma)
+    must be nonzero.  In divisibility form, over a common denominator of
+    theta: False iff sigma = 0, or some segment sum is q*sigma for an
+    integer q with |q| < n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    theta = tuple(Fraction(t) for t in theta)
-    l = len(theta)
-    s = sigma(theta)
+    _, theta = common_denominator([Fraction(t) for t in theta])
+    s = sum(theta)
     if s == 0:
         return False
-    for i in range(1, l):
-        seg = Fraction(0)
-        for j in range(i, l):
-            seg += theta[j]
-            for r in range(-(n - 1), n):
-                if seg + r * s == 0:
-                    return False
+    for i in range(1, len(theta)):
+        seg = 0
+        for t in theta[i:]:
+            seg += t
+            q, rem = divmod(seg, s)
+            if not rem and -n < q < n:
+                return False
     return True
 
 
 def smooth_gl1n(p: ParamSet, n: int) -> bool:
     """Smoothness of the Calogero-Moser space of G(l,1,n).
 
-    True iff a * prod_(i != j, 0 <= r < n) (k_i - k_j - r a) != 0.
+    True iff a * prod_(i != j, 0 <= r < n) (k_i - k_j - r a) != 0.  In
+    divisibility form, over a common denominator of (a, k): False iff
+    a = 0, or some ordered pair i != j has k_i - k_j = r*a for an integer
+    0 <= r < n; since (j, i) gives -r, one division per unordered pair
+    asks whether |r| < n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if p.a == 0:
+    _, (a, *k) = common_denominator((p.a, *p.k))
+    if a == 0:
         return False
-    for i in range(p.l):
-        for j in range(p.l):
-            if i == j:
-                continue
-            for r in range(n):
-                if p.k[i] - p.k[j] - r * p.a == 0:
-                    return False
+    for i, ki in enumerate(k):
+        for kj in k[i + 1:]:
+            q, rem = divmod(ki - kj, a)
+            if not rem and -n < q < n:
+                return False
     return True
 
 

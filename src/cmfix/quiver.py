@@ -127,22 +127,22 @@ def moment_map(rep: QuiverRep) -> tuple[Mat, ...]:
     )
 
 
-def in_deformed_fiber(rep: QuiverRep, theta) -> bool:
-    """Membership in the deformed fiber at theta.
+def in_deformed_fiber(mm, d, theta) -> bool:
+    """Membership in the deformed fiber at theta of a representation with
+    dimension vector d and moment map mm (``moment_map(rep), rep.d``).
 
     The moment map must equal theta_i * Id away from vertex 0, and at vertex
     0 differ from theta_0 * Id by a matrix of rank <= 1 with trace
     -sum(theta_i * d_i).
     """
     theta = tuple(theta)
-    if len(theta) != rep.l:
+    if len(theta) != len(d):
         raise ValueError("theta has the wrong modulus")
-    mm = moment_map(rep)
-    for i in range(1, rep.l):
-        if mm[i] != Mat.scalar(rep.d[i], theta[i]):
+    for i in range(1, len(d)):
+        if mm[i] != Mat.scalar(d[i], theta[i]):
             return False
-    p0 = mm[0] - Mat.scalar(rep.d[0], theta[0])
-    want_trace = -sum((t * di for t, di in zip(theta, rep.d)), Fraction(0))
+    p0 = mm[0] - Mat.scalar(d[0], theta[0])
+    want_trace = -sum((t * di for t, di in zip(theta, d)), Fraction(0))
     return p0.rank() <= 1 and p0.trace() == want_trace
 
 

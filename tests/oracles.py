@@ -33,6 +33,16 @@ removing a rim hook of the first cycle's length from each component in turn,
 memoised per (label, remaining cycles).  ``wreath.character_table`` computes
 the same values a column at a time; this is the reference for its ``raw``.
 
+``smooth_gl1n_fractions`` and ``smooth_quiver_fractions`` are the
+smoothness predicates as products of Fraction factors, one test per pair
+(or segment) and per multiple of a (or sigma): the reference for
+``parameters.smooth_gl1n`` and ``smooth_quiver``, which decide the same
+product with one exact integer division per pair over a common denominator.
+
+``component_json`` is a catalog descriptor as the structure
+``json.dumps(..., indent=2)`` prints for ``components --format json``: the
+reference for the CLI, which writes each label as one text.
+
 ``restriction_matrix_loop`` is the restriction matrix of ``wreath`` summed
 coefficient by coefficient in Z[x]/(x^(kl) - 1), with each entry reduced
 into a CyclotomicNumber and scaled: the reference for the Kronecker-packed
@@ -65,7 +75,7 @@ from cmfix.partitions import (
     quotient,
     residues,
 )
-from cmfix.affine_weyl import is_plus
+from cmfix.affine_weyl import is_plus, sigma
 from cmfix.wreath import character_table, from_omega, to_omega
 
 
@@ -579,3 +589,65 @@ def char_rec(lam, cycles, l):
 def class_cycles(ctype):
     """The (length, colour) cycles of a class type, longest first."""
     return tuple(sorted(((a, c) for c, comp in enumerate(ctype) for a in comp), reverse=True))
+
+
+# ---------------------------------------------------------------------------
+# the smoothness predicates as products of Fraction factors
+# ---------------------------------------------------------------------------
+
+
+def smooth_quiver_fractions(theta, n: int) -> bool:
+    """sigma(theta) * prod over segments [i..j] of 1..l-1 and |r| < n of
+    (theta_i + ... + theta_j + r*sigma) != 0."""
+    theta = tuple(Fraction(t) for t in theta)
+    l = len(theta)
+    s = sigma(theta)
+    if s == 0:
+        return False
+    for i in range(1, l):
+        seg = Fraction(0)
+        for j in range(i, l):
+            seg += theta[j]
+            for r in range(-(n - 1), n):
+                if seg + r * s == 0:
+                    return False
+    return True
+
+
+def smooth_gl1n_fractions(p, n: int) -> bool:
+    """a * prod over i != j and 0 <= r < n of (k_i - k_j - r*a) != 0."""
+    if p.a == 0:
+        return False
+    for i in range(p.l):
+        for j in range(p.l):
+            if i == j:
+                continue
+            for r in range(n):
+                if p.k[i] - p.k[j] - r * p.a == 0:
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# a catalog descriptor as the components JSON structure
+# ---------------------------------------------------------------------------
+
+
+def component_json(c) -> dict:
+    """The dict that ``components --format json`` prints for descriptor c."""
+    return {
+        "gamma": [list(x) for x in c.gamma],
+        "r": c.r,
+        "m": c.m,
+        "d": {"modulus": c.m, "entries": list(c.d)},
+        "c_prime": c.c_prime.to_json(),
+        "labels": [[list(x) for x in lab] for lab in c.labels],
+        "label_injection": [
+            {
+                "mu": [list(x) for x in mu],
+                "lambda": [list(x) for x in lam],
+            }
+            for mu, lam in sorted(c.label_injection.items())
+        ],
+        "convention": "gordon",
+    }

@@ -9,8 +9,12 @@ from hypothesis import given, strategies as st
 
 from cmfix import cli, wreath
 from cmfix.cli import _dumps, _Raw, main, run_selftest
-from cmfix.arith import zeta
+from cmfix.arith import parse_rational, zeta
+from cmfix.fixed_points import component_catalog
+from cmfix.parameters import ParamSet
 from cmfix.quiver import random_rep, scale_action
+
+from oracles import component_json
 
 
 def run(argv):
@@ -63,6 +67,22 @@ def test_components_json_and_csv():
     lines = out.strip().splitlines()
     assert lines[0] == "gamma,r,m,d,a_prime,k_prime"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("l,n,k,a,kparams", [
+    (1, 4, 2, "2/3", "0"),            # l = 1: every label has one component
+    (1, 3, 1, "-5", "0"),             # k = 1: mu and lambda have l components
+    (2, 3, 2, "1/97", "1,-1"),        # empty parts in labels, mu and lambda
+    (3, 4, 2, "-1/97", "1/89,1/83,-172/7387"),
+    (2, 5, 3, "7/1000003", "3/1000033,-3/1000033"),
+], ids=["l1-k2", "l1-k1", "l2-k2", "l3-k2", "l2-k3"])
+def test_components_prints_what_the_stdlib_prints(l, n, k, a, kparams):
+    # each label text is written whole; the bytes must be the plain encoder's
+    p = ParamSet(l, parse_rational(a), tuple(map(parse_rational, kparams.split(","))))
+    want = [component_json(c) for c in component_catalog(l, n, k, p)]
+    argv = ["components", "--l", str(l), "--n", str(n), "--k", str(k), f"--a={a}",
+            f"--kparams={kparams}"]
+    assert run(argv) == (0, json.dumps(want, indent=2) + "\n")
 
 
 def test_components_convention_flag(capsys):
@@ -252,8 +272,8 @@ def test_quiver_check(tmp_path):
     assert obj["simplicity"] in {"Simple", "NotSimple", "Unknown"}
 
 
-@pytest.mark.parametrize("option", [["--budget", "-5"], ["--theta="]],
-                         ids=["negative-budget", "empty-theta"])
+@pytest.mark.parametrize("option", [["--budget", "-5"], ["--theta="], ["--theta=1,2,3"]],
+                         ids=["negative-budget", "empty-theta", "theta-wrong-modulus"])
 def test_quiver_check_rejects_bad_options(tmp_path, capsys, option):
     f = tmp_path / "rep.json"
     f.write_text(json.dumps(random_rep((1, 1), random.Random(0)).to_json()))

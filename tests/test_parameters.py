@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,8 @@ from cmfix.parameters import (
     transport_via_theta,
     weyl_on_ak,
 )
+
+from oracles import smooth_gl1n_fractions, smooth_quiver_fractions
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 
@@ -108,6 +111,76 @@ def test_smooth_gl1n_edge_cases():
     p2 = ParamSet(2, Fraction(0), (Fraction(1), Fraction(-1)))
     assert smooth_cyclic(p2.k)
     assert not smooth_gl1n(p2, 1)
+    # n = 0 would pass vacuously: the product over 0 <= r < n is empty
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            smooth_gl1n(p1, n)
+
+
+def _spread_paramset(rng, l):
+    # differences k_i - k_j that are often small multiples of a, sometimes
+    # off by one large-prime part; recentring keeps every difference
+    a = Fraction(rng.choice((-1, 1)) * rng.randint(0, 9), rng.choice((1, 2, 6, 1000003)))
+    ks = [rng.randint(-7, 7) * a + rng.choice((0, 0, 0, Fraction(1, 1000033))) for _ in range(l)]
+    mean = sum(ks, Fraction(0)) / l
+    return ParamSet(l, a, tuple(x - mean for x in ks))
+
+
+def _text(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def test_integer_predicates_equal_the_fraction_products():
+    rng = random.Random(20)
+    seen = set()
+    for l in range(1, 6):
+        for n in range(1, 7):
+            for _ in range(40):
+                p = _spread_paramset(rng, l)
+                den = lcm(p.a.denominator, *(x.denominator for x in p.k))
+                want = smooth_gl1n_fractions(p, n)
+                seen.add(want)
+                # the same parameters as Fractions, as "p/q" texts and scaled to ints
+                assert smooth_gl1n(p, n) == want, (p, n)
+                assert smooth_gl1n(ParamSet(l, _text(p.a), tuple(map(_text, p.k))), n) == want
+                assert smooth_gl1n(ParamSet(l, int(den * p.a),
+                                            tuple(int(den * x) for x in p.k)), n) == want
+                th = theta_from_ak(p)
+                want = smooth_quiver_fractions(th, n)
+                seen.add(("quiver", want))
+                for form in (th, tuple(map(_text, th)), tuple(int(den * t) for t in th),
+                             tuple(-t for t in th)):
+                    assert smooth_quiver(form, n) == want, (form, n)
+    # both verdicts come up on both sides, so the comparison is not vacuous
+    assert seen == {True, False, ("quiver", True), ("quiver", False)}
+
+
+@pytest.mark.parametrize("a", [Fraction(3, 7), Fraction(-3, 7), Fraction(2), Fraction(-5, 1000003)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_smooth_gl1n_at_the_ends_of_the_range_of_r(a, n):
+    # l = 2 with k_0 - k_1 = x: singular iff x = r*a for an integer |r| < n
+    def at(x):
+        return smooth_gl1n(ParamSet(2, a, (x / 2, -x / 2)), n)
+
+    assert not at(Fraction(0))
+    for sign in (1, -1):
+        assert not at(sign * (n - 1) * a)
+        assert at(sign * n * a)
+        assert at(sign * (n - 1) * a + Fraction(1, 1000037))
+
+
+@pytest.mark.parametrize("s", [Fraction(3, 7), Fraction(-3, 7), Fraction(2), Fraction(-5, 1000003)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_smooth_quiver_at_the_ends_of_the_range_of_q(s, n):
+    # a segment sum of q*sigma is singular iff |q| < n: at l = 2 the one
+    # segment is theta_1, at l = 3 the segment theta_1 + theta_2 is checked
+    # with theta_1 and theta_2 themselves off every multiple of sigma
+    eps = Fraction(1, 1000039)
+    for sign in (1, -1):
+        for q, smooth in ((sign * (n - 1), False), (sign * n, True)):
+            seg = q * s
+            assert smooth_quiver((s - seg, seg), n) == smooth, (s, n, q)
+            assert smooth_quiver((s - seg, seg / 2 + eps, seg / 2 - eps), n) == smooth, (s, n, q)
 
 
 def test_smoothness_dictionary_equivalence():

@@ -45,6 +45,11 @@ from oracles import (
 from test_golden import norton_family
 
 
+def in_fiber(rep, theta):
+    """in_deformed_fiber at rep's own moment map and dimension vector."""
+    return in_deformed_fiber(moment_map(rep), rep.d, theta)
+
+
 def test_mat_shapes_and_rank():
     a = Mat(2, 3, [[1, 2, 3], [2, 4, 6]])
     assert a.rank() == 1
@@ -154,13 +159,13 @@ def test_fiber_membership_l1():
             (Mat(1, 1, [[rng.randint(-5, 5)]]),),
             (Mat(1, 1, [[rng.randint(-5, 5)]]),),
         )
-        assert in_deformed_fiber(rep, (Fraction(-rng.randint(1, 5)),))
+        assert in_fiber(rep, (Fraction(-rng.randint(1, 5)),))
 
 
 def test_fiber_membership_zero_rep():
     rep = QuiverRep((1, 1), (Mat(1, 1, [[0]]),) * 2, (Mat(1, 1, [[0]]),) * 2)
-    assert in_deformed_fiber(rep, (Fraction(0), Fraction(0)))
-    assert not in_deformed_fiber(rep, (Fraction(0), Fraction(1)))
+    assert in_fiber(rep, (Fraction(0), Fraction(0)))
+    assert not in_fiber(rep, (Fraction(0), Fraction(1)))
 
 
 def test_fiber_perturbation_detected():
@@ -171,9 +176,9 @@ def test_fiber_perturbation_detected():
         (Mat(1, 1, [[2]]), Mat(1, 1, [[2 - a]])),
         (Mat(1, 1, [[1]]), Mat(1, 1, [[1]])),
     )
-    assert in_deformed_fiber(rep, th)
+    assert in_fiber(rep, th)
     bad = QuiverRep(rep.d, rep.X, (rep.Y[0], Mat(1, 1, [[2]])))
-    assert not in_deformed_fiber(bad, th)
+    assert not in_fiber(bad, th)
 
 
 def test_membership_transport_through_block_immersion():
@@ -195,8 +200,8 @@ def test_membership_transport_through_block_immersion():
         tuple(Mat(1, 1, [[prod[i]]]) for i in range(4)),
         tuple(Mat(1, 1, [[1]]) for _ in range(4)),
     )
-    assert in_deformed_fiber(rep, thk)
-    assert in_deformed_fiber(block_immersion(rep, 2), th)
+    assert in_fiber(rep, thk)
+    assert in_fiber(block_immersion(rep, 2), th)
 
 
 def test_scale_action_group_law_and_moment_invariance():
@@ -248,7 +253,7 @@ def test_fiber_invariance_under_gl():
 
     for _ in range(10):
         g = [rand_inv(2), rand_inv(1)]
-        assert in_deformed_fiber(gl_action(g, rep), th) == in_deformed_fiber(rep, th)
+        assert in_fiber(gl_action(g, rep), th) == in_fiber(rep, th)
 
 
 def test_simplicity_zero_reps():
@@ -344,7 +349,7 @@ def test_simplicity_terminates_on_a_calogero_moser_point():
     Y = Mat(n, n, [[Fraction(rng.randint(-5, 5)) if i == j else Fraction(1, xs[i] - xs[j])
                     for j in range(n)] for i in range(n)])
     rep = QuiverRep((n,), (X,), (Y,))
-    assert in_deformed_fiber(rep, (Fraction(-1),))
+    assert in_fiber(rep, (Fraction(-1),))
     assert norton_simplicity(rep, seed=0).status in {"Simple", "Unknown"}
 
 
