@@ -74,8 +74,11 @@ def quiver_dim(d) -> int:
 
 
 def reflect_theta(j: int, theta) -> ThetaVector:
-    """s_j on parameter vectors: theta_j flips sign, each neighbour slot adds theta_j."""
-    theta = tuple(Fraction(t) for t in theta)
+    """s_j on parameter vectors: theta_j flips sign, each neighbour slot adds theta_j.
+
+    The entries stay as given, ints or Fractions.
+    """
+    theta = tuple(theta)
     l = len(theta)
     if l == 1:
         return theta

@@ -17,11 +17,11 @@ all build their results with it; ``zeta`` is one table row.  A product with
 a rational operand is a coefficient-wise scaling, and an inverse is the
 product of the other Galois conjugates over the norm.
 
-``CyclotomicNumber.from_json`` refuses an order above ``MAX_JSON_ORDER``
-before building anything: the m-th cyclotomic polynomial is built from
-those of every divisor of m, so its cost grows fast with m and with the
-number of its divisors, and the orders the package builds on its grids are
-far smaller.
+The CLI builds cyclotomic numbers only for the values ``chartable``
+prints (``to_json``); no input is read as one.  The field operations serve
+the definitional side of ``wreath``'s centre algebra (``to_omega``,
+``embed``, ``from_omega``), and ``linalg`` and ``quiver.scale_action`` take
+them as scalars, for the paper's mu_m action on representations.
 
 No floats, ever.
 """
@@ -32,11 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-# the largest order a JSON cyclotomic entry may carry
-MAX_JSON_ORDER = 1000
-
 __all__ = [
-    "MAX_JSON_ORDER",
     "parse_rational",
     "format_rational",
     "cyclotomic_polynomial",
@@ -338,17 +334,6 @@ class CyclotomicNumber:
 
     def to_json(self) -> dict:
         return {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CyclotomicNumber":
-        """Read {"order": m, "coeffs": [...]}: m an int in [1, MAX_JSON_ORDER],
-        coefficients as rationals."""
-        order = obj.get("order") if isinstance(obj, dict) else None
-        if type(order) is not int or order < 1 or not isinstance(obj.get("coeffs"), list):
-            raise ValueError('a cyclotomic entry needs an int "order" >= 1 and a list "coeffs"')
-        if order > MAX_JSON_ORDER:
-            raise ValueError(f'a cyclotomic "order" must be at most {MAX_JSON_ORDER}, got {order}')
-        return cls(order, [parse_rational(str(c)) for c in obj["coeffs"]])
 
 
 def zeta(m: int, e: int = 1) -> CyclotomicNumber:

@@ -254,7 +254,6 @@ def cmd_quiver_check(args) -> int:
     th = None if args.theta is None else _parse_rationals(args.theta)
     with open(args.rep, "r", encoding="utf-8") as fh:
         rep = QuiverRep.from_json(json.load(fh))
-    # first: it refuses a cyclotomic entry before any arithmetic meets one
     res = norton_simplicity(rep, seed=args.seed, budget=args.budget)
     mm = moment_map(rep)
     out = {

@@ -20,13 +20,14 @@ and the rational root search run on plain ints.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .arith import CyclotomicNumber, format_rational, parse_rational
+from .arith import format_rational, parse_rational
 from .linalg import Mat, insert_row, monic, normal_form
 
 __all__ = [
@@ -67,23 +68,18 @@ class QuiverRep:
         return len(self.d)
 
     def to_json(self) -> dict:
+        """The JSON form of a representation with rational entries."""
         def enc(m: Mat):
-            out = []
-            for row in m.data:
-                r = []
-                for x in row:
-                    if isinstance(x, CyclotomicNumber):
-                        r.append(x.to_json())
-                    else:
-                        r.append(format_rational(x))
-                out.append(r)
-            return out
+            return [[format_rational(x) for x in row] for row in m.data]
 
         return {"l": self.l, "d": list(self.d),
                 "X": [enc(m) for m in self.X], "Y": [enc(m) for m in self.Y]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuiverRep":
+        """Read {"d": [...], "X": [...], "Y": [...]}.  Every matrix entry is a
+        rational, a "p/q" string or an integer; any other entry, a cyclotomic
+        one included, is refused by its place and value."""
         if not isinstance(obj, dict) or not {"d", "X", "Y"} <= obj.keys():
             raise ValueError('a representation needs the keys "d", "X" and "Y"')
         if not isinstance(obj["d"], list) or not all(
@@ -97,24 +93,25 @@ class QuiverRep:
             if not isinstance(obj[key], list) or len(obj[key]) != l:
                 raise ValueError(f'"{key}" must hold one matrix per vertex ({l})')
 
-        def dec(rows, shape):
+        def dec(key, i, shape):
+            rows = obj[key][i]
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ValueError("a matrix must be a list of rows")
             data = []
-            for row in rows:
+            for a, row in enumerate(rows):
                 r = []
-                for x in row:
-                    if isinstance(x, dict):
-                        r.append(CyclotomicNumber.from_json(x))
-                    else:
-                        # integral entries as int, which the eliminations take as is
-                        q = parse_rational(str(x))
-                        r.append(q.numerator if q.denominator == 1 else q)
+                for b, x in enumerate(row):
+                    if type(x) not in (str, int):
+                        raise ValueError(f"{key}[{i}][{a}][{b}] is {json.dumps(x)}: a "
+                                         "representation holds rational matrix entries only")
+                    # integral entries as int, which the eliminations take as is
+                    q = parse_rational(str(x))
+                    r.append(q.numerator if q.denominator == 1 else q)
                 data.append(r)
             return Mat(shape[0], shape[1], data)
 
-        X = tuple(dec(obj["X"][i], (d[i], d[(i + 1) % l])) for i in range(l))
-        Y = tuple(dec(obj["Y"][i], (d[(i + 1) % l], d[i])) for i in range(l))
+        X = tuple(dec("X", i, (d[i], d[(i + 1) % l])) for i in range(l))
+        Y = tuple(dec("Y", i, (d[(i + 1) % l], d[i])) for i in range(l))
         return cls(d, X, Y)
 
 

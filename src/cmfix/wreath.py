@@ -30,7 +30,9 @@ is 1, so codim = n - (number of parts of component 0).
 
 The restriction i*_gamma: Z(C G(l,1,n)) ->> Z(C G(kl,1,r)) sends e_lam to
 e_mu, mu = beta_flat_k_gamma(lam), for lam in the fibre of gamma (the
-labels with componentwise k-core gamma) and every other e_lam to 0.  On
+labels with componentwise k-core gamma) and every other e_lam to 0.
+``i_gamma_star`` is this definition in the central characters: w'_mu =
+embed(w_lam) over the fibre, between ``to_omega`` and ``from_omega``.  On
 class sums it is one matrix per (l, n, k, gamma): the coefficient of z_D
 in i*_gamma(z_C) is
 
@@ -43,12 +45,13 @@ coordinates of Z[zeta_m], m = kl.  As zeta_l = zeta_m^k, for each lam and
 s < l one int, pack_s(lam), holds (L / chi_lam(1)) chi_mu(1) zeta_m^(ks)
 chi_mu(D^-1) reduced mod the m-th cyclotomic polynomial, phi(m) digit slots
 per class D in sorted order.  Row C is the sum over lam and s of
-chi_lam(C)[s] pack_s(lam), and its decoded digits are its entries.  A digit
-is at most the sum over lam of the largest digit of lam's packs times the
-largest l1 norm of chi_lam(C), read off the reduced packs, since reduction
-can grow a digit (at m = 15, sum_{even t} zeta^t has coordinates -2 and 2).
-Each row keeps one scale |C| / (L |W'|); only ``i_gamma_star`` turns
-entries into cyclotomic numbers.
+chi_lam(C)[s] pack_s(lam), and its decoded digits are its entries times
+L |W'| / |C|.  A digit is at most the sum over lam of the largest digit of
+lam's packs times the largest l1 norm of chi_lam(C), read off the reduced
+packs, since reduction can grow a digit (at m = 15, sum_{even t} zeta^t has
+coordinates -2 and 2).  ``verify_filtration`` builds these rows and needs
+only their support, which the positive scale |C| / (L |W'|) leaves as it
+is: it reads which blocks of a row are nonzero, and nothing else.
 
 The fibre's (lam, mu) pairs are read off ``partitions.core_fibres``.  The
 unreversed slot order gives no other verdict: with T the sign twist
@@ -382,21 +385,18 @@ def i_gamma_star(z: CentralElement, gamma: Multipartition, k: int) -> CentralEle
 
     In the idempotent basis: e_lam maps to the idempotent labelled by the
     interleaved quotient beta_flat_k_gamma(lam) when the componentwise k-core
-    of lam is gamma, and to 0 otherwise.  On class sums this is the sum of
-    coeff_C times the row of C in the restriction matrix.
+    of lam is gamma, and to 0 otherwise.  So the central characters of the
+    image are w'_mu = embed(w_lam) over the fibre of gamma and 0 elsewhere.
     """
     l, n = z.l, z.n
     r = check_core_tuple(gamma, k, l, n)
     m = k * l
-    index = character_table(l, n).index
-    rows = _restriction_matrix(l, n, k, gamma)
-    out = {}
-    for ctype, coeff in z.coeffs:
-        scale, row = rows[index[ctype]]
-        c = embed(coeff, m) * scale
-        for d, x in row:
-            out[d] = out.get(d, CyclotomicNumber.zero(m)) + c * CyclotomicNumber(m, x)
-    return CentralElement.from_dict(m, r, out)
+    t, t2 = character_table(l, n), character_table(m, r)
+    omega = to_omega(z)
+    out = [0] * len(t2.labels)
+    for lam, mu in core_fibres(l, n, k)[gamma].items():
+        out[t2.index[mu]] = embed(omega[t.index[lam]], m)
+    return from_omega(m, r, out)
 
 
 class _Kronecker:
@@ -425,46 +425,6 @@ class _Kronecker:
         w, half = self.width, self.half
         raw = (value + self.bias).to_bytes(self.count * w, "little")
         return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, len(raw), w)]
-
-
-def _restriction_matrix(
-    l: int, n: int, k: int, gamma: Multipartition
-) -> tuple[tuple[Fraction, tuple[tuple[Multipartition, tuple[int, ...]], ...]], ...]:
-    # row C: (|C| / (L |W'|), the nonzero (D, coefficient of z_D in
-    # L |W'| / |C| i*_gamma(z_C) in the power basis of Q(zeta_m)), D sorted),
-    # for every class C of G(l,1,n) in table order; gamma is already validated
-    m, r = k * l, (n - msize(gamma)) // k
-    t, t2 = character_table(l, n), character_table(m, r)
-    pairs = [(t.index[lam], t2.index[mu]) for lam, mu in core_fibres(l, n, k)[gamma].items()]
-    L = lcm(*(t.dims[i] for i, _ in pairs))
-    weights = [L // t.dims[i] * t2.dims[j] for i, j in pairs]
-    targets = sorted(range(len(t2.classes)), key=t2.classes.__getitem__)
-    columns = [t2.inverse[d] for d in targets]
-    # zeta_m^(ks) v reduced mod Phi_m for s < l, for each distinct value v of
-    # G(m,r)'s table, every row of which is a target in the fibre
-    shifted = {v: [tuple(_reduce(m, v[-k * s:] + v[:-k * s])) for s in range(l)]
-               for v in {v for row in t2.raw for v in row}}
-    # pack_s(lam) and the digit bound of the module docstring
-    top = {v: max(abs(c) for x in xs for c in x) for v, xs in shifted.items()}
-    bound = sum(w * max(map(top.__getitem__, t2.raw[j]))
-                * max(sum(map(abs, v)) for v in set(t.raw[i])) for w, (i, j) in zip(weights, pairs))
-    phi = len(_reduce(m, [1]))
-    kron = _Kronecker(bound, phi * len(targets))
-    packs = [(i, [kron.pack([w * c for d in columns for c in shifted[t2.raw[j][d]][s]])
-                  for s in range(l)]) for w, (i, j) in zip(weights, pairs)]
-    del shifted, top
-    classes = [t2.classes[d] for d in targets]
-    rows = []
-    for ci, size in enumerate(t.sizes):
-        acc = 0
-        for i, pack in packs:
-            for a, p in zip(t.raw[i][ci], pack):
-                if a:
-                    acc += a * p
-        blocks = zip(*[iter(kron.unpack(acc))] * phi) if acc else ()  # phi digits per D
-        row = tuple((d, x) for d, x in zip(classes, blocks) if any(x))
-        rows.append((Fraction(size, L * t2.order), row))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -500,17 +460,46 @@ class FiltrationReport:
 def verify_filtration(l: int, n: int, k: int, gamma: Multipartition) -> FiltrationReport:
     """Check that restriction respects the codimension filtration degreewise.
 
-    For every class sum z_C of G(l,1,n): the image under i_gamma_star must be
-    supported on classes of G(kl,1,r) of codim at most codim(C).  Failures
-    are reported with certificates, never raised.
+    For every class sum z_C of G(l,1,n): its image under i*_gamma must be
+    supported on classes of G(kl,1,r) of codim at most codim(C).  Row C of
+    the restriction matrix is summed from the packs of the module docstring
+    and decoded only to see which blocks D of codim(D) > codim(C) are
+    nonzero; each is a certificate.  Failures are reported, never raised.
     """
     r = check_core_tuple(gamma, k, l, n)
-    classes = character_table(l, n).classes
+    m = k * l
+    t, t2 = character_table(l, n), character_table(m, r)
+    pairs = [(t.index[lam], t2.index[mu]) for lam, mu in core_fibres(l, n, k)[gamma].items()]
+    L = lcm(*(t.dims[i] for i, _ in pairs))
+    weights = [L // t.dims[i] * t2.dims[j] for i, j in pairs]
+    targets = sorted(range(len(t2.classes)), key=t2.classes.__getitem__)
+    columns = [t2.inverse[d] for d in targets]
+    # zeta_m^(ks) v reduced mod Phi_m for s < l, for each distinct value v of
+    # G(m,r)'s table, every row of which is a target in the fibre
+    shifted = {v: [tuple(_reduce(m, v[-k * s:] + v[:-k * s])) for s in range(l)]
+               for v in {v for row in t2.raw for v in row}}
+    # pack_s(lam) and the digit bound of the module docstring
+    top = {v: max(abs(c) for x in xs for c in x) for v, xs in shifted.items()}
+    bound = sum(w * max(map(top.__getitem__, t2.raw[j]))
+                * max(sum(map(abs, v)) for v in set(t.raw[i])) for w, (i, j) in zip(weights, pairs))
+    phi = len(_reduce(m, [1]))
+    kron = _Kronecker(bound, phi * len(targets))
+    packs = [(i, [kron.pack([w * c for d in columns for c in shifted[t2.raw[j][d]][s]])
+                  for s in range(l)]) for w, (i, j) in zip(weights, pairs)]
+    del shifted, top
+    # (D, codim(D), D's first digit), D sorted
+    slots = [(t2.classes[d], codim(t2.classes[d], r), phi * s) for s, d in enumerate(targets)]
     certs = []
-    for ctype, (_, row) in zip(classes, _restriction_matrix(l, n, k, gamma)):
+    for ci, ctype in enumerate(t.classes):
+        acc = 0
+        for i, pack in packs:
+            for a, p in zip(t.raw[i][ci], pack):
+                if a:
+                    acc += a * p
+        if not acc:
+            continue
         i = codim(ctype, n)
-        for d_ctype, _ in row:
-            dcod = codim(d_ctype, r)
-            if dcod > i:
-                certs.append((ctype, i, d_ctype, dcod))
-    return FiltrationReport(l, n, k, gamma, not certs, len(classes), tuple(certs))
+        digits = kron.unpack(acc)
+        certs += [(ctype, i, d, dcod) for d, dcod, s in slots
+                  if dcod > i and any(digits[s:s + phi])]
+    return FiltrationReport(l, n, k, gamma, not certs, len(t.classes), tuple(certs))

@@ -8,10 +8,11 @@ component index set by direct search over bounded integer vectors.
 
 The one exception is ``restrict_round_trip``: it is the restriction through
 the central characters of ``wreath`` (``to_omega`` -> embed -> ``from_omega``)
-with the fibre labelled by a given map, so with ``partitions.beta_flat_k_gamma``
-it is a second path to the restriction matrix of ``wreath``, and with the
-unreversed interleaving ``beta_unreversed`` the only thing the sign-twist
-identity test compares is the label map.
+with the fibre labelled by a given map.  ``wreath.i_gamma_star`` runs the
+same algorithm with the fibre of ``partitions.core_fibres``, so with
+``partitions.beta_flat_k_gamma`` the round trip checks only that fibre and
+its labels, and with the unreversed interleaving ``beta_unreversed`` the
+only thing the sign-twist identity test compares is the label map.
 
 Four more are earlier versions of a library routine, kept as the reference
 for a rewrite that must return the same values: ``divisors_loop`` (the
@@ -45,8 +46,11 @@ reference for the CLI, which writes each label as one text.
 
 ``restriction_matrix_loop`` is the restriction matrix of ``wreath`` summed
 coefficient by coefficient in Z[x]/(x^(kl) - 1), with each entry reduced
-into a CyclotomicNumber and scaled: the reference for the Kronecker-packed
-integer rows that ``wreath._restriction_matrix`` keeps.
+into a CyclotomicNumber and scaled.  It takes the fibre from
+``partitions.core_fibres`` and each target label from ``beta_flat_k_gamma``,
+and shares no other step with the two sides it checks: its rows are the
+images of the class sums under ``wreath.i_gamma_star``, and its support is
+what ``verify_filtration`` decodes from its Kronecker-packed integer rows.
 """
 
 from __future__ import annotations

@@ -59,6 +59,15 @@ def test_reflect_theta_fixes_zero_coordinate():
     assert reflect_theta(0, th) == th
 
 
+@given(st.integers(0, 4), st.lists(st.integers(-9, 9), min_size=1, max_size=5))
+def test_reflect_theta_keeps_int_entries(j, th):
+    # an int theta and the same theta as Fractions reflect to equal vectors,
+    # and the ints stay ints
+    out = reflect_theta(j, th)
+    assert out == reflect_theta(j, [Fraction(t) for t in th])
+    assert all(type(t) is int for t in out)
+
+
 @given(theta_st(3))
 def test_sigma_preserved_by_reflections_l3(th):
     for j in range(3):

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cmfix import cli, wreath
+from cmfix import arith, cli, wreath
 from cmfix.cli import _dumps, _Raw, main, run_selftest
-from cmfix.arith import parse_rational, zeta
+from cmfix.arith import parse_rational
 from cmfix.fixed_points import component_catalog
 from cmfix.parameters import ParamSet
-from cmfix.quiver import random_rep, scale_action
+from cmfix.quiver import random_rep
 
 from oracles import component_json
 
@@ -219,19 +219,13 @@ def test_usage_error_exit_2(capsys, tmp_path):
             code, out = run([*argv, "--k", k])
             assert code == 2 and out == "", (argv, k)
             assert capsys.readouterr().err == "error: k must be >= 1\n", (argv, k)
-    # malformed cyclotomic entries and dimension vectors in a --rep file
+    # entries that are not rationals, and malformed dimension vectors, in a --rep file
     f = tmp_path / "rep.json"
-    for obj, says in (({"d": [1], "X": [[[{}]]], "Y": [[["1"]]]}, '"order"'),
-                      ({"d": [1], "X": [[[{"order": 3, "coeffs": [1]}]]], "Y": [[["1"]]]},
-                       "rational matrix entries"),
-                      ({"d": [1], "X": [[[{"order": True, "coeffs": []}]]], "Y": [[["1"]]]},
-                       '"order"'),
-                      ({"d": [1], "X": [[[{"order": 3, "coeffs": "1"}]]], "Y": [[["1"]]]},
-                       '"coeffs"'),
-                      ({"d": [1], "X": [[[{"order": 3, "coeffs": [1.5]}]]], "Y": [[["1"]]]},
-                       "1.5"),
-                      ({"d": [1], "X": [[[{"order": 200000, "coeffs": [1]}]]],
-                        "Y": [[["1"]]]}, "at most 1000"),
+    for obj, says in (*(({"d": [1], "X": [[[x]]], "Y": [[["1"]]]},
+                         f"X[0][0][0] is {json.dumps(x)}: a representation holds rational "
+                         "matrix entries only")
+                        for x in ({}, {"order": 3, "coeffs": [1]}, {"order": True, "coeffs": []},
+                                  1.5, True, None, ["1"])),
                       *(({"d": [x], "X": [[["1"]]], "Y": [[["1"]]]}, '"d"')
                         for x in (True, 1.5, -1, "2"))):
         f.write_text(json.dumps(obj))
@@ -282,7 +276,14 @@ def test_quiver_check_rejects_bad_options(tmp_path, capsys, option):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-CYCLOTOMIC_REP = scale_action(zeta(3), random_rep((1, 1, 1), random.Random(0))).to_json()
+# scale_action(zeta(3), random_rep((1, 1, 1), random.Random(0))), written by
+# hand: X = (3, 0, 3) times zeta^-1 and Y = (0, -3, -1) times zeta, each entry
+# in the power basis of Q(zeta_3)
+CYCLOTOMIC_REP = {
+    "l": 3, "d": [1, 1, 1],
+    "X": [[[{"order": 3, "coeffs": [c, c]}]] for c in ("-3", "0", "-3")],
+    "Y": [[[{"order": 3, "coeffs": ["0", c]}]] for c in ("0", "-3", "-1")],
+}
 
 
 @pytest.mark.parametrize("drop", [
@@ -297,6 +298,50 @@ def test_quiver_check_rejects_malformed_rep(tmp_path, drop):
     f.write_text(json.dumps(obj))
     code, out = run(["quiver-check", "--rep", str(f)])
     assert code == 2 and out == ""
+
+
+def test_quiver_check_refuses_a_cyclotomic_entry_before_any_arithmetic(tmp_path, capsys, monkeypatch):
+    # a large order costs nothing: the entry is refused as it is read
+    def refuse(m):
+        raise AssertionError(f"cyclotomic_polynomial({m}) was computed")
+
+    monkeypatch.setattr(arith, "cyclotomic_polynomial", refuse)
+    entry = {"order": 200000, "coeffs": [1]}
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps({"d": [1], "X": [[[entry]]], "Y": [[["1"]]]}))
+    code, out = run(["quiver-check", "--rep", str(f)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (f"error: X[0][0][0] is {json.dumps(entry)}: "
+                                       "a representation holds rational matrix entries only\n")
+
+
+def test_only_chartable_builds_cyclotomic_numbers(tmp_path, monkeypatch):
+    # the boundary of the field arithmetic: every other command runs on ints
+    # and Fractions, from cold tables
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps(random_rep((2, 1, 1), random.Random(7)).to_json()))
+    calls = []
+    init = arith.CyclotomicNumber.__init__
+
+    def counted(self, order, coeffs):
+        calls.append(order)
+        init(self, order, coeffs)
+
+    monkeypatch.setattr(arith.CyclotomicNumber, "__init__", counted)
+    counts = {}
+    for argv in (["verify-filtration", "--l", "3", "--n", "4", "--k", "2"],
+                 ["components", "--l", "3", "--n", "4", "--k", "2", "--a", "1/7",
+                  "--kparams=1/3,1/5,-8/15"],
+                 ["quiver-check", "--rep", str(f), "--theta=1,-1,0"],
+                 ["selftest", "--seed", "1"],
+                 ["chartable", "--l", "3", "--n", "3"]):
+        wreath.character_table.cache_clear()
+        calls.clear()
+        code, _ = run(argv)
+        assert code == 0, argv
+        counts[argv[0]] = len(calls)
+    assert counts == {"verify-filtration": 0, "components": 0, "quiver-check": 0,
+                      "selftest": 0, "chartable": 23}
 
 
 def test_deterministic_output():

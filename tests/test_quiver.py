@@ -318,11 +318,12 @@ def test_json_round_trip():
     s = json.dumps(rep.to_json())
     back = QuiverRep.from_json(json.loads(s))
     assert back == rep
-    # with cyclotomic entries
-    z = zeta(4)
-    rep2 = scale_action(z, rep)
-    back2 = QuiverRep.from_json(json.loads(json.dumps(rep2.to_json())))
-    assert back2 == rep2
+    # a cyclotomic entry is refused, by its place and value
+    obj = rep.to_json()
+    obj["Y"][1][1][0] = zeta(4).to_json()
+    with pytest.raises(ValueError, match=r'^Y\[1\]\[1\]\[0\] is \{"order": 4, "coeffs": \["0", "1"\]\}: '
+                       "a representation holds rational matrix entries only$"):
+        QuiverRep.from_json(json.loads(json.dumps(obj)))
 
 
 def test_json_integral_entries_are_ints():

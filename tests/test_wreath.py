@@ -33,7 +33,7 @@ from cmfix.wreath import (
     verify_filtration,
 )
 from cmfix import wreath
-from cmfix.wreath import _Kronecker, _restriction_matrix
+from cmfix.wreath import _Kronecker
 from oracles import (
     beta_unreversed,
     brute_table_212,
@@ -326,20 +326,22 @@ def test_verify_filtration_whole_grid(l, n, k):
     "l,n,k", [(2, 3, 2), (3, 2, 2), (2, 4, 2), (2, 4, 3), (3, 3, 2), (1, 4, 2), (1, 5, 3)]
 )
 def test_restriction_matrix_matches_the_round_trip(l, n, k):
-    # i_gamma_star reads one integer group-ring matrix per gamma; the oracle
-    # goes through the central characters class by class
+    # i_gamma_star goes through the central characters, as the round trip
+    # does with the label map given; the loop sums the restriction matrix
+    # coefficient by coefficient and shares neither's algorithm
     classes = [c for c, _ in enumerate_classes(l, n)]
     # an element with every class in its support, non-rational for l >= 3, to
     # check how coefficients of Q(zeta_l) embed into Q(zeta_kl)
     mixed = CentralElement.from_dict(l, n, {c: zeta(l, i) + i for i, c in enumerate(classes)})
     for gamma in enumerate_core_tuples(k, l, n):
         beta = lambda lam: beta_flat_k_gamma(lam, k, gamma)
+        loop = restriction_matrix_loop(l, n, k, gamma)
         certs = []
-        for ctype in classes:
+        for ctype, loop_row in zip(classes, loop, strict=True):
             z = class_sum(l, n, ctype)
             image, want = i_gamma_star(z, gamma, k), restrict_round_trip(z, gamma, k, beta)
             assert (image.l, image.n) == (want.l, want.n)
-            assert image.coeffs == want.coeffs
+            assert image.coeffs == want.coeffs == loop_row
             i = codim(ctype, n)
             certs += [(ctype, i, d, codim(d, want.n)) for d in want.support()
                       if codim(d, want.n) > i]
@@ -356,28 +358,25 @@ PACKED_GRID = [(2, 5, 2), (3, 4, 2), (2, 6, 3), (1, 6, 3), (4, 4, 2), (5, 3, 3),
 
 
 @pytest.mark.parametrize("l,n,k", PACKED_GRID)
-def test_packed_restriction_matrix_matches_the_loop(l, n, k):
-    # the Kronecker-packed integer rows, scaled into Q(zeta_kl), against the
-    # coefficient-by-coefficient sum, entry by entry and as certificates
-    m = k * l
+def test_packed_restriction_matrix_matches_the_loop(l, n, k, monkeypatch):
+    # under codim = -msize, every target of rank r < n outranks every class,
+    # so each nonzero block the check decodes is a certificate: they must be
+    # the support of the coefficient-by-coefficient sum, in order
+    monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: -msize(ctype))
     classes = character_table(l, n).classes
     for gamma in enumerate_core_tuples(k, l, n):
-        r = (n - sum(map(sum, gamma))) // k
+        r = (n - msize(gamma)) // k
         want = restriction_matrix_loop(l, n, k, gamma)
-        packed = _restriction_matrix(l, n, k, gamma)
-        assert len(packed) == len(want) == len(classes)
-        for (scale, row), want_row in zip(packed, want):
-            assert [(d, (CyclotomicNumber(m, x) * scale).coeffs) for d, x in row] == [
-                (d, y.coeffs) for d, y in want_row]
-        certs = tuple((c, codim(c, n), d, codim(d, r)) for c, row in zip(classes, want)
-                      for d, _ in row if codim(d, r) > codim(c, n))
-        assert verify_filtration(l, n, k, gamma).certificates == certs
+        support = tuple((c, -n, d, -r) for c, row in zip(classes, want) for d, _ in row)
+        rep = verify_filtration(l, n, k, gamma)
+        assert support and rep.certificates == support
+        assert rep.checked == len(classes)
 
 
 @pytest.mark.parametrize("l,n,k", PACKED_GRID)
 def test_restriction_rows_decode_within_their_digit_bound(l, n, k, monkeypatch):
     # every digit decoded from a row is within the bound its _Kronecker was
-    # built for, and that bound fits a slot; the matrix is rebuilt past its cache
+    # built for, and that bound fits a slot
     decoded = []
     init, unpack = _Kronecker.__init__, _Kronecker.unpack
 
@@ -393,7 +392,7 @@ def test_restriction_rows_decode_within_their_digit_bound(l, n, k, monkeypatch):
     monkeypatch.setattr(_Kronecker, "__init__", recording_init)
     monkeypatch.setattr(_Kronecker, "unpack", recording_unpack)
     for gamma in enumerate_core_tuples(k, l, n):
-        _restriction_matrix(l, n, k, gamma)
+        verify_filtration(l, n, k, gamma)
     assert decoded
     for bound, width, top in decoded:
         assert top <= bound < 2 ** (8 * width - 1)
