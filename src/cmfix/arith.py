@@ -1,11 +1,9 @@
-"""Exact scalar arithmetic: rationals and cyclotomic numbers.
+"""Exact arithmetic in the cyclotomic field Q(zeta_m).
 
-Rationals are plain ``fractions.Fraction`` (arbitrary precision, always in
-lowest terms with positive denominator).  This module adds the ``p/q`` string
-format used everywhere in the CLI, and an exact model of the cyclotomic field
-Q(zeta_m): a ``CyclotomicNumber`` stores its coordinates in the power basis
-``1, zeta, ..., zeta^(phi(m)-1)`` reduced modulo the m-th cyclotomic
-polynomial, so equality is coefficient-wise and always decidable.
+A ``CyclotomicNumber`` stores its coordinates, plain ``fractions.Fraction``
+values, in the power basis ``1, zeta, ..., zeta^(phi(m)-1)`` reduced modulo
+the m-th cyclotomic polynomial, so equality is coefficient-wise and always
+decidable.
 
 Powers of zeta are reduced in one place: ``_power_reductions(m)`` tabulates
 zeta^t in the power basis for every exponent below max(m, 2*phi(m) - 1), and
@@ -18,10 +16,11 @@ a rational operand is a coefficient-wise scaling, and an inverse is the
 product of the other Galois conjugates over the norm.
 
 The CLI builds cyclotomic numbers only for the values ``chartable``
-prints (``to_json``); no input is read as one.  The field operations serve
-the definitional side of ``wreath``'s centre algebra (``to_omega``,
-``embed``, ``from_omega``), and ``linalg`` and ``quiver.scale_action`` take
-them as scalars, for the paper's mu_m action on representations.
+prints, and writes their text itself; no input is read as one.  The field
+operations serve the definitional side of ``wreath``'s centre algebra
+(``to_omega``, ``embed``, ``from_omega``), and ``linalg`` and
+``quiver.scale_action`` take them as scalars, for the paper's mu_m action on
+representations.
 
 No floats, ever.
 """
@@ -33,32 +32,11 @@ from functools import lru_cache
 from math import gcd
 
 __all__ = [
-    "parse_rational",
-    "format_rational",
     "cyclotomic_polynomial",
     "CyclotomicNumber",
     "zeta",
     "embed",
 ]
-
-
-def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational.  No float fallback."""
-    s = s.strip()
-    if "/" in s:
-        num, den = map(int, s.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {s!r}")
-        return Fraction(num, den)
-    return Fraction(int(s))
-
-
-def format_rational(x: Fraction | int) -> str:
-    """Render as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +302,11 @@ class CyclotomicNumber:
             if c == 0:
                 continue
             if t == 0:
-                terms.append(format_rational(c))
+                terms.append(str(c))
             else:
                 mono = f"z{self.order}" if t == 1 else f"z{self.order}^{t}"
-                terms.append(mono if c == 1 else f"{format_rational(c)}*{mono}")
+                terms.append(mono if c == 1 else f"{c}*{mono}")
         return " + ".join(terms) if terms else "0"
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"order": self.order, "coeffs": [format_rational(c) for c in self.coeffs]}
 
 
 def zeta(m: int, e: int = 1) -> CyclotomicNumber:

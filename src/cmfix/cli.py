@@ -2,8 +2,10 @@
 
 Subcommands mirror the library: cores, quotient, residues, enumerate-e,
 components, transport, chartable, verify-filtration, smooth, quiver-check,
-selftest.  All rationals are parsed exactly from "p/q" strings; output is
-JSON (or CSV where supported) and is byte-identical for a fixed seed.
+selftest.  This module is the one text boundary: it reads every input and
+writes every format of ``docs/schemas.md``; the library takes and returns
+values.  Integers are a sign and ASCII digits, rationals exact "p/q"; output
+is JSON (or CSV where supported) and is byte-identical for a fixed seed.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -19,7 +21,6 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .arith import format_rational, parse_rational
 from .parameters import (
     ParamSet,
     smooth_cyclic,
@@ -32,16 +33,47 @@ from .parameters import (
 from .partitions import core, enumerate_core_tuples, partition, quotient, residues
 from .fixed_points import component_catalog, enumerate_E
 from .wreath import character_table, verify_filtration
+from .linalg import Mat
 from .quiver import QuiverRep, in_deformed_fiber, moment_map, norton_simplicity
 
 DEFAULT_SEED = 20200513
+
+
+def _int(s: str) -> int:
+    """s, stripped, as an int: an optional sign and ASCII digits, nothing else
+    (int() would also read "1_0" as 10 and the Arabic-Indic "\u0663" as 3)."""
+    t = s.strip()
+    digits = t[1:] if t[:1] in ("+", "-") else t
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{s!r} is not an integer")
+    return int(t)
+
+
+# argparse names a flag's type when it refuses a value: "invalid int value: '1_0'"
+_int.__name__ = "int"
+
+
+def parse_rational(s: str) -> Fraction:
+    """Parse "p/q" or "p" into an exact rational.  No float fallback."""
+    s = s.strip()
+    if "/" in s:
+        num, den = map(_int, s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(num, den)
+    return Fraction(_int(s))
+
+
+def format_rational(x) -> str:
+    """An int or Fraction as "p/q", or "p" when the denominator is 1."""
+    return str(Fraction(x))
 
 
 def _parse_partition(s: str) -> tuple[int, ...]:
     s = s.strip()
     if not s or s == "-":
         return ()
-    return partition(int(x) for x in s.split(","))
+    return partition(_int(x) for x in s.split(","))
 
 
 def _parse_rationals(s: str) -> tuple[Fraction, ...]:
@@ -49,7 +81,7 @@ def _parse_rationals(s: str) -> tuple[Fraction, ...]:
 
 
 def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in s.split(","))
+    return tuple(_int(x) for x in s.split(","))
 
 
 def _parse_gamma(s: str) -> tuple[tuple[int, ...], ...]:
@@ -59,6 +91,49 @@ def _parse_gamma(s: str) -> tuple[tuple[int, ...], ...]:
             and all(isinstance(c, list) and all(type(x) is int for x in c) for c in raw)):
         raise ValueError(f"--gamma must be a JSON list of lists of integers, got {s}")
     return tuple(partition(c) for c in raw)
+
+
+def _read_rep(obj) -> QuiverRep:
+    """The representation of a ``--rep`` file's {"d", "X", "Y"} and optional "l".
+    Each matrix's shape is checked as it is read, and each entry must be a
+    "p/q" string or an integer: any other, even cyclotomic, is refused by its
+    place and value."""
+    if not isinstance(obj, dict) or not {"d", "X", "Y"} <= obj.keys():
+        raise ValueError('a representation needs the keys "d", "X" and "Y"')
+    if not isinstance(obj["d"], list) or not all(
+            type(x) is int and x >= 0 for x in obj["d"]):
+        raise ValueError('"d" must be a list of non-negative integers')
+    d = tuple(obj["d"])
+    l = len(d)
+    # bool is an int subclass, and 1.0 == 1
+    if "l" in obj and (type(obj["l"]) is not int or obj["l"] != l):
+        raise ValueError(f'"l" must be the integer {l}, the length of "d", '
+                         f'not {json.dumps(obj["l"])}')
+    for key in ("X", "Y"):
+        if not isinstance(obj[key], list) or len(obj[key]) != l:
+            raise ValueError(f'"{key}" must hold one matrix per vertex ({l})')
+
+    def matrix(key, i, rows, cols):
+        m = obj[key][i]
+        if not (isinstance(m, list) and len(m) == rows
+                and all(isinstance(row, list) and len(row) == cols for row in m)):
+            raise ValueError(f"{key}[{i}] must be {rows}x{cols}")
+        data = []
+        for a, row in enumerate(m):
+            r = []
+            for b, x in enumerate(row):
+                if type(x) not in (str, int):
+                    raise ValueError(f"{key}[{i}][{a}][{b}] is {json.dumps(x)}: a "
+                                     "representation holds rational matrix entries only")
+                # integral entries as int, which the eliminations take as is
+                q = x if type(x) is int else parse_rational(x)
+                r.append(q.numerator if q.denominator == 1 else q)
+            data.append(r)
+        return Mat(rows, cols, data)
+
+    X = tuple(matrix("X", i, d[i], d[(i + 1) % l]) for i in range(l))
+    Y = tuple(matrix("Y", i, d[(i + 1) % l], d[i]) for i in range(l))
+    return QuiverRep(d, X, Y)
 
 
 def _emit(obj) -> None:
@@ -109,6 +184,14 @@ def _dumps(obj, nl: str = "\n") -> str:
 
 def _residue_json(v) -> dict:
     return {"modulus": len(v), "entries": list(v)}
+
+
+def _params_json(p: ParamSet) -> dict:
+    return {"l": p.l, "a": format_rational(p.a), "k": [format_rational(x) for x in p.k]}
+
+
+def _cyclotomic_json(v) -> dict:
+    return {"order": v.order, "coeffs": [format_rational(c) for c in v.coeffs]}
 
 
 def cmd_cores(args) -> int:
@@ -170,7 +253,7 @@ def cmd_components(args) -> int:
             "r": c.r,
             "m": c.m,
             "d": _residue_json(c.d),
-            "c_prime": c.c_prime.to_json(),
+            "c_prime": _params_json(c.c_prime),
             "labels": [_label(lam, _LABEL_NL) for lam in c.labels],
             "label_injection": [{"mu": _label(mu, _PAIR_NL), "lambda": _label(lam, _PAIR_NL)}
                                 for mu, lam in sorted(c.label_injection.items())],
@@ -204,7 +287,7 @@ def cmd_chartable(args) -> int:
     # t.values holds one object per distinct value: render each one's text
     # once, at the indent of a values entry, and splice it in as it is
     distinct = {id(v): v for row in t.values for v in row}
-    text = {i: _Raw(_dumps(v.to_json(), _VALUE_NL)) for i, v in distinct.items()}
+    text = {i: _Raw(_dumps(_cyclotomic_json(v), _VALUE_NL)) for i, v in distinct.items()}
     _emit({
         "l": t.l,
         "n": t.n,
@@ -222,26 +305,37 @@ def cmd_verify_filtration(args) -> int:
     else:
         gammas = enumerate_core_tuples(args.k, args.l, args.n)
     reports = [verify_filtration(args.l, args.n, args.k, g) for g in gammas]
-    _emit([r.to_json() for r in reports])
+    _emit([{
+        "l": r.l, "n": r.n, "k": r.k,
+        "gamma": [list(c) for c in r.gamma],
+        "passed": r.passed,
+        "classes_checked": r.checked,
+        "certificates": [{"class": [list(c) for c in cls], "codim": codim,
+                          "offending_class": [list(c) for c in off], "offending_codim": off_codim}
+                         for cls, codim, off, off_codim in r.certificates],
+    } for r in reports])
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_smooth(args) -> int:
-    crit = args.criterion
-    if crit == "gl1n":
-        p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
-        val = smooth_gl1n(p, args.n)
-    elif crit == "quiver":
-        p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
-        val = smooth_quiver(theta_from_ak(p), args.n)
-    elif crit == "cyclic":
+    # --l, --n and --a are absent from args unless given
+    crit, given = args.criterion, vars(args)
+    if crit in ("gl1n", "quiver"):
+        p = ParamSet(given.get("l", 1), parse_rational(given.get("a", "0")),
+                     _parse_rationals(args.kparams))
+        n = given.get("n", 1)
+        val = smooth_gl1n(p, n) if crit == "gl1n" else smooth_quiver(theta_from_ak(p), n)
+    else:
+        extra = [f"--{o}" for o in ("l", "n", "a") if o in given]
+        if extra:
+            raise ValueError(f"--criterion {crit} reads only --kparams, not {', '.join(extra)}")
         ks = _parse_rationals(args.kparams)
-        val = smooth_cyclic(ks)
-    elif crit == "g4":
-        ks = _parse_rationals(args.kparams)
-        if len(ks) != 3:
+        if crit == "cyclic":
+            val = smooth_cyclic(ks)
+        elif len(ks) != 3:
             raise ValueError(f"g4 needs exactly 3 values of k, got {len(ks)}")
-        val = smooth_g4(*ks)
+        else:
+            val = smooth_g4(*ks)
     _emit({"criterion": crit, "smooth": val})
     return 0
 
@@ -253,7 +347,7 @@ def cmd_quiver_check(args) -> int:
         raise ValueError("--theta is empty")
     th = None if args.theta is None else _parse_rationals(args.theta)
     with open(args.rep, "r", encoding="utf-8") as fh:
-        rep = QuiverRep.from_json(json.load(fh))
+        rep = _read_rep(json.load(fh))
     res = norton_simplicity(rep, seed=args.seed, budget=args.budget)
     mm = moment_map(rep)
     out = {
@@ -305,71 +399,72 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cores", help="l-core and removal count of a partition")
     p.add_argument("--partition", required=True, help="comma-separated parts, e.g. 4,2,1")
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_int, required=True)
     p.set_defaults(func=cmd_cores)
 
     p = sub.add_parser("quotient", help="l-quotient of a partition")
     p.add_argument("--partition", required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_int, required=True)
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("residues", help="residue vector of a partition")
     p.add_argument("--partition", required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--l", type=_int, required=True)
     p.set_defaults(func=cmd_residues)
 
     p = sub.add_parser("enumerate-e", help="dimension vectors indexing fixed components")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--l", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.set_defaults(func=cmd_enumerate_e)
 
     p = sub.add_parser("transport", help="parameter transport c -> c' at a dimension vector")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--l", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--d", required=True, help="comma-separated integers, length k*l")
     p.add_argument("--a", required=True, help='rational "p/q"')
     p.add_argument("--kparams", required=True, help='comma-separated rationals summing to 0')
     p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser("components", help="catalog of fixed-locus components")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--l", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--a", required=True)
     p.add_argument("--kparams", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("chartable", help="exact character table of G(l,1,n)")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--l", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.set_defaults(func=cmd_chartable)
 
     p = sub.add_parser("verify-filtration", help="codimension-filtration check per component")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--l", type=_int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, required=True)
     p.add_argument("--gamma", help='JSON list of partitions, e.g. "[[1],[]]"')
     p.set_defaults(func=cmd_verify_filtration)
 
     p = sub.add_parser("smooth", help="smoothness predicates")
     p.add_argument("--criterion", choices=("gl1n", "quiver", "cyclic", "g4"), default="gl1n")
-    p.add_argument("--l", type=int, default=1)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--a", default="0")
+    # gl1n and quiver only; absent unless given (see cmd_smooth)
+    p.add_argument("--l", type=_int, default=argparse.SUPPRESS, help="default 1")
+    p.add_argument("--n", type=_int, default=argparse.SUPPRESS, help="default 1")
+    p.add_argument("--a", default=argparse.SUPPRESS, help='rational "p/q", default 0')
     p.add_argument("--kparams", required=True)
     p.set_defaults(func=cmd_smooth)
 
     p = sub.add_parser("quiver-check", help="moment-map and membership checks on a representation")
     p.add_argument("--rep", required=True, help="path to a representation JSON file")
     p.add_argument("--theta", help="comma-separated rationals")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=int, default=32)
+    p.add_argument("--seed", type=_int, default=DEFAULT_SEED)
+    p.add_argument("--budget", type=_int, default=32)
     p.set_defaults(func=cmd_quiver_check)
 
     p = sub.add_parser("selftest", help="run the invariant suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_selftest)
 
     return ap

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_weyl import common_denominator, sigma, translate_theta
-from .arith import format_rational
 
 __all__ = [
     "ParamSet",
@@ -56,13 +55,6 @@ class ParamSet:
             raise ValueError(f"need exactly l={self.l} values of k")
         if sum(self.k) != 0:
             raise ValueError(f"k must sum to 0, got {self.k}")
-
-    def to_json(self) -> dict:
-        return {
-            "l": self.l,
-            "a": format_rational(self.a),
-            "k": [format_rational(x) for x in self.k],
-        }
 
 
 def theta_from_ak(p: ParamSet) -> tuple[Fraction, ...]:

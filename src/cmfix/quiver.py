@@ -4,7 +4,8 @@ A representation assigns C^(d_i) to each vertex i of Z/lZ, a map
 X_i : C^(d_{i+1}) -> C^(d_i) and a map Y_i : C^(d_i) -> C^(d_{i+1}) to each
 pair of opposite arrows.  Everything is exact (Fraction or cyclotomic
 entries); nothing here constructs quotient varieties, it only verifies
-membership and identities.
+membership and identities.  Representations are values: this module loads
+only ``linalg``, and ``cli`` reads the JSON form of a ``--rep`` file.
 
 ``norton_simplicity`` is Norton's irreducibility test (the MeatAxe: Parker
 1984, Holt-Rees 1994) on integer arrows.  Most of its spins generate the
@@ -20,14 +21,12 @@ and the rational root search run on plain ints.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .arith import format_rational, parse_rational
 from .linalg import Mat, insert_row, monic, normal_form
 
 __all__ = [
@@ -66,53 +65,6 @@ class QuiverRep:
     @property
     def l(self) -> int:
         return len(self.d)
-
-    def to_json(self) -> dict:
-        """The JSON form of a representation with rational entries."""
-        def enc(m: Mat):
-            return [[format_rational(x) for x in row] for row in m.data]
-
-        return {"l": self.l, "d": list(self.d),
-                "X": [enc(m) for m in self.X], "Y": [enc(m) for m in self.Y]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuiverRep":
-        """Read {"d": [...], "X": [...], "Y": [...]}.  Every matrix entry is a
-        rational, a "p/q" string or an integer; any other entry, a cyclotomic
-        one included, is refused by its place and value."""
-        if not isinstance(obj, dict) or not {"d", "X", "Y"} <= obj.keys():
-            raise ValueError('a representation needs the keys "d", "X" and "Y"')
-        if not isinstance(obj["d"], list) or not all(
-                type(x) is int and x >= 0 for x in obj["d"]):
-            raise ValueError('"d" must be a list of non-negative integers')
-        d = tuple(obj["d"])
-        l = len(d)
-        if obj.get("l", l) != l:
-            raise ValueError(f'"l" is {obj["l"]} but "d" has {l} entries')
-        for key in ("X", "Y"):
-            if not isinstance(obj[key], list) or len(obj[key]) != l:
-                raise ValueError(f'"{key}" must hold one matrix per vertex ({l})')
-
-        def dec(key, i, shape):
-            rows = obj[key][i]
-            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-                raise ValueError("a matrix must be a list of rows")
-            data = []
-            for a, row in enumerate(rows):
-                r = []
-                for b, x in enumerate(row):
-                    if type(x) not in (str, int):
-                        raise ValueError(f"{key}[{i}][{a}][{b}] is {json.dumps(x)}: a "
-                                         "representation holds rational matrix entries only")
-                    # integral entries as int, which the eliminations take as is
-                    q = parse_rational(str(x))
-                    r.append(q.numerator if q.denominator == 1 else q)
-                data.append(r)
-            return Mat(shape[0], shape[1], data)
-
-        X = tuple(dec("X", i, (d[i], d[(i + 1) % l])) for i in range(l))
-        Y = tuple(dec("Y", i, (d[(i + 1) % l], d[i])) for i in range(l))
-        return cls(d, X, Y)
 
 
 def moment_map(rep: QuiverRep) -> tuple[Mat, ...]:

@@ -437,25 +437,6 @@ class FiltrationReport:
     checked: int
     certificates: tuple  # violating (class, codim, offending class, its codim)
 
-    def to_json(self) -> dict:
-        return {
-            "l": self.l,
-            "n": self.n,
-            "k": self.k,
-            "gamma": [list(c) for c in self.gamma],
-            "passed": self.passed,
-            "classes_checked": self.checked,
-            "certificates": [
-                {
-                    "class": [list(c) for c in cert[0]],
-                    "codim": cert[1],
-                    "offending_class": [list(c) for c in cert[2]],
-                    "offending_codim": cert[3],
-                }
-                for cert in self.certificates
-            ],
-        }
-
 
 def verify_filtration(l: int, n: int, k: int, gamma: Multipartition) -> FiltrationReport:
     """Check that restriction respects the codimension filtration degreewise.

@@ -42,7 +42,9 @@ product with one exact integer division per pair over a common denominator.
 
 ``component_json`` is a catalog descriptor as the structure
 ``json.dumps(..., indent=2)`` prints for ``components --format json``: the
-reference for the CLI, which writes each label as one text.
+reference for the CLI, which writes each label as one text.  ``rep_json``
+is a representation with rational entries as a ``--rep`` file holds it; no
+command writes one, so the tests write theirs with it.
 
 ``restriction_matrix_loop`` is the restriction matrix of ``wreath`` summed
 coefficient by coefficient in Z[x]/(x^(kl) - 1), with each entry reduced
@@ -633,7 +635,7 @@ def smooth_gl1n_fractions(p, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# a catalog descriptor as the components JSON structure
+# the JSON objects of a catalog descriptor and of a --rep file
 # ---------------------------------------------------------------------------
 
 
@@ -644,7 +646,8 @@ def component_json(c) -> dict:
         "r": c.r,
         "m": c.m,
         "d": {"modulus": c.m, "entries": list(c.d)},
-        "c_prime": c.c_prime.to_json(),
+        "c_prime": {"l": c.c_prime.l, "a": str(c.c_prime.a),
+                    "k": [str(x) for x in c.c_prime.k]},
         "labels": [[list(x) for x in lab] for lab in c.labels],
         "label_injection": [
             {
@@ -655,3 +658,12 @@ def component_json(c) -> dict:
         ],
         "convention": "gordon",
     }
+
+
+def rep_json(rep) -> dict:
+    """The ``--rep`` file object of a representation with int or Fraction entries."""
+    def enc(m: Mat):
+        return [[str(x) for x in row] for row in m.data]
+
+    return {"l": rep.l, "d": list(rep.d), "X": [enc(m) for m in rep.X],
+            "Y": [enc(m) for m in rep.Y]}

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cmfix import arith, cli, wreath
-from cmfix.cli import _dumps, _Raw, main, run_selftest
-from cmfix.arith import parse_rational
+from cmfix.arith import CyclotomicNumber, zeta
+from cmfix.cli import _dumps, _Raw, _read_rep, format_rational, main, parse_rational, run_selftest
 from cmfix.fixed_points import component_catalog
 from cmfix.parameters import ParamSet
 from cmfix.quiver import random_rep
+from cmfix.wreath import verify_filtration
 
-from oracles import component_json
+from oracles import component_json, rep_json
 
 
 def run(argv):
@@ -22,6 +23,49 @@ def run(argv):
     with redirect_stdout(buf):
         code = main(argv)
     return code, buf.getvalue()
+
+
+def test_rational_strings():
+    assert parse_rational("3/4") == Fraction(3, 4)
+    assert parse_rational("-5") == Fraction(-5)
+    assert parse_rational(" -3 / +4 ") == Fraction(-3, 4)
+    assert format_rational(Fraction(6, 4)) == "3/2"
+    assert format_rational(Fraction(-2, 1)) == "-2"
+    assert format_rational(7) == "7"
+    for s in ("0.5", "", "+", "1/", "1/2/3", "1_0", "1/2_0", "\u0663", "1/\u0663"):
+        with pytest.raises(ValueError):
+            parse_rational(s)
+    for s in ("1/0", "0/0", "-3/0", " 2 / 0 "):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(s)
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["cores", "--partition", "1_0", "--l", "3"], "1_0"),
+    (["cores", "--partition", "\u0664", "--l", "3"], "\u0664"),
+    (["cores", "--partition", "4", "--l", "\u0663"], "\u0663"),
+    (["cores", "--partition", "4", "--l", "1_0"], "1_0"),
+    (["transport", "--l", "2", "--k", "2", "--d", "0,0,0,1_0", "--a", "1", "--kparams=1,-1"],
+     "1_0"),
+    (["transport", "--l", "2", "--k", "2", "--d", "0,0,0,0", "--a", "1_0/3", "--kparams=1,-1"],
+     "1_0"),
+    (["smooth", "--criterion", "cyclic", "--kparams=\u0661,-1"], "\u0661"),
+    (["selftest", "--seed", "1_0"], "1_0"),
+    (["quiver-check", "--rep", "{rep}"], "1_0"),
+], ids=["partition-underscore", "partition-arabic-indic", "flag-arabic-indic",
+        "flag-underscore", "d-underscore", "a-underscore", "kparams-arabic-indic",
+        "seed-underscore", "rep-entry-underscore"])
+def test_integers_are_ascii_digits_only(tmp_path, capsys, argv, text):
+    # int() reads "1_0" as 10 and the Arabic-Indic digits as 4, 3 and 1
+    f = tmp_path / "rep.json"
+    f.write_text(json.dumps({"d": [1], "X": [[["1_0"]]], "Y": [[["1"]]]}))
+    argv = [str(f) if a == "{rep}" else a for a in argv]
+    try:
+        code, out = run(argv)
+    except SystemExit as exc:  # argparse refuses a flag's value itself
+        code, out = exc.code, ""
+    assert code == 2 and out == ""
+    assert repr(text) in capsys.readouterr().err
 
 
 def test_cores_example():
@@ -115,7 +159,8 @@ def test_chartable_prints_what_the_stdlib_prints(l, n):
         "labels": [[list(c) for c in lam] for lam in t.labels],
         "classes": [[list(c) for c in ct] for ct in t.classes],
         "sizes": list(t.sizes),
-        "values": [[v.to_json() for v in row] for row in t.values],
+        "values": [[{"order": v.order, "coeffs": [str(c) for c in v.coeffs]} for v in row]
+                   for row in t.values],
     }
     assert run(["chartable", "--l", str(l), "--n", str(n)]) == (0, json.dumps(obj, indent=2) + "\n")
 
@@ -161,6 +206,15 @@ def test_verify_filtration_exit_codes():
     assert code == 2 and out == ""
 
 
+def test_verify_filtration_report_shape():
+    code, out = run(["verify-filtration", "--l", "1", "--n", "2", "--k", "2", "--gamma", "[[]]"])
+    assert code == 0
+    (obj,) = json.loads(out)
+    assert list(obj) == ["l", "n", "k", "gamma", "passed", "classes_checked", "certificates"]
+    assert obj["passed"] is True and obj["certificates"] == []
+    assert obj["classes_checked"] == verify_filtration(1, 2, 2, ((),)).checked
+
+
 def test_verify_filtration_exits_1_under_a_wrong_codim(monkeypatch):
     argv = ["verify-filtration", "--l", "2", "--n", "2", "--k", "2", "--gamma", "[[],[]]"]
     code, out = run(argv)
@@ -168,6 +222,15 @@ def test_verify_filtration_exits_1_under_a_wrong_codim(monkeypatch):
     monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: len(ctype[0]))
     code, out = run(argv)
     assert code == 1 and '"passed": false' in out
+    # each certificate as an object, in the library's order
+    (obj,) = json.loads(out)
+    assert list(obj) == ["l", "n", "k", "gamma", "passed", "classes_checked", "certificates"]
+    assert obj["classes_checked"] == 5
+    assert obj["certificates"][0] == {
+        "class": [[], [1, 1]], "codim": 0, "offending_class": [[1], [], [], []],
+        "offending_codim": 1,
+    }
+    assert len(obj["certificates"]) == len(verify_filtration(2, 2, 2, ((), ())).certificates)
 
 
 @pytest.mark.parametrize("gamma", [
@@ -193,6 +256,19 @@ def test_smooth_subcommand():
     assert json.loads(out)["smooth"] is True
     code, out = run(["smooth", "--criterion", "cyclic", "--kparams=0,0"])
     assert json.loads(out)["smooth"] is False
+
+
+@pytest.mark.parametrize("criterion,kparams", [("cyclic", "1,-1"), ("g4", "1,2,-3")])
+@pytest.mark.parametrize("options", [["--l", "5"], ["--n", "9"], ["--a", "3"],
+                                     ["--l", "1", "--n", "1", "--a", "0"]],
+                         ids=["l", "n", "a", "all-at-their-defaults"])
+def test_smooth_cyclic_and_g4_refuse_l_n_and_a(capsys, criterion, kparams, options):
+    # these criteria read only --kparams: a given --l, --n or --a would be ignored
+    code, out = run(["smooth", "--criterion", criterion, *options, f"--kparams={kparams}"])
+    assert code == 2 and out == ""
+    flags = ", ".join(o for o in options if o.startswith("--"))
+    assert capsys.readouterr().err == (f"error: --criterion {criterion} reads only --kparams, "
+                                       f"not {flags}\n")
 
 
 def test_usage_error_exit_2(capsys, tmp_path):
@@ -227,7 +303,16 @@ def test_usage_error_exit_2(capsys, tmp_path):
                         for x in ({}, {"order": 3, "coeffs": [1]}, {"order": True, "coeffs": []},
                                   1.5, True, None, ["1"])),
                       *(({"d": [x], "X": [[["1"]]], "Y": [[["1"]]]}, '"d"')
-                        for x in (True, 1.5, -1, "2"))):
+                        for x in (True, 1.5, -1, "2")),
+                      # "l", like the entries of "d", is a JSON integer
+                      *(({"l": x, "d": [1], "X": [[["1"]]], "Y": [[["1"]]]},
+                         f'"l" must be the integer 1, the length of "d", not {json.dumps(x)}')
+                        for x in (True, 1.0, 2)),
+                      # a mis-shaped matrix names itself
+                      ({"d": [2, 1], "X": [[["1"]], [["1", "1"]]],
+                        "Y": [[["1", "1"]], [["1"], ["1"]]]}, "error: X[0] must be 2x1\n"),
+                      ({"d": [2, 1], "X": [[["1"], ["1"]], [["1", "1"]]],
+                        "Y": [[["1", "1"]], "1"]}, "error: Y[1] must be 2x1\n")):
         f.write_text(json.dumps(obj))
         code, out = run(["quiver-check", "--rep", str(f)])
         assert code == 2 and out == "", obj
@@ -246,7 +331,7 @@ def test_usage_error_exit_2(capsys, tmp_path):
         "quiver-n-0", "quiver-n-negative"])
 def test_zero_denominators_and_empty_n_exit_2(tmp_path, capsys, argv):
     # {rep} is a representation with the entry "1/0"
-    obj = random_rep((1, 1), random.Random(0)).to_json()
+    obj = rep_json(random_rep((1, 1), random.Random(0)))
     obj["X"][0][0][0] = "1/0"
     f = tmp_path / "rep.json"
     f.write_text(json.dumps(obj))
@@ -255,10 +340,42 @@ def test_zero_denominators_and_empty_n_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_rep_json_round_trip():
+    rep = random_rep((2, 1), random.Random(41))
+    assert _read_rep(json.loads(json.dumps(rep_json(rep)))) == rep
+    # a cyclotomic entry, as chartable would print it, is refused by its place and value
+    obj = rep_json(rep)
+    obj["Y"][1][1][0] = cli._cyclotomic_json(zeta(4))
+    with pytest.raises(ValueError, match=r'^Y\[1\]\[1\]\[0\] is \{"order": 4, "coeffs": \["0", "1"\]\}: '
+                       "a representation holds rational matrix entries only$"):
+        _read_rep(json.loads(json.dumps(obj)))
+
+
+def test_rep_integral_entries_are_ints():
+    # an integral entry, written "p", "2p/2" or as a JSON number, is read as
+    # an int, so normal_form takes its all-int path on the arrows' rows
+    obj = {"d": [2, 1], "X": [[["3"], ["4/2"]], [["-6/3", 5]]],
+           "Y": [[["1/2", "0/7"]], [[-1], ["2/3"]]]}
+    rep = _read_rep(obj)
+    entries = [x for m in rep.X + rep.Y for row in m.data for x in row]
+    assert entries == [3, 2, -2, 5, Fraction(1, 2), 0, -1, Fraction(2, 3)]
+    assert [type(x) for x in entries] == [int] * 4 + [Fraction, int, int, Fraction]
+    assert _read_rep(json.loads(json.dumps(rep_json(rep)))) == rep
+
+
+@given(st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=12),
+                min_size=2, max_size=2))
+def test_cyclotomic_json_round_trip(coeffs):
+    # chartable prints this form; the constructor reads it back exactly
+    a = CyclotomicNumber(6, coeffs)
+    obj = json.loads(json.dumps(cli._cyclotomic_json(a)))
+    assert CyclotomicNumber(obj["order"], map(parse_rational, obj["coeffs"])) == a
+
+
 def test_quiver_check(tmp_path):
     rep = random_rep((1, 1), random.Random(0))
     f = tmp_path / "rep.json"
-    f.write_text(json.dumps(rep.to_json()))
+    f.write_text(json.dumps(rep_json(rep)))
     code, out = run(["quiver-check", "--rep", str(f)])
     assert code == 0
     obj = json.loads(out)
@@ -270,7 +387,7 @@ def test_quiver_check(tmp_path):
                          ids=["negative-budget", "empty-theta", "theta-wrong-modulus"])
 def test_quiver_check_rejects_bad_options(tmp_path, capsys, option):
     f = tmp_path / "rep.json"
-    f.write_text(json.dumps(random_rep((1, 1), random.Random(0)).to_json()))
+    f.write_text(json.dumps(rep_json(random_rep((1, 1), random.Random(0)))))
     code, out = run(["quiver-check", "--rep", str(f)] + option)
     assert code == 2 and out == ""
     assert capsys.readouterr().err.startswith("error: ")
@@ -292,7 +409,7 @@ CYCLOTOMIC_REP = {
     lambda obj: obj.update(CYCLOTOMIC_REP),
 ], ids=["no-d", "empty-Y", "cyclotomic"])
 def test_quiver_check_rejects_malformed_rep(tmp_path, drop):
-    obj = random_rep((1, 1), random.Random(0)).to_json()
+    obj = rep_json(random_rep((1, 1), random.Random(0)))
     drop(obj)
     f = tmp_path / "rep.json"
     f.write_text(json.dumps(obj))
@@ -319,7 +436,7 @@ def test_only_chartable_builds_cyclotomic_numbers(tmp_path, monkeypatch):
     # the boundary of the field arithmetic: every other command runs on ints
     # and Fractions, from cold tables
     f = tmp_path / "rep.json"
-    f.write_text(json.dumps(random_rep((2, 1, 1), random.Random(7)).to_json()))
+    f.write_text(json.dumps(rep_json(random_rep((2, 1, 1), random.Random(7)))))
     calls = []
     init = arith.CyclotomicNumber.__init__
 

@@ -19,12 +19,14 @@ from pathlib import Path
 
 import pytest
 
-from cmfix.cli import main
+from cmfix.cli import _read_rep, main
 from cmfix.linalg import Mat
 from cmfix.quiver import QuiverRep, _spin, norton_simplicity, random_rep, scale_action
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import NORTON_SEED, quiver_reps  # noqa: E402
+
+from oracles import rep_json  # noqa: E402
 
 GOLDEN = [
     pytest.param(["chartable", "--l", "3", "--n", "3"],
@@ -155,7 +157,7 @@ def test_golden_quiver_check(tmp_path, monkeypatch):
     # CM_SEED that is not an integer changes nothing
     monkeypatch.setenv("CM_SEED", "not-a-seed")
     f = tmp_path / "rep.json"
-    f.write_text(json.dumps(random_rep((2, 1, 1), random.Random(7)).to_json()))
+    f.write_text(json.dumps(rep_json(random_rep((2, 1, 1), random.Random(7)))))
     argv = ["quiver-check", "--rep", str(f), "--seed", "11", "--theta", "1,-1,0"]
     assert digest(argv) == QUIVER_DIGEST
 
@@ -230,6 +232,6 @@ NORTON_WORKLOAD = {
 
 @pytest.mark.parametrize("seed", sorted(NORTON_WORKLOAD))
 def test_golden_norton_on_the_workload_reps(seed):
-    reps = {stem: QuiverRep.from_json(obj) for stem, obj in quiver_reps(1, False).items()}
+    reps = {stem: _read_rep(obj) for stem, obj in quiver_reps(1, False).items()}
     got = {stem: norton_simplicity(rep, seed=seed) for stem, rep in reps.items()}
     assert {stem: (r.status, r.trials) for stem, r in got.items()} == NORTON_WORKLOAD[seed]

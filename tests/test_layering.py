@@ -4,8 +4,13 @@ Each ``cmfix.<module>`` is imported in a fresh interpreter, which then lists
 the ``cmfix.*`` modules it loaded.  The package itself holds only
 ``__version__``, so a module that starts reaching into another layer, or a
 package that starts re-exporting names, shows here as a changed set.
+
+``cli`` is the one text boundary: no other module imports ``json`` or
+defines ``to_json``, ``from_json``, ``parse_rational`` or ``format_rational``;
+the library takes and returns values.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,10 +28,10 @@ LOADS = {
     "linalg": {"linalg"},
     "partitions": {"partitions"},
     "affine_weyl": {"affine_weyl", "partitions"},
-    "parameters": {"parameters", "affine_weyl", "arith", "partitions"},
-    "fixed_points": {"fixed_points", "parameters", "affine_weyl", "arith", "partitions"},
+    "parameters": {"parameters", "affine_weyl", "partitions"},
+    "fixed_points": {"fixed_points", "parameters", "affine_weyl", "partitions"},
     "wreath": {"wreath", "arith", "partitions"},
-    "quiver": {"quiver", "arith", "linalg"},
+    "quiver": {"quiver", "linalg"},
     "invariants": ALL - {"cli"},
     # run_selftest imports invariants only when selftest runs
     "cli": ALL - {"invariants"},
@@ -50,6 +55,19 @@ def test_every_module_is_listed():
 @pytest.mark.parametrize("module", sorted(LOADS))
 def test_importing_a_module_loads_only_the_layers_beneath_it(module):
     assert set(_fresh(PROBE.format(module))) == LOADS[module]
+
+
+@pytest.mark.parametrize("module", sorted(ALL - {"cli"}))
+def test_only_cli_reads_or_writes_text(module):
+    tree = ast.parse((SRC / "cmfix" / f"{module}.py").read_text(encoding="utf-8"))
+    imported = {a.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for a in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert "json" not in imported
+    assert not defined & {"to_json", "from_json", "parse_rational", "format_rational"}
 
 
 def test_the_package_loads_no_layer_and_binds_only_its_version():

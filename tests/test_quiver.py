@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -311,31 +310,6 @@ def test_simplicity_hidden_eigenline():
     assert res.status == "NotSimple"
     dims = sum(len(b) for b in res.witness)
     assert dims == 1
-
-
-def test_json_round_trip():
-    rep = random_rep((2, 1), random.Random(41))
-    s = json.dumps(rep.to_json())
-    back = QuiverRep.from_json(json.loads(s))
-    assert back == rep
-    # a cyclotomic entry is refused, by its place and value
-    obj = rep.to_json()
-    obj["Y"][1][1][0] = zeta(4).to_json()
-    with pytest.raises(ValueError, match=r'^Y\[1\]\[1\]\[0\] is \{"order": 4, "coeffs": \["0", "1"\]\}: '
-                       "a representation holds rational matrix entries only$"):
-        QuiverRep.from_json(json.loads(json.dumps(obj)))
-
-
-def test_json_integral_entries_are_ints():
-    # an integral entry, written "p", "2p/2" or as a JSON number, is read as
-    # an int, so normal_form takes its all-int path on the arrows' rows
-    obj = {"d": [2, 1], "X": [[["3"], ["4/2"]], [["-6/3", 5]]],
-           "Y": [[["1/2", "0/7"]], [[-1], ["2/3"]]]}
-    rep = QuiverRep.from_json(obj)
-    entries = [x for m in rep.X + rep.Y for row in m.data for x in row]
-    assert entries == [3, 2, -2, 5, Fraction(1, 2), 0, -1, Fraction(2, 3)]
-    assert [type(x) for x in entries] == [int] * 4 + [Fraction, int, int, Fraction]
-    assert QuiverRep.from_json(json.loads(json.dumps(rep.to_json()))) == rep
 
 
 def test_simplicity_terminates_on_a_calogero_moser_point():

@@ -448,12 +448,6 @@ def test_verify_filtration_top_degree_trivial():
     assert rep.passed
 
 
-def test_verify_filtration_report_shape():
-    rep = verify_filtration(1, 2, 2, ((),))
-    obj = rep.to_json()
-    assert obj["passed"] is True and obj["certificates"] == []
-
-
 def test_verify_filtration_fails_under_a_wrong_codim(monkeypatch):
     # counting the fixed cycles in place of the rest is the wrong filtration
     assert verify_filtration(2, 2, 2, ((), ())).passed
@@ -461,13 +455,6 @@ def test_verify_filtration_fails_under_a_wrong_codim(monkeypatch):
     rep = verify_filtration(2, 2, 2, ((), ()))
     assert not rep.passed and rep.checked == 5
     assert rep.certificates[0] == (((), (1, 1)), 0, ((1,), (), (), ()), 1)
-    obj = rep.to_json()
-    assert list(obj) == ["l", "n", "k", "gamma", "passed", "classes_checked", "certificates"]
-    assert obj["passed"] is False
-    assert obj["certificates"][0] == {
-        "class": [[], [1, 1]], "codim": 0, "offending_class": [[1], [], [], []],
-        "offending_codim": 1,
-    }
 
 
 def _module_caches():
