@@ -84,8 +84,16 @@ def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(_int(x) for x in s.split(","))
 
 
+def _load_json(text: str, what: str):
+    """``json.loads``, refusing input nested past the recursion limit."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to read") from None
+
+
 def _parse_gamma(s: str) -> tuple[tuple[int, ...], ...]:
-    raw = json.loads(s)
+    raw = _load_json(s, "--gamma")
     # bool is an int subclass, and int() would also read 1.5, "1" or true
     if not (isinstance(raw, list)
             and all(isinstance(c, list) and all(type(x) is int for x in c) for c in raw)):
@@ -347,7 +355,7 @@ def cmd_quiver_check(args) -> int:
         raise ValueError("--theta is empty")
     th = None if args.theta is None else _parse_rationals(args.theta)
     with open(args.rep, "r", encoding="utf-8") as fh:
-        rep = _read_rep(json.load(fh))
+        rep = _read_rep(_load_json(fh.read(), f"--rep {args.rep}"))
     res = norton_simplicity(rep, seed=args.seed, budget=args.budget)
     mm = moment_map(rep)
     out = {

@@ -52,8 +52,11 @@ from oracles import brute_table_212
 
 DELTA_GRID = [(1, 2, 2), (1, 3, 2), (1, 4, 2), (1, 4, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]
 # the last five have components of rank r >= 2, where a wrong label map can fail
+# (2,6,3), (3,8,3) and (3,8,2), with components of rank up to 2, 2 and 4,
+# take under a second now that only live rows are formed
 FILTRATION_GRID = [(1, 2, 2), (1, 3, 2), (1, 4, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2),
-                   (2, 4, 2), (2, 5, 2), (3, 4, 2), (1, 6, 3), (2, 6, 2)]
+                   (2, 4, 2), (2, 5, 2), (3, 4, 2), (1, 6, 3), (2, 6, 2),
+                   (2, 6, 3), (3, 8, 3), (3, 8, 2)]
 TABLE_SIZES = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
 
 

@@ -243,6 +243,22 @@ def test_verify_filtration_rejects_a_malformed_gamma(capsys, gamma):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_filtration_refuses_a_deeply_nested_gamma(capsys):
+    code, out = run(["verify-filtration", "--l", "2", "--n", "2", "--k", "2",
+                     "--gamma", "[" * 100_000])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: --gamma is nested too deeply to read\n"
+
+
+def test_verify_filtration_builds_no_character_table():
+    # the check reads the columns of its live classes and targets only
+    wreath.character_table.cache_clear()
+    code, _ = run(["verify-filtration", "--l", "3", "--n", "4", "--k", "2"])
+    assert code == 0
+    info = wreath.character_table.cache_info()
+    assert info.hits == info.misses == info.currsize == 0
+
+
 def test_smooth_subcommand():
     code, out = run(["smooth", "--criterion", "g4", "--kparams=1,2,-3"])
     assert code == 0 and json.loads(out)["smooth"] is True
@@ -415,6 +431,14 @@ def test_quiver_check_rejects_malformed_rep(tmp_path, drop):
     f.write_text(json.dumps(obj))
     code, out = run(["quiver-check", "--rep", str(f)])
     assert code == 2 and out == ""
+
+
+def test_quiver_check_refuses_a_deeply_nested_rep(tmp_path, capsys):
+    f = tmp_path / "rep.json"
+    f.write_text("[" * 100_000)
+    code, out = run(["quiver-check", "--rep", str(f)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: --rep {f} is nested too deeply to read\n"
 
 
 def test_quiver_check_refuses_a_cyclotomic_entry_before_any_arithmetic(tmp_path, capsys, monkeypatch):

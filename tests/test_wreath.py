@@ -29,6 +29,8 @@ from cmfix.wreath import (
     group_order,
     i_gamma_star,
     inverse_class,
+    live_classes,
+    live_columns,
     to_omega,
     verify_filtration,
 )
@@ -376,7 +378,9 @@ def test_packed_restriction_matrix_matches_the_loop(l, n, k, monkeypatch):
 @pytest.mark.parametrize("l,n,k", PACKED_GRID)
 def test_restriction_rows_decode_within_their_digit_bound(l, n, k, monkeypatch):
     # every digit decoded from a row is within the bound its _Kronecker was
-    # built for, and that bound fits a slot
+    # built for, and that bound fits a slot; under codim = -msize every class
+    # is live and every target a slot (r < n), so the m = 15 points decode too
+    monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: -msize(ctype))
     decoded = []
     init, unpack = _Kronecker.__init__, _Kronecker.unpack
 
@@ -384,8 +388,8 @@ def test_restriction_rows_decode_within_their_digit_bound(l, n, k, monkeypatch):
         init(self, bound, count)
         self.bound = bound
 
-    def recording_unpack(self, value):
-        digits = unpack(self, value)
+    def recording_unpack(self, value, count=None):
+        digits = unpack(self, value, count)
         decoded.append((self.bound, self.width, max(map(abs, digits))))
         return digits
 
@@ -396,6 +400,46 @@ def test_restriction_rows_decode_within_their_digit_bound(l, n, k, monkeypatch):
     assert decoded
     for bound, width, top in decoded:
         assert top <= bound < 2 ** (8 * width - 1)
+
+
+def _plus_one_on_fixed(ctype, n=None):
+    # one more on every class whose colour-0 cycles are all 1-cycles
+    return codim(ctype, n) + all(a == 1 for a in ctype[0])
+
+
+# codims under which the live rows must give the full matrix's certificates;
+# the last tops out above r on G(kl,1,r), at 3r for kl >= 3 and 3r - 1 at kl = 2
+CODIMS = {
+    "true": codim,
+    "plus-one-on-fixed": _plus_one_on_fixed,
+    "fixed-cycles": lambda ctype, n=None: len(ctype[0]),
+    "minus-size": lambda ctype, n=None: -msize(ctype),
+    "above-r": lambda ctype, n=None: 3 * codim(ctype, n) - len(ctype[-1]),
+}
+
+
+@pytest.mark.parametrize("l,n,k", PACKED_GRID + [(3, 5, 2), (2, 6, 2), (2, 4, 2)])
+def test_live_rows_give_the_full_matrix_certificates(l, n, k, monkeypatch):
+    # the certificates of the full restriction matrix, summed coefficient by
+    # coefficient, under each codim: the live classes and the target cut
+    # must drop none of them, whatever the codim's top on G(kl,1,r)
+    classes = character_table(l, n).classes
+    found = dict.fromkeys(CODIMS, 0)
+    for gamma in enumerate_core_tuples(k, l, n):
+        r = (n - msize(gamma)) // k
+        loop = restriction_matrix_loop(l, n, k, gamma)
+        for name, f in CODIMS.items():
+            want = tuple((c, f(c, n), d, f(d, r)) for c, row in zip(classes, loop)
+                         for d, _ in row if f(d, r) > f(c, n))
+            monkeypatch.setattr(wreath, "codim", f)
+            rep = verify_filtration(l, n, k, gamma)
+            assert rep.certificates == want, (name, gamma)
+            assert rep.passed == (not want) and rep.checked == len(classes)
+            found[name] += len(want)
+        assert r == 0 or max(CODIMS["above-r"](d, r) for d in enumerate_multipartitions(k * l, r)) > r
+    assert not found["true"] and found["minus-size"]
+    if n >= 2 * k:  # a component of rank r >= 2
+        assert found["plus-one-on-fixed"] and found["above-r"]
 
 
 def _convolve(a, b):
@@ -422,7 +466,8 @@ def test_kronecker_decodes_sums_of_products_at_the_bound(seed):
     bound = max(map(abs, want + [c for a in shorts + longs for c in a]))
     kron = _Kronecker(bound, count)
     assert 2 ** (8 * kron.width - 1) > bound
-    got = kron.unpack(sum(kron.pack(a) * kron.pack(b) for a, b in zip(shorts, longs)))
+    pack = lambda digits: kron.pack(kron.slots(digits))
+    got = kron.unpack(sum(pack(a) * pack(b) for a, b in zip(shorts, longs)))
     assert got == want
 
 
@@ -433,13 +478,17 @@ def test_kronecker_round_trips_the_widest_digits(bound):
     top = 2 ** (8 * kron.width - 1) - 1
     # the fewest whole bytes that hold +-bound
     assert top >= bound > top >> 8
+    pack = lambda digits: kron.pack(kron.slots(digits))
     digits = [top, -top, top, top, -top, -top]
-    assert kron.unpack(kron.pack(digits)) == digits
+    assert kron.unpack(pack(digits)) == digits
+    assert kron.unpack(pack(digits), 2) == digits[:2]
     # a sum of two packs whose every slot lands on +-top
     parts = [top - 1, -top + 1, 1, top, -top, 0]
     ones = [1, -1, top - 1, 0, 0, -top]
-    assert kron.unpack(kron.pack(parts) + kron.pack(ones)) == digits
-    assert kron.unpack(kron.pack([3, -1])) == [3, -1, 0, 0, 0, 0]
+    assert kron.unpack(pack(parts) + pack(ones)) == digits
+    # the low slots alone, with borrows from the slots above them masked off
+    assert kron.unpack(pack(parts) + pack(ones), 3) == digits[:3]
+    assert kron.unpack(pack([3, -1])) == [3, -1, 0, 0, 0, 0]
 
 
 def test_verify_filtration_top_degree_trivial():
@@ -486,14 +535,13 @@ def test_character_table_leaves_no_module_level_memo():
 
 
 def test_verify_filtration_leaves_no_module_level_memo():
-    # warm what the check reads: the source and target tables, the fibres
-    # and the powers of zeta_kl; checking every gamma must then leave every
-    # package cache as it was, so no gamma's restriction matrix outlives it
+    # warm what the check reads: the shared live columns of each rank, the
+    # fibres and the powers of zeta_kl; checking every gamma must then leave
+    # every package cache as it was, so nothing of one gamma outlives it
     l, n, k = 2, 3, 2
     gammas = enumerate_core_tuples(k, l, n)
-    character_table(l, n)
-    for gamma in gammas:
-        character_table(k * l, (n - msize(gamma)) // k)
+    for r in {(n - msize(gamma)) // k for gamma in gammas}:
+        live_columns(l, n, live_classes(l, n, k * l, r))
     core_fibres(l, n, k)
     zeta(k * l)
     caches = _module_caches()
