@@ -3,12 +3,10 @@
 
 Every component restriction morphism Z(C G(l,1,n)) ->> Z(C G(kl,1,r)) is
 checked class sum by class sum.  Each grid point runs in its own cold
-``python`` process, which first builds the shared live columns of G(l,1,n),
-those of the classes that can fail against some rank r of the point, and then
-checks every gamma.  The script prints one line per point: its verdict, the
-live-column time, the all-gamma time after it (including the target columns
-of G(kl,1,r)) and the process's peak RSS (``ru_maxrss``), followed by the
-certificate lines of any failing gamma.
+``python`` process, which checks every gamma of the point in one call.  The
+script prints one line per point: its verdict, the all-gamma time and the
+process's peak RSS (``ru_maxrss``), followed by the certificate lines of any
+failing gamma.
 
 Exit status: 1 if a certificate of violation shows up, 2 on a malformed
 --grid, 3 if no certificate shows up but some point's process did not finish
@@ -25,8 +23,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cmfix.partitions import enumerate_core_tuples, msize
-from cmfix.wreath import live_classes, live_columns, verify_filtration
+from cmfix.partitions import enumerate_core_tuples
+from cmfix.wreath import verify_filtration
 
 # the points from (2,4,2) on have components of rank r >= 2, where the verdict
 # can fail; the last five, (2,6,3), (3,8,3), (3,7,2), (5,5,2) and (3,8,2) of
@@ -55,20 +53,16 @@ def certificate_lines(rep) -> list[str]:
 
 
 def measure_point(l: int, n: int, k: int) -> dict:
-    """Live-column time, all-gamma time, peak RSS and failures of one point in this process."""
+    """All-gamma time, peak RSS and failures of one point in this process."""
     gammas = enumerate_core_tuples(k, l, n)
     t0 = time.perf_counter()
-    for r in sorted({(n - msize(g)) // k for g in gammas}):
-        live_columns(l, n, live_classes(l, n, k * l, r))
+    reports = verify_filtration(l, n, k, gammas)
     t1 = time.perf_counter()
-    reports = [verify_filtration(l, n, k, g) for g in gammas]
-    t2 = time.perf_counter()
     bad = [rep for rep in reports if not rep.passed]
     return {
         "gammas": len(reports),
         "failing": len(bad),
-        "columns_s": t1 - t0,
-        "gamma_s": t2 - t1,
+        "gamma_s": t1 - t0,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         "lines": [line for rep in bad
                   for line in [f"      gamma={rep.gamma}", *certificate_lines(rep)]],
@@ -88,8 +82,8 @@ def run_grid(grid) -> int:
         point = json.loads(proc.stdout)
         print(f"[{'BAD' if point['failing'] else 'ok '}] l={l} n={n} k={k}: "
               f"{point['gammas']} gamma, {point['failing']} failing, "
-              f"live columns {point['columns_s']:.2f}s, all gamma {point['gamma_s']:.2f}s, "
-              f"peak RSS {point['peak_rss_mib']:.1f} MiB", flush=True)
+              f"all gamma {point['gamma_s']:.2f}s, peak RSS {point['peak_rss_mib']:.1f} MiB",
+              flush=True)
         for line in point["lines"]:
             print(line)
         failures += point["failing"]

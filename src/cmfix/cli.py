@@ -312,7 +312,7 @@ def cmd_verify_filtration(args) -> int:
         gammas = [_parse_gamma(args.gamma)]
     else:
         gammas = enumerate_core_tuples(args.k, args.l, args.n)
-    reports = [verify_filtration(args.l, args.n, args.k, g) for g in gammas]
+    reports = verify_filtration(args.l, args.n, args.k, gammas)
     _emit([{
         "l": r.l, "n": r.n, "k": r.k,
         "gamma": [list(c) for c in r.gamma],

@@ -112,7 +112,7 @@ def transport_routes_agree(p: ParamSet, k: int, d) -> bool:
 
 
 def filtration_respected(l: int, n: int, k: int, gamma) -> bool:
-    return verify_filtration(l, n, k, gamma).passed
+    return verify_filtration(l, n, k, [gamma])[0].passed
 
 
 def g4_surfaces_match(k0, k1, k2) -> bool:

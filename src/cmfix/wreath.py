@@ -41,15 +41,20 @@ in i*_gamma(z_C) is
 lam over the fibre and W' = G(kl,1,r).  ``verify_filtration`` needs only
 the support of these rows, and only where it can fail.  Row C fails at D
 exactly when the coefficient is nonzero and codim(D) > codim(C).  So with
-top the largest codim(D) over the classes of W', a class C with codim(C)
->= top passes whatever its row holds, and only the live classes, codim(C)
-< top, are summed.  Of W', only the targets D with codim(D) above lo, the
-smallest live codim, can be a certificate of any live row.  Both cuts
-read nothing but the values of ``codim`` itself (top is not assumed to be
-r), so for any ``codim`` the certificates are exactly those of the full
-matrix.  The live columns chi_lam(C) come from ``live_columns``, shared by
-gamma, the target columns chi_mu(D^-1) from ``_columns`` per call, and
-chi(1) from ``char_dimension``: no character table is built.
+top(r) the largest codim(D) over the classes of W', a class C with codim(C)
+>= top(r) passes whatever its row holds, and only the live classes,
+codim(C) < top(r), are summed.  Of W', only the targets D with codim(D)
+above lo, the smallest codim of G(l,1,n), can be a certificate of any live
+row.  Both cuts read nothing but the values of ``codim`` itself (top(r) is
+not assumed to be r), so for any ``codim`` the certificates are exactly
+those of the full matrix.
+
+One call checks a sequence of gamma of one (l, n, k) and keeps nothing
+after it.  Live sets are nested by top(r) for any ``codim``, so the live
+columns chi_lam(C) are built once, for the largest top(r) asked for, and
+each rank keeps its rows, codim(C) < top(r).  The target columns
+chi_mu(D^-1) are built once per rank and freed before any row is summed,
+chi(1) comes from ``char_dimension``, and no character table is built.
 
 With L the lcm of the fibre's chi_lam(1), each term is weighted by the int
 (L / chi_lam(1)) chi_mu(1), and the sum runs by Kronecker substitution
@@ -57,14 +62,16 @@ With L the lcm of the fibre's chi_lam(1), each term is weighted by the int
 zeta_l = zeta_m^k, for each lam and s < l one int, pack_s(lam), holds
 (L / chi_lam(1)) chi_mu(1) zeta_m^(ks) chi_mu(D^-1) reduced mod the m-th
 cyclotomic polynomial, phi(m) digit slots per target D, largest codim
-first.  Row C is the sum over lam and s of chi_lam(C)[s] pack_s(lam), and
+first.  As each fibre maps one-to-one onto the labels of W', a rank
+writes the digits of each mu and s once, as one block, and a gamma scales
+its fibre's blocks by its weights.  Row C is the sum over lam and s of chi_lam(C)[s] pack_s(lam), and
 its decoded digits are its entries times L |W'| / |C|, a positive scale
 that keeps the support.  The slots row C must check, codim(D) > codim(C),
 are a low-order prefix of the pack, and only that prefix is decoded.  A
 digit is at most the sum over lam of the largest digit of lam's packs
 times the largest l1 norm of chi_lam(C) over the live C, read off the
 reduced packs, since reduction can grow a digit (at m = 15, sum_{even t}
-zeta^t has coordinates -2 and 2).
+zeta^t has coordinates -2 and 2); a rank's slots hold its gamma's largest.
 
 The fibre's (lam, mu) pairs are read off ``partitions.core_fibres``.  The
 unreversed slot order gives no other verdict: with T the sign twist
@@ -109,8 +116,6 @@ __all__ = [
     "filtration_degree",
     "i_gamma_star",
     "FiltrationReport",
-    "live_classes",
-    "live_columns",
     "verify_filtration",
 ]
 
@@ -461,89 +466,84 @@ class FiltrationReport:
     certificates: tuple  # violating (class, codim, offending class, its codim)
 
 
-def live_classes(l: int, n: int, m: int, r: int) -> tuple[Multipartition, ...]:
-    """The classes C of G(l,1,n), in table order, with codim(C) below the
-    largest codim of a class of G(m,1,r): the rows of a restriction into
-    G(m,1,r) that can fail the filtration."""
-    top = max(codim(d, r) for d in enumerate_multipartitions(m, r))
-    return tuple(c for c in enumerate_multipartitions(l, n) if codim(c, n) < top)
-
-
-@lru_cache(maxsize=None)
-def live_columns(l: int, n: int, live: tuple[Multipartition, ...]) -> list[list[tuple[int, ...]]]:
-    """``_columns(l, n, live)``, shared by every gamma whose live classes are ``live``.
-
-    Keyed on the classes themselves, not on the top codim they were cut at,
-    so a different ``codim`` never reads another's columns.  Under the true
-    ``codim`` the live classes depend on gamma only through its rank r, so a
-    ``verify-filtration`` call over every gamma builds once per distinct r
-    that has a live class and hits at every other gamma: at (3,8,2), 4
-    builds (r = 1..4) and 12 hits over 19 gamma, the 3 of rank 0 having no
-    live class.  Treat as read-only.
-    """
-    return _columns(l, n, live)
-
-
-def verify_filtration(l: int, n: int, k: int, gamma: Multipartition) -> FiltrationReport:
+def verify_filtration(l: int, n: int, k: int,
+                      gammas: list[Multipartition]) -> tuple[FiltrationReport, ...]:
     """Check that restriction respects the codimension filtration degreewise.
 
-    For every class sum z_C of G(l,1,n): its image under i*_gamma must be
-    supported on classes of G(kl,1,r) of codim at most codim(C).  A class
-    that is not live passes by the codim bound of the module docstring and
-    still counts in ``checked``.  Each live row is summed from the packs and
-    decoded only over the prefix of target slots it must check; each
-    nonzero block there is a certificate.  Certificates run over the
-    classes in table order, and within a row over D in sorted order, as
-    those of the full matrix would.  Failures are reported, never raised.
+    For each gamma of ``gammas`` and every class sum z_C of G(l,1,n): its
+    image under i*_gamma must be supported on classes of G(kl,1,r) of codim
+    at most codim(C).  Every gamma is validated before any column is built,
+    and one report comes back per gamma, in the order given.  One pass
+    serves them all (module docstring): the live columns once, the target
+    columns and digit blocks once per rank.  A class that is not live passes
+    by the codim bound and still counts in ``checked``.  Each live row is
+    decoded only over the prefix of target slots it must check; each nonzero
+    block there is a certificate.  Certificates run over the classes in
+    table order, and within a row over D in sorted order, as those of the
+    full matrix would.  Failures are reported, never raised.
     """
-    r = check_core_tuple(gamma, k, l, n)
+    gammas = list(gammas)  # read twice: to validate, then to order the reports
+    ranks = {gamma: check_core_tuple(gamma, k, l, n) for gamma in gammas}
     m = k * l
     classes = enumerate_multipartitions(l, n)
-    live = live_classes(l, n, m, r)
-    if not live:
-        return FiltrationReport(l, n, k, gamma, True, len(classes), ())
-    live_codims = [codim(c, n) for c in live]
-    lo = min(live_codims)
-    labels2 = enumerate_multipartitions(m, r)
-    # (codim(D), D) for the targets, largest codim first
-    slots = sorted(((j, d) for d in labels2 if (j := codim(d, r)) > lo),
-                   key=itemgetter(0), reverse=True)
-    neg = [-j for j, _ in slots]
-    fibre = core_fibres(l, n, k)[gamma]
+    lo = min(codim(c, n) for c in classes)
+    # top(r): the largest codim of a class of G(m,1,r); with no gamma, no class is live
+    tops = {r: max(codim(d, r) for d in enumerate_multipartitions(m, r)) for r in set(ranks.values())}
+    rows = [(c, i) for c in classes if (i := codim(c, n)) < max(tops.values(), default=lo)]
+    cols = _columns(l, n, [c for c, _ in rows]) if rows else []
     index = {lam: i for i, lam in enumerate(classes)}
-    index2 = {mu: j for j, mu in enumerate(labels2)}
-    pairs = [(index[lam], index2[mu]) for lam, mu in fibre.items()]
-    dims = [char_dimension(lam) for lam in fibre]
-    L = lcm(*dims)
-    weights = [L // a * char_dimension(mu) for a, mu in zip(dims, fibre.values())]
-    cols = live_columns(l, n, live)
-    # chi_mu(D^-1) for each target D, a column over the labels of G(m,1,r)
-    targets = _columns(m, r, [inverse_class(d) for _, d in slots])
-    # zeta_m^(ks) v reduced mod Phi_m for s < l, for each value v the packs read
-    shifted = {v: [tuple(_reduce(m, v[-k * s:] + v[:-k * s])) for s in range(l)]
-               for v in {col[j] for col in targets for _, j in pairs}}
-    big = {v: max(abs(c) for x in xs for c in x) for v, xs in shifted.items()}
-    bound = sum(w * max(big[col[j]] for col in targets) * max(sum(map(abs, col[i])) for col in cols)
-                for w, (i, j) in zip(weights, pairs))
     phi = len(_reduce(m, [1]))
-    kron = _Kronecker(bound, phi * len(slots))
-    # pack_s(lam) is linear in its digits: w times the pack of mu's blocks
-    blocks = {v: [kron.slots(x) for x in xs] for v, xs in shifted.items()}
-    packs = [(i, [w * kron.pack(b"".join([blocks[col[j]][s] for col in targets]))
-                  for s in range(l)]) for w, (i, j) in zip(weights, pairs)]
-    del shifted, big, blocks, targets
-    certs = []
-    for ctype, i, col in zip(live, live_codims, cols):
-        acc = 0
-        for row, pack in packs:
-            for a, p in zip(col[row], pack):
-                if a:
-                    acc += a * p
-        if not acc:
+    # a gamma whose rank has no live class passes as it stands
+    reports = {gamma: FiltrationReport(l, n, k, gamma, True, len(classes), ()) for gamma in ranks}
+    for r, top in tops.items():
+        live = [(c, i, col) for (c, i), col in zip(rows, cols) if i < top]
+        if not live:
             continue
-        count = bisect_left(neg, -i)  # the slots of codim above i
-        digits = kron.unpack(acc, phi * count)
-        found = sorted((d, j) for s, (j, d) in enumerate(slots[:count])
-                       if any(digits[phi * s:phi * s + phi]))
-        certs += [(ctype, i, d, j) for d, j in found]
-    return FiltrationReport(l, n, k, gamma, not certs, len(classes), tuple(certs))
+        labels2 = enumerate_multipartitions(m, r)
+        # (codim(D), D) for the targets, largest codim first
+        slots = sorted(((j, d) for d in labels2 if (j := codim(d, r)) > lo),
+                       key=itemgetter(0), reverse=True)
+        # chi_mu(D^-1) for each target D, a column over the labels of G(m,1,r)
+        targets = _columns(m, r, [inverse_class(d) for _, d in slots])
+        # zeta_m^(ks) v reduced mod Phi_m for s < l, for each value v of a target column
+        shifted = {v: [tuple(_reduce(m, v[-k * s:] + v[:-k * s])) for s in range(l)]
+                   for v in {v for col in targets for v in col}}
+        big = {v: max(abs(c) for x in xs for c in x) for v, xs in shifted.items()}
+        top_digit = {mu: max(big[col[j]] for col in targets) for j, mu in enumerate(labels2)}
+        # (row of lam, mu, weight (L / chi_lam(1)) chi_mu(1)) over each gamma's fibre
+        plans = []
+        for gamma in [g for g, s in ranks.items() if s == r]:
+            fibre = core_fibres(l, n, k)[gamma]
+            dims = [char_dimension(lam) for lam in fibre]
+            L = lcm(*dims)
+            plans.append((gamma, [(index[lam], mu, L // a * char_dimension(mu))
+                                  for (lam, mu), a in zip(fibre.items(), dims)]))
+        bound = max(sum(w * top_digit[mu] * max(sum(map(abs, col[i])) for _, _, col in live)
+                        for i, mu, w in plan) for _, plan in plans)
+        kron = _Kronecker(bound, phi * len(slots))
+        # per label mu and s < l, the digits of its target values, joined once
+        pieces = {v: [kron.slots(x) for x in xs] for v, xs in shifted.items()}
+        blocks = {mu: [b"".join([pieces[col[j]][s] for col in targets]) for s in range(l)]
+                  for j, mu in enumerate(labels2)}
+        del targets, shifted, pieces
+        neg = [-j for j, _ in slots]
+        for gamma, plan in plans:
+            # pack_s(lam) is linear in its digits: w times the pack of mu's block
+            packs = [(i, [w * kron.pack(b) for b in blocks[mu]]) for i, mu, w in plan]
+            certs = []
+            for ctype, i, col in live:
+                acc = 0
+                for row, pack in packs:
+                    for a, p in zip(col[row], pack):
+                        if a:
+                            acc += a * p
+                if not acc:
+                    continue
+                count = bisect_left(neg, -i)  # the slots of codim above i
+                digits = kron.unpack(acc, phi * count)
+                found = sorted((d, j) for s, (j, d) in enumerate(slots[:count])
+                               if any(digits[phi * s:phi * s + phi]))
+                certs += [(ctype, i, d, j) for d, j in found]
+            del packs  # before the next gamma builds its own
+            reports[gamma] = FiltrationReport(l, n, k, gamma, not certs, len(classes), tuple(certs))
+    return tuple(reports[gamma] for gamma in gammas)

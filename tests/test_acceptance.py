@@ -2,7 +2,9 @@
 
 Each criterion folds its predicates over its instances with
 ``invariants.first_failure`` and, where ``selftest`` checks the same
-expression, calls the registry's predicate.  Each test prints a single
+expression, calls the registry's predicate.  Criterion 6 instead checks
+each grid point in one ``verify_filtration`` call, every gamma at once, and
+names the first failing (l, n, k, gamma) itself.  Each test prints a single
 pass/fail line (visible under ``pytest -s`` or in the failure report), with
 the first failing instance on failure, and enforces the stated runtime
 budget.
@@ -17,7 +19,6 @@ from cmfix.fixed_points import enumerate_E
 from cmfix.invariants import (
     counting_law,
     delta_round_trip,
-    filtration_respected,
     first_failure,
     g4_surfaces_match,
     pairing_identity,
@@ -47,6 +48,7 @@ from cmfix.wreath import (
     char_dimension,
     group_order,
     inverse_class,
+    verify_filtration,
 )
 from oracles import brute_table_212
 
@@ -199,8 +201,11 @@ def test_criterion_5_transport_coherence():
 
 def test_criterion_6_filtration():
     t0 = time.time()
-    points = ((l, n, k, g) for (l, n, k) in FILTRATION_GRID for g in enumerate_core_tuples(k, l, n))
-    witness = first_failure(points, filtration_respected)
+    # one call checks every gamma of a grid point; the witness is the first
+    # failing (l, n, k, gamma)
+    reports = (rep for (l, n, k) in FILTRATION_GRID
+               for rep in verify_filtration(l, n, k, enumerate_core_tuples(k, l, n)))
+    witness = next((repr((rep.l, rep.n, rep.k, rep.gamma)) for rep in reports if not rep.passed), None)
     _report(6, "restriction respects the codimension filtration (default labels)",
             t0, 300, witness)
 

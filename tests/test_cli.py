@@ -212,7 +212,7 @@ def test_verify_filtration_report_shape():
     (obj,) = json.loads(out)
     assert list(obj) == ["l", "n", "k", "gamma", "passed", "classes_checked", "certificates"]
     assert obj["passed"] is True and obj["certificates"] == []
-    assert obj["classes_checked"] == verify_filtration(1, 2, 2, ((),)).checked
+    assert obj["classes_checked"] == verify_filtration(1, 2, 2, [((),)])[0].checked
 
 
 def test_verify_filtration_exits_1_under_a_wrong_codim(monkeypatch):
@@ -230,7 +230,7 @@ def test_verify_filtration_exits_1_under_a_wrong_codim(monkeypatch):
         "class": [[], [1, 1]], "codim": 0, "offending_class": [[1], [], [], []],
         "offending_codim": 1,
     }
-    assert len(obj["certificates"]) == len(verify_filtration(2, 2, 2, ((), ())).certificates)
+    assert len(obj["certificates"]) == len(verify_filtration(2, 2, 2, [((), ())])[0].certificates)
 
 
 @pytest.mark.parametrize("gamma", [
@@ -248,6 +248,23 @@ def test_verify_filtration_refuses_a_deeply_nested_gamma(capsys):
                      "--gamma", "[" * 100_000])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "error: --gamma is nested too deeply to read\n"
+
+
+def test_verify_filtration_builds_each_column_set_once(monkeypatch):
+    # one call over every gamma: the live columns of G(2,1,5) once, then the
+    # target columns of G(4,1,r) once for each of the ranks 1 and 2, which
+    # have two gamma each and a live class
+    built = []
+    columns = wreath._columns
+
+    def recording(l, n, classes):
+        built.append((l, n))
+        return columns(l, n, classes)
+
+    monkeypatch.setattr(wreath, "_columns", recording)
+    code, out = run(["verify-filtration", "--l", "2", "--n", "5", "--k", "2"])
+    assert code == 0 and len(json.loads(out)) == 4
+    assert built[0] == (2, 5) and sorted(built[1:]) == [(4, 1), (4, 2)]
 
 
 def test_verify_filtration_builds_no_character_table():

@@ -36,7 +36,8 @@ MUTANTS = {
     "class sizes sum to the group order":
         ("centralizer_order", lambda f: lambda t, l: 2 * f(t, l)),
     "filtration respected on the small grid":
-        ("verify_filtration", lambda f: lambda l, n, k, g: replace(f(l, n, k, g), passed=False)),
+        ("verify_filtration",
+         lambda f: lambda l, n, k, gs: tuple(replace(rep, passed=False) for rep in f(l, n, k, gs))),
     "moment map traces and block collapse":
         ("block_immersion", lambda f: lambda rep, l: (
             lambda big: QuiverRep(big.d, tuple(2 * x for x in big.X), big.Y))(f(rep, l))),

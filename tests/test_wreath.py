@@ -29,8 +29,6 @@ from cmfix.wreath import (
     group_order,
     i_gamma_star,
     inverse_class,
-    live_classes,
-    live_columns,
     to_omega,
     verify_filtration,
 )
@@ -318,10 +316,37 @@ GRID6 = [(1, 2, 2), (1, 3, 2), (1, 4, 2), (2, 2, 2), (2, 3, 2), (3, 2, 2)]
 
 @pytest.mark.parametrize("l,n,k", GRID6)
 def test_verify_filtration_whole_grid(l, n, k):
-    for gamma in enumerate_core_tuples(k, l, n):
-        rep = verify_filtration(l, n, k, gamma)
+    gammas = enumerate_core_tuples(k, l, n)
+    reports = verify_filtration(l, n, k, gammas)
+    assert [rep.gamma for rep in reports] == gammas
+    for rep in reports:
         assert rep.passed, rep.certificates
         assert rep.checked == len(enumerate_multipartitions(l, n))
+
+
+def test_verify_filtration_reports_in_the_order_given():
+    # a repeated gamma gets its report again, an iterator is read once, and
+    # no gamma gets no report
+    l, n, k = 2, 5, 2
+    gammas = enumerate_core_tuples(k, l, n)
+    alone = {gamma: verify_filtration(l, n, k, [gamma]) for gamma in gammas}
+    asked = [gammas[-1], gammas[0], gammas[-1], *gammas]
+    want = tuple(alone[gamma][0] for gamma in asked)
+    assert verify_filtration(l, n, k, asked) == verify_filtration(l, n, k, iter(asked)) == want
+    assert verify_filtration(l, n, k, []) == ()
+
+
+@pytest.mark.parametrize("bad", [((2,), ()), ((1,),), ((1,), (1,))])
+def test_verify_filtration_validates_every_gamma_before_any_column(bad, monkeypatch):
+    # (2) is not a 2-core, one component is too few, and |gamma| = 2 breaks
+    # n = 5 mod 2: wherever in the list, nothing is built before the error
+    built = []
+    monkeypatch.setattr(wreath, "_columns", lambda l, n, classes: built.append((l, n)))
+    gammas = enumerate_core_tuples(2, 2, 5)
+    for at in (0, len(gammas) // 2, len(gammas)):
+        with pytest.raises(ValueError):
+            verify_filtration(2, 5, 2, gammas[:at] + [bad] + gammas[at:])
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -349,7 +374,7 @@ def test_restriction_matrix_matches_the_round_trip(l, n, k):
                       if codim(d, want.n) > i]
         want = restrict_round_trip(mixed, gamma, k, beta)
         assert i_gamma_star(mixed, gamma, k).coeffs == want.coeffs
-        rep = verify_filtration(l, n, k, gamma)
+        (rep,) = verify_filtration(l, n, k, [gamma])
         assert rep.certificates == tuple(certs)
         assert rep.passed == (not certs)
         assert rep.checked == len(enumerate_multipartitions(l, n))
@@ -363,16 +388,19 @@ PACKED_GRID = [(2, 5, 2), (3, 4, 2), (2, 6, 3), (1, 6, 3), (4, 4, 2), (5, 3, 3),
 def test_packed_restriction_matrix_matches_the_loop(l, n, k, monkeypatch):
     # under codim = -msize, every target of rank r < n outranks every class,
     # so each nonzero block the check decodes is a certificate: they must be
-    # the support of the coefficient-by-coefficient sum, in order
+    # the support of the coefficient-by-coefficient sum, in order; one call
+    # checks every gamma, and a call on one gamma alone gives its report
     monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: -msize(ctype))
     classes = character_table(l, n).classes
-    for gamma in enumerate_core_tuples(k, l, n):
+    gammas = enumerate_core_tuples(k, l, n)
+    reports = verify_filtration(l, n, k, gammas)
+    for gamma, rep in zip(gammas, reports, strict=True):
         r = (n - msize(gamma)) // k
         want = restriction_matrix_loop(l, n, k, gamma)
         support = tuple((c, -n, d, -r) for c, row in zip(classes, want) for d, _ in row)
-        rep = verify_filtration(l, n, k, gamma)
-        assert support and rep.certificates == support
+        assert rep.gamma == gamma and support and rep.certificates == support
         assert rep.checked == len(classes)
+    assert verify_filtration(l, n, k, gammas[-1:]) == reports[-1:]
 
 
 @pytest.mark.parametrize("l,n,k", PACKED_GRID)
@@ -395,8 +423,11 @@ def test_restriction_rows_decode_within_their_digit_bound(l, n, k, monkeypatch):
 
     monkeypatch.setattr(_Kronecker, "__init__", recording_init)
     monkeypatch.setattr(_Kronecker, "unpack", recording_unpack)
-    for gamma in enumerate_core_tuples(k, l, n):
-        verify_filtration(l, n, k, gamma)
+    # the slots of one call hold the largest bound over a rank's gamma, and
+    # those of a call on one gamma its own bound
+    gammas = enumerate_core_tuples(k, l, n)
+    verify_filtration(l, n, k, gammas)
+    verify_filtration(l, n, k, gammas[-1:])
     assert decoded
     for bound, width, top in decoded:
         assert top <= bound < 2 ** (8 * width - 1)
@@ -422,20 +453,26 @@ CODIMS = {
 def test_live_rows_give_the_full_matrix_certificates(l, n, k, monkeypatch):
     # the certificates of the full restriction matrix, summed coefficient by
     # coefficient, under each codim: the live classes and the target cut
-    # must drop none of them, whatever the codim's top on G(kl,1,r)
+    # must drop none of them, whatever the codim's top on G(kl,1,r); one call
+    # per codim checks every gamma, sharing the live columns and each rank's
+    # blocks, and a call on one gamma alone gives its report
     classes = character_table(l, n).classes
     found = dict.fromkeys(CODIMS, 0)
-    for gamma in enumerate_core_tuples(k, l, n):
-        r = (n - msize(gamma)) // k
-        loop = restriction_matrix_loop(l, n, k, gamma)
-        for name, f in CODIMS.items():
+    gammas = enumerate_core_tuples(k, l, n)
+    loops = [restriction_matrix_loop(l, n, k, gamma) for gamma in gammas]
+    for name, f in CODIMS.items():
+        monkeypatch.setattr(wreath, "codim", f)
+        reports = verify_filtration(l, n, k, gammas)
+        for gamma, loop, rep in zip(gammas, loops, reports, strict=True):
+            r = (n - msize(gamma)) // k
             want = tuple((c, f(c, n), d, f(d, r)) for c, row in zip(classes, loop)
                          for d, _ in row if f(d, r) > f(c, n))
-            monkeypatch.setattr(wreath, "codim", f)
-            rep = verify_filtration(l, n, k, gamma)
-            assert rep.certificates == want, (name, gamma)
+            assert rep.gamma == gamma and rep.certificates == want, (name, gamma)
             assert rep.passed == (not want) and rep.checked == len(classes)
             found[name] += len(want)
+        assert verify_filtration(l, n, k, gammas[-1:]) == reports[-1:], name
+    for gamma in gammas:
+        r = (n - msize(gamma)) // k
         assert r == 0 or max(CODIMS["above-r"](d, r) for d in enumerate_multipartitions(k * l, r)) > r
     assert not found["true"] and found["minus-size"]
     if n >= 2 * k:  # a component of rank r >= 2
@@ -493,15 +530,15 @@ def test_kronecker_round_trips_the_widest_digits(bound):
 
 def test_verify_filtration_top_degree_trivial():
     # degree-n elements can map anywhere: check the top class never violates
-    rep = verify_filtration(2, 2, 2, ((), ()))
+    (rep,) = verify_filtration(2, 2, 2, [((), ())])
     assert rep.passed
 
 
 def test_verify_filtration_fails_under_a_wrong_codim(monkeypatch):
     # counting the fixed cycles in place of the rest is the wrong filtration
-    assert verify_filtration(2, 2, 2, ((), ())).passed
+    assert verify_filtration(2, 2, 2, [((), ())])[0].passed
     monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: len(ctype[0]))
-    rep = verify_filtration(2, 2, 2, ((), ()))
+    (rep,) = verify_filtration(2, 2, 2, [((), ())])
     assert not rep.passed and rep.checked == 5
     assert rep.certificates[0] == (((), (1, 1)), 0, ((1,), (), (), ()), 1)
 
@@ -535,18 +572,16 @@ def test_character_table_leaves_no_module_level_memo():
 
 
 def test_verify_filtration_leaves_no_module_level_memo():
-    # warm what the check reads: the shared live columns of each rank, the
-    # fibres and the powers of zeta_kl; checking every gamma must then leave
-    # every package cache as it was, so nothing of one gamma outlives it
+    # warm what the check reads from the layers beneath it: the fibres and
+    # the powers of zeta_kl; checking every gamma must then leave every
+    # package cache as it was, so nothing of a call outlives it
     l, n, k = 2, 3, 2
     gammas = enumerate_core_tuples(k, l, n)
-    for r in {(n - msize(gamma)) // k for gamma in gammas}:
-        live_columns(l, n, live_classes(l, n, k * l, r))
     core_fibres(l, n, k)
     zeta(k * l)
     caches = _module_caches()
     before = _cache_sizes(caches)
-    assert all(verify_filtration(l, n, k, gamma).passed for gamma in gammas)
+    assert all(rep.passed for rep in verify_filtration(l, n, k, gammas))
     assert _cache_sizes(caches) == before
 
 
