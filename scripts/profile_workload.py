@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Profile one benchmark workload under cProfile.
 
-    python scripts/profile.py WORKLOAD [--seed S] [--sort tottime|cumulative]
+    python scripts/profile_workload.py WORKLOAD [--seed S] [--sort tottime|cumulative]
 
 WORKLOAD names a workload of ``perfbench/workloads.py`` (filtration,
 chartable, quiver, catalog).  Its inputs for seed S are written to a
@@ -21,21 +21,17 @@ named functions.
 
 import argparse
 import contextlib
+import cProfile
 import io
 import os
+import pstats
 import sys
 import tempfile
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-ROOT = HERE.parent
-# this file shares its name with the stdlib module that cProfile imports
-sys.path[:] = [p for p in sys.path if Path(p or os.curdir).resolve() != HERE]
+ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
-
-import cProfile
-import pstats
 
 from cmfix.cli import main as cli_main
 from workloads import WORKLOADS

@@ -21,10 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-# scripts/profile.py would shadow the stdlib module that pytest plugins import
-sys.path[:] = [p for p in sys.path if Path(p or os.curdir).resolve() != HERE]
-PACKAGE = HERE.parent / "src" / "cmfix"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cmfix"
 
 
 def executable_lines(path: Path) -> set[int]:

@@ -195,12 +195,6 @@ class CyclotomicNumber:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         if isinstance(other, CyclotomicNumber):
             o = self._coerce(other)

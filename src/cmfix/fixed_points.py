@@ -31,7 +31,6 @@ from .partitions import (
     residue_to_core,
     residues,
 )
-from .affine_weyl import is_plus
 
 __all__ = [
     "enumerate_E",
@@ -65,9 +64,9 @@ def delta_map(d, l: int) -> Multipartition:
     sums = _class_sums(d, l)
     if len(set(sums)) != 1:
         raise ValueError(f"residue class sums differ: {sums}")
-    if not is_plus(d):
+    nu, r = residue_to_core(d)  # d = Res_m(nu) + r*delta_m
+    if r < 0:
         raise ValueError(f"{d} is not in the nonnegative affine orbit")
-    nu, _ = residue_to_core(d)
     nu_core, gamma = core_and_quotient(nu, l)
     # equal class sums make Res_l(nu) a multiple of delta_l, so every charge
     # of nu's l-core is 0: the l-core is empty for any d that gets here
@@ -162,10 +161,11 @@ def nesting_check(k1: int, k2: int, l: int, n: int) -> NestingReport:
     failures = []
     pairs = 0
     for g2, lab2 in core_fibres(l, n, k2).items():
+        core1 = core_multi(g2, k1)
         for g1, lab1 in fib1.items():
             pairs += 1
             contained = lab1.issuperset(lab2)
-            predicted = core_multi(g2, k1) == g1
+            predicted = core1 == g1
             if contained != predicted:
                 failures.append({"gamma1": g1, "gamma2": g2,
                                  "contained": contained, "core_match": predicted})

@@ -84,9 +84,6 @@ class Mat:
         return Mat(self.rows, self.cols,
                    [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
 
-    def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [[-a for a in r] for r in self.data])
-
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return self.scale(other)

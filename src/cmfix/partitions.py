@@ -23,11 +23,13 @@ pass: ``core_and_quotient`` (which ``core`` reads), ``quotient``,
 ``_from_runners`` is its one inverse, from runner charges and runner
 partitions back to a partition: ``core_from_charges`` and
 ``from_core_and_quotient`` both rebuild their bead sets through it.
-``core_fibres`` reads every partition of size <= n once and
-``enumerate_core_tuples`` tests each for being a k-core once, however many
-labels or tuples it is a component of.
 ``wreath``'s rim-hook removal moves beads of the same B(lam), floored at
 ``-len(lam)``, and rebuilds partitions with ``_partition_from_beads``.
+
+``_tuples`` is the only recursion over tuples of partitions, sizes
+descending slot by slot: ``enumerate_multipartitions`` runs it over all
+partitions, and ``enumerate_core_tuples`` and the keys of ``core_fibres``
+over the k-cores.
 
 ``beta_flat_k_gamma`` is the only interleaving map in the package: quotient
 t of component i goes to slot i + (k-1-t)l.  The slot rule is the private
@@ -42,7 +44,10 @@ verdict can tell the two orders apart.
 
 ``core_fibres`` is the one label-fibre map: the labels of the fixed-locus
 component gamma are ``core_fibres(l, n, k)[gamma]`` wherever they are needed,
-a dict from each label to its interleaved k-quotient.
+a dict from each label to its interleaved k-quotient.  It reads every
+partition of size <= n in one abacus pass, which both picks out the
+k-cores of its keys and reads the labels, and it caches nothing: each call
+builds a new value, and its callers read it once per call.
 """
 
 from __future__ import annotations
@@ -73,7 +78,6 @@ __all__ = [
     "beta_flat_k_gamma",
     "partitions_of",
     "partitions_upto",
-    "cores_upto",
     "enumerate_multipartitions",
     "enumerate_core_tuples",
     "core_fibres",
@@ -317,10 +321,19 @@ def partitions_upto(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def cores_upto(k: int, n: int) -> tuple[Partition, ...]:
-    """k-cores of size <= n, in the partitions_upto order."""
-    return tuple(p for p in partitions_upto(n) if is_l_core(p, k))
+def _tuples(pools, comps: int, budget: int, last) -> Iterator[Multipartition]:
+    # the one recursion over tuples of partitions: entry i is drawn from
+    # pools[s_i], sizes descending slot by slot, and last(b) lists the sizes
+    # the final entry may take when b is left of the budget
+    if comps == 1:
+        for s in last(budget):
+            for p in pools[s]:
+                yield (p,)
+        return
+    for s in range(budget, -1, -1):
+        for p in pools[s]:
+            for rest in _tuples(pools, comps - 1, budget - s, last):
+                yield (p,) + rest
 
 
 def enumerate_multipartitions(l: int, n: int) -> list[Multipartition]:
@@ -329,43 +342,25 @@ def enumerate_multipartitions(l: int, n: int) -> list[Multipartition]:
         raise ValueError("l must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-
-    def gen(comps: int, budget: int) -> Iterator[Multipartition]:
-        if comps == 1:
-            for p in partitions_of(budget):
-                yield (p,)
-            return
-        for s in range(budget, -1, -1):
-            for p in partitions_of(s):
-                for rest in gen(comps - 1, budget - s):
-                    yield (p,) + rest
-
-    return list(gen(l, n))
+    return list(_tuples([partitions_of(s) for s in range(n + 1)], l, n, lambda b: (b,)))
 
 
-def enumerate_core_tuples(k: int, l: int, n: int) -> list[Multipartition]:
-    """All l-tuples of k-cores with |gamma| <= n and |gamma| = n mod k."""
+def _core_tuples(k: int, l: int, n: int, is_core) -> Iterator[Multipartition]:
+    # the enumerate_core_tuples order; is_core(p) tells whether p is a
+    # k-core, from an abacus pass its caller has already made or a new one
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-
-    cores = [[p for p in partitions_of(s) if is_l_core(p, k)] for s in range(n + 1)]
-
-    def gen(comps: int, budget: int, total: int) -> Iterator[Multipartition]:
-        if comps == 0:
-            if (n - total) % k == 0:
-                yield ()
-            return
-        for s in range(budget, -1, -1):
-            for p in cores[s]:
-                for rest in gen(comps - 1, budget - s, total + s):
-                    yield (p,) + rest
-
-    return list(gen(l, n, 0))
+    cores = [[p for p in partitions_of(s) if is_core(p)] for s in range(n + 1)]
+    return _tuples(cores, l, n, lambda b: range(b, -1, -k))
 
 
-@lru_cache(maxsize=None)
+def enumerate_core_tuples(k: int, l: int, n: int) -> list[Multipartition]:
+    """All l-tuples of k-cores with |gamma| <= n and |gamma| = n mod k."""
+    return list(_core_tuples(k, l, n, lambda p: is_l_core(p, k)))
+
+
 def core_fibres(
     l: int, n: int, k: int
 ) -> dict[Multipartition, dict[Multipartition, Multipartition]]:
@@ -375,12 +370,13 @@ def core_fibres(
     Keys are enumerate_core_tuples(k, l, n) in that order.  The fibre of
     gamma maps each label lam to beta_flat_k_gamma(lam, k, gamma), and
     iterates its labels in the enumerate_multipartitions(l, n) order.  Each
-    distinct partition of size <= n takes one abacus pass, whatever the
-    number of labels it is a component of.  Shared by every caller, so treat
-    the result as read-only.
+    partition of size <= n takes one abacus pass, which both tells the
+    k-cores the keys are made of and reads every label component, whatever
+    the number of labels or keys it is a component of.  The result is a new
+    value on every call; a caller that reads it twice keeps it.
     """
     reads = {p: core_and_quotient(p, k) for p in partitions_upto(n)}
-    fibres = {g: {} for g in enumerate_core_tuples(k, l, n)}
+    fibres = {g: {} for g in _core_tuples(k, l, n, lambda p: not any(reads[p][1]))}
     for lam in enumerate_multipartitions(l, n):
         cqs = [reads[c] for c in lam]
         fibres[tuple(nu for nu, _ in cqs)][lam] = _interleave([q for _, q in cqs], k)

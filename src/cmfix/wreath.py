@@ -73,11 +73,12 @@ times the largest l1 norm of chi_lam(C) over the live C, read off the
 reduced packs, since reduction can grow a digit (at m = 15, sum_{even t}
 zeta^t has coordinates -2 and 2); a rank's slots hold its gamma's largest.
 
-The fibre's (lam, mu) pairs are read off ``partitions.core_fibres``.  The
-unreversed slot order gives no other verdict: with T the sign twist
-e_lam -> e_lam', i.e. z_C -> eps(C) z_C, eps(C) = prod over cycles of
-(-1)^(length - 1), the unreversed restriction at gamma is
-T . i_gamma_star(., gamma', k) . T, and T keeps every codim.
+Each call reads the fibres' (lam, mu) pairs off ``partitions.core_fibres``
+once and keeps them no longer than it runs.  The unreversed slot order
+gives no other verdict: with T the sign twist e_lam -> e_lam', i.e.
+z_C -> eps(C) z_C, eps(C) = prod over cycles of (-1)^(length - 1), the
+unreversed restriction at gamma is T . i_gamma_star(., gamma', k) . T, and
+T keeps every codim.
 """
 
 from __future__ import annotations
@@ -495,6 +496,7 @@ def verify_filtration(l: int, n: int, k: int,
     phi = len(_reduce(m, [1]))
     # a gamma whose rank has no live class passes as it stands
     reports = {gamma: FiltrationReport(l, n, k, gamma, True, len(classes), ()) for gamma in ranks}
+    fibres = core_fibres(l, n, k)
     for r, top in tops.items():
         live = [(c, i, col) for (c, i), col in zip(rows, cols) if i < top]
         if not live:
@@ -513,7 +515,7 @@ def verify_filtration(l: int, n: int, k: int,
         # (row of lam, mu, weight (L / chi_lam(1)) chi_mu(1)) over each gamma's fibre
         plans = []
         for gamma in [g for g, s in ranks.items() if s == r]:
-            fibre = core_fibres(l, n, k)[gamma]
+            fibre = fibres[gamma]
             dims = [char_dimension(lam) for lam in fibre]
             L = lcm(*dims)
             plans.append((gamma, [(index[lam], mu, L // a * char_dimension(mu))

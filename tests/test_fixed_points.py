@@ -157,15 +157,19 @@ def test_catalog_labels_partition_everything(l, n, k):
 
 
 def test_the_catalog_reads_each_partition_once(monkeypatch):
-    # counts of abacus passes, not times: the fibres read every partition of
-    # size <= n once, where a pass per label component made 9,681 at (3,9,2)
+    # counts of abacus passes, not times: the fibres, keys and labels alike,
+    # read every partition of size <= n once, where a pass per label
+    # component made 9,681 at (3,9,2)
     passes = []
     abacus = cmfix.partitions._runner_data
     monkeypatch.setattr(cmfix.partitions, "_runner_data",
                         lambda lam, l: passes.append(lam) or abacus(lam, l))
-    core_fibres.cache_clear()
+    core_fibres(3, 9, 2)
+    assert len(passes) == len(partitions_upto(9)) == 97
+    passes.clear()
     component_catalog(3, 9, 2, generic_params(3))
-    assert 0 < len(passes) <= 400
+    # the fibres, then one read of the empty 3-core per component's d
+    assert len(passes) == 97 + len(enumerate_core_tuples(2, 3, 9)) == 123
     passes.clear()
     enumerate_core_tuples(2, 3, 9)
     assert 0 < len(passes) <= len(partitions_upto(9)) == 97

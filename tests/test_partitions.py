@@ -1,14 +1,16 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmfix.partitions import (
+    _tuples,
     beta_flat_k_gamma,
     check_core_tuple,
     core,
     core_and_quotient,
     core_fibres,
     core_multi,
-    cores_upto,
     enumerate_core_tuples,
     enumerate_multipartitions,
     flip,
@@ -17,10 +19,12 @@ from cmfix.partitions import (
     msize,
     partition,
     partitions_of,
+    partitions_upto,
     quotient,
     residue_to_core,
     residues,
     residues_infinite,
+    size,
 )
 from oracles import (
     beta_flat_k_gamma_inverse,
@@ -91,14 +95,14 @@ def test_core_agrees_with_removal_search():
 
 
 def test_core_fixed_point():
-    for nu in cores_upto(3, 8):
+    for nu in [p for p in partitions_upto(8) if is_l_core(p, 3)]:
         assert core(nu, 3) == (nu, 0)
 
 
 def test_quotient_degenerate_cases():
     assert quotient((2,), 1) == ((2,),)
     assert core((2,), 1) == ((), 2)
-    for nu in cores_upto(3, 6):
+    for nu in [p for p in partitions_upto(6) if is_l_core(p, 3)]:
         assert quotient(nu, 3) == ((), (), ())
 
 
@@ -142,7 +146,7 @@ def test_from_core_and_quotient_rejects_non_core():
 
 
 def test_from_core_and_quotient_trivial_quotient():
-    for nu in cores_upto(4, 7):
+    for nu in [p for p in partitions_upto(7) if is_l_core(p, 4)]:
         assert from_core_and_quotient(nu, ((), (), (), ()), 4) == nu
 
 
@@ -293,6 +297,24 @@ def test_m_core_with_trivial_l_core_iff_quotient_of_cores():
             assert is_l_core(lam, k * l) == all(
                 is_l_core(c, k) for c in quotient(lam, l)
             )
+
+
+@pytest.mark.parametrize("l,n,k", [(1, 4, 2), (2, 3, 2), (3, 4, 3), (4, 0, 2)])
+def test_one_generator_gives_the_label_and_the_core_tuple_orders(l, n, k):
+    # both orders, defined by sorting: slot by slot, size descending, then
+    # the partitions_of order within a size
+    def key(tup):
+        return [(-size(c), partitions_of(size(c)).index(c)) for c in tup]
+
+    every = list(product(partitions_upto(n), repeat=l))
+    labels = sorted((t for t in every if msize(t) == n), key=key)
+    cores = sorted((t for t in every if msize(t) <= n and (n - msize(t)) % k == 0
+                    and all(is_core_oracle(c, k) for c in t)), key=key)
+    parts = [partitions_of(s) for s in range(n + 1)]
+    kcores = [[p for p in parts[s] if is_core_oracle(p, k)] for s in range(n + 1)]
+    assert list(_tuples(parts, l, n, lambda b: (b,))) == labels == enumerate_multipartitions(l, n)
+    assert list(_tuples(kcores, l, n, lambda b: range(b, -1, -k))) == cores \
+        == enumerate_core_tuples(k, l, n)
 
 
 @pytest.mark.parametrize("l,n,k", [(1, 4, 2), (2, 3, 2), (2, 4, 3), (3, 2, 2), (2, 0, 2), (1, 5, 6)])

@@ -1,6 +1,6 @@
-"""Smoke tests of scripts/profile.py on the benchmark's tiny plans, of the
-exit codes of scripts/filtration_report.py, of scripts/component_census.py
-and of scripts/uncovered.py."""
+"""Smoke tests of scripts/profile_workload.py on the benchmark's tiny plans,
+of the exit codes of scripts/filtration_report.py, of
+scripts/component_census.py and of scripts/uncovered.py."""
 
 import importlib.util
 import io
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "profile.py"
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "profile_workload.py"
 FILTRATION_REPORT = SCRIPT.with_name("filtration_report.py")
 COMPONENT_CENSUS = SCRIPT.with_name("component_census.py")
 UNCOVERED = SCRIPT.with_name("uncovered.py")
@@ -21,9 +21,7 @@ UNCOVERED = SCRIPT.with_name("uncovered.py")
 def profile_script():
     spec = importlib.util.spec_from_file_location("cmfix_profile_script", SCRIPT)
     module = importlib.util.module_from_spec(spec)
-    saved = list(sys.path)
     spec.loader.exec_module(module)
-    sys.path[:] = saved
     return module
 
 

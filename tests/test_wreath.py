@@ -9,7 +9,6 @@ from cmfix.arith import CyclotomicNumber, cyclotomic_polynomial, zeta
 from cmfix.linalg import Mat
 from cmfix.partitions import (
     beta_flat_k_gamma,
-    core_fibres,
     enumerate_core_tuples,
     enumerate_multipartitions,
     msize,
@@ -572,12 +571,11 @@ def test_character_table_leaves_no_module_level_memo():
 
 
 def test_verify_filtration_leaves_no_module_level_memo():
-    # warm what the check reads from the layers beneath it: the fibres and
-    # the powers of zeta_kl; checking every gamma must then leave every
-    # package cache as it was, so nothing of a call outlives it
+    # warm what the check reads from the layers beneath it: the powers of
+    # zeta_kl; checking every gamma must then leave every package cache as
+    # it was, fibres included, so nothing of a call outlives it
     l, n, k = 2, 3, 2
     gammas = enumerate_core_tuples(k, l, n)
-    core_fibres(l, n, k)
     zeta(k * l)
     caches = _module_caches()
     before = _cache_sizes(caches)
