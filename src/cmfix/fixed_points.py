@@ -15,8 +15,6 @@ reverses the component order of every label; ``partitions.flip`` converts.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .parameters import ParamSet, smooth_gl1n, transport
 from .partitions import (
     Multipartition,
@@ -31,6 +29,7 @@ from .partitions import (
     residue_to_core,
     residues,
 )
+from .records import Record
 
 __all__ = [
     "enumerate_E",
@@ -86,8 +85,7 @@ def _delta_inverse(gamma: Multipartition, k: int, l: int, r: int) -> tuple[int, 
     return tuple(x + r for x in residues(nu, k * l))
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(Record):
     """One irreducible component of the mu_(kl)-fixed locus.
 
     gamma, labels and label_injection are all in the gordon convention;
@@ -134,8 +132,7 @@ def component_catalog(l: int, n: int, k: int, p: ParamSet) -> list[ComponentDesc
     return out
 
 
-@dataclass(frozen=True)
-class NestingReport:
+class NestingReport(Record):
     k1: int
     k2: int
     l: int

@@ -16,8 +16,8 @@ seed whether or not an earlier check failed.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .affine_weyl import pairing, reflect_dim, reflect_theta
 from .fixed_points import delta_inverse, delta_map, enumerate_E

@@ -14,10 +14,10 @@ for the rank-2 exceptional-group cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_weyl import common_denominator, sigma, translate_theta
+from .records import Record
 
 __all__ = [
     "ParamSet",
@@ -38,23 +38,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ParamSet:
+class ParamSet(Record):
     """Reflection parameters (a, k_0..k_{l-1}) of G(l,1,n); sum(k) = 0."""
 
     l: int
     a: Fraction
     k: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "k", tuple(Fraction(x) for x in self.k))
-        if self.l < 1:
+    def __init__(self, l: int, a, k):
+        # a Fraction is kept as it is (Fraction(x) would only copy it): the
+        # transport and the selftest build hundreds of parameter sets
+        a = a if type(a) is Fraction else Fraction(a)
+        k = tuple(x if type(x) is Fraction else Fraction(x) for x in k)
+        if l < 1:
             raise ValueError("l must be >= 1")
-        if len(self.k) != self.l:
-            raise ValueError(f"need exactly l={self.l} values of k")
-        if sum(self.k) != 0:
-            raise ValueError(f"k must sum to 0, got {self.k}")
+        if len(k) != l:
+            raise ValueError(f"need exactly l={l} values of k")
+        if sum(k) != 0:
+            raise ValueError(f"k must sum to 0, got {k}")
+        Record.__init__(self, l, a, k)
 
 
 def theta_from_ak(p: ParamSet) -> tuple[Fraction, ...]:
@@ -231,15 +233,14 @@ def transport_via_theta(p: ParamSet, k_factor: int, d) -> ParamSet:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicCMSurface:
+class CyclicCMSurface(Record):
     """The surface prod_i (e - roots_i) = xy; x has scaling weight l."""
 
     l: int
     roots: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(Fraction(r) for r in self.roots))
+    def __init__(self, l: int, roots):
+        Record.__init__(self, l, tuple(Fraction(r) for r in roots))
 
     def root_multiset(self) -> tuple[Fraction, ...]:
         return tuple(sorted(self.roots))

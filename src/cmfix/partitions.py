@@ -52,8 +52,8 @@ builds a new value, and its callers read it once per call.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]

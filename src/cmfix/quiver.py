@@ -22,12 +22,12 @@ and the rational root search run on plain ints.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
 from .linalg import Mat, insert_row, monic, normal_form
+from .records import Record
 
 __all__ = [
     "QuiverRep",
@@ -42,25 +42,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuiverRep:
+class QuiverRep(Record):
     d: tuple[int, ...]
     X: tuple[Mat, ...]
     Y: tuple[Mat, ...]
 
-    def __post_init__(self):
-        d = tuple(int(x) for x in self.d)
-        object.__setattr__(self, "d", d)
+    def __init__(self, d, X, Y):
+        d = tuple(int(x) for x in d)
         l = len(d)
-        if len(self.X) != l or len(self.Y) != l:
+        if len(X) != l or len(Y) != l:
             raise ValueError("need one X and one Y per vertex")
         for i in range(l):
             nx = (d[i], d[(i + 1) % l])
             ny = (d[(i + 1) % l], d[i])
-            if (self.X[i].rows, self.X[i].cols) != nx:
+            if (X[i].rows, X[i].cols) != nx:
                 raise ValueError(f"X[{i}] must be {nx[0]}x{nx[1]}")
-            if (self.Y[i].rows, self.Y[i].cols) != ny:
+            if (Y[i].rows, Y[i].cols) != ny:
                 raise ValueError(f"Y[{i}] must be {ny[0]}x{ny[1]}")
+        Record.__init__(self, d, X, Y)
 
     @property
     def l(self) -> int:
@@ -167,11 +166,13 @@ def gl_action(g, rep: QuiverRep) -> QuiverRep:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimplicityResult:
+class SimplicityResult(Record):
     status: str  # "Simple" | "NotSimple" | "Unknown"
-    witness: tuple | None = None  # per-vertex bases of a proper subrepresentation
-    trials: int = 0
+    witness: tuple | None  # per-vertex bases of a proper subrepresentation
+    trials: int
+
+    def __init__(self, status: str, witness: tuple | None = None, trials: int = 0):
+        Record.__init__(self, status, witness, trials)
 
 
 P = 2 ** 31 - 1  # the prime of the spin certificate of ``norton_simplicity``

@@ -84,7 +84,6 @@ T keeps every codim.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, lcm
@@ -100,6 +99,7 @@ from .partitions import (
     enumerate_multipartitions,
     msize,
 )
+from .records import Record
 
 __all__ = [
     "group_order",
@@ -269,17 +269,17 @@ def _syt_count(lam: Partition) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WreathTable:
+class WreathTable(Record):
     l: int
     n: int
     labels: tuple[Multipartition, ...]
     classes: tuple[Multipartition, ...]
     sizes: tuple[int, ...]
-    raw: tuple[tuple[tuple[int, ...], ...], ...] = field(compare=False, repr=False)
-    index: dict = field(compare=False, repr=False)
-    inverse: tuple[int, ...] = field(compare=False, repr=False)
-    dims: tuple[int, ...] = field(compare=False, repr=False)
+    raw: tuple[tuple[tuple[int, ...], ...], ...]
+    index: dict
+    inverse: tuple[int, ...]
+    dims: tuple[int, ...]
+    _compared = ("l", "n", "labels", "classes", "sizes")  # the rest is derived from these
 
     @property
     def order(self) -> int:
@@ -314,8 +314,7 @@ def character_table(l: int, n: int) -> WreathTable:
     return WreathTable(l, n, labels, classes, sizes, raw, index, inverse, dims)
 
 
-@dataclass(frozen=True)
-class CentralElement:
+class CentralElement(Record):
     """Element of Z(C G(l,1,n)) in the class-sum basis (sparse)."""
 
     l: int
@@ -456,8 +455,7 @@ class _Kronecker:
         return [int.from_bytes(raw[i:i + w], "little") - half for i in range(0, size, w)]
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(Record):
     l: int
     n: int
     k: int

@@ -6,7 +6,6 @@ looks the name up, and expects exactly its check to print
 """
 
 import io
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +15,7 @@ from cmfix.cli import main, run_selftest
 from cmfix.invariants import CHECKS, first_failure
 from cmfix.parameters import ParamSet
 from cmfix.quiver import QuiverRep
+from cmfix.wreath import FiltrationReport
 
 # check name -> (name looked up in the registry, mutant built from the original)
 MUTANTS = {
@@ -37,7 +37,9 @@ MUTANTS = {
         ("centralizer_order", lambda f: lambda t, l: 2 * f(t, l)),
     "filtration respected on the small grid":
         ("verify_filtration",
-         lambda f: lambda l, n, k, gs: tuple(replace(rep, passed=False) for rep in f(l, n, k, gs))),
+         lambda f: lambda l, n, k, gs: tuple(
+             FiltrationReport(r.l, r.n, r.k, r.gamma, False, r.checked, r.certificates)
+             for r in f(l, n, k, gs))),
     "moment map traces and block collapse":
         ("block_immersion", lambda f: lambda rep, l: (
             lambda big: QuiverRep(big.d, tuple(2 * x for x in big.X), big.Y))(f(rep, l))),

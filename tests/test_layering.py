@@ -8,6 +8,11 @@ package that starts re-exporting names, shows here as a changed set.
 ``cli`` is the one text boundary: no other module imports ``json`` or
 defines ``to_json``, ``from_json``, ``parse_rational`` or ``format_rational``;
 the library takes and returns values.
+
+``records`` is the one base of the immutable value types and imports
+nothing, so ``import cmfix.cli`` loads none of the stdlib's introspection
+modules (``dataclasses`` would load ``inspect``, ``ast``, ``dis`` and
+``tokenize``).
 """
 
 import ast
@@ -20,18 +25,19 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-ALL = {"arith", "linalg", "partitions", "affine_weyl", "parameters", "fixed_points",
-       "wreath", "quiver", "invariants", "cli"}
+ALL = {"records", "arith", "linalg", "partitions", "affine_weyl", "parameters",
+       "fixed_points", "wreath", "quiver", "invariants", "cli"}
 
 LOADS = {
+    "records": {"records"},
     "arith": {"arith"},
     "linalg": {"linalg"},
     "partitions": {"partitions"},
     "affine_weyl": {"affine_weyl", "partitions"},
-    "parameters": {"parameters", "affine_weyl", "partitions"},
-    "fixed_points": {"fixed_points", "parameters", "affine_weyl", "partitions"},
-    "wreath": {"wreath", "arith", "partitions"},
-    "quiver": {"quiver", "linalg"},
+    "parameters": {"parameters", "records", "affine_weyl", "partitions"},
+    "fixed_points": {"fixed_points", "parameters", "records", "affine_weyl", "partitions"},
+    "wreath": {"wreath", "records", "arith", "partitions"},
+    "quiver": {"quiver", "records", "linalg"},
     "invariants": ALL - {"cli"},
     # run_selftest imports invariants only when selftest runs
     "cli": ALL - {"invariants"},
@@ -74,3 +80,14 @@ def test_the_package_loads_no_layer_and_binds_only_its_version():
     names = _fresh("import sys, cmfix; print(*[m for m in sys.modules if m.startswith('cmfix.')],"
                    " *[k for k in vars(cmfix) if not k.startswith('__')])")
     assert names == []
+
+
+# what a fresh interpreter loads before cmfix is not cmfix's doing (a site may load typing)
+NOT_LOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_the_cli_loads_no_introspection_module():
+    added = _fresh("import sys; before = set(sys.modules); import cmfix.cli; "
+                   "print(*(set(sys.modules) - before))")
+    assert "cmfix.cli" in added
+    assert not set(NOT_LOADED) & set(added)

@@ -1,6 +1,7 @@
 """Smoke tests of scripts/profile_workload.py on the benchmark's tiny plans,
 of the exit codes of scripts/filtration_report.py, of
-scripts/component_census.py and of scripts/uncovered.py."""
+scripts/component_census.py, of scripts/uncovered.py and of
+scripts/cold_start.py."""
 
 import importlib.util
 import io
@@ -15,6 +16,7 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "profile_workload.
 FILTRATION_REPORT = SCRIPT.with_name("filtration_report.py")
 COMPONENT_CENSUS = SCRIPT.with_name("component_census.py")
 UNCOVERED = SCRIPT.with_name("uncovered.py")
+COLD_START = SCRIPT.with_name("cold_start.py")
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +133,18 @@ def test_uncovered_reports_the_lines_a_selection_never_runs():
     missed, total = counts("cli")
     assert missed == total  # the selection never imports it
     assert re.search(r"^total: \d+ of \d+ executable lines not run$", proc.stdout, re.M)
+
+
+def test_cold_start_prints_the_medians_and_the_added_modules(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("cmfix_cold_start", COLD_START)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", ["cold_start.py", "--runs", "1"])  # three interpreters
+    assert module.main() == 0
+    bare, cli, added = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"bare interpreter: median \d+\.\d{4} s over 1 runs", bare), bare
+    assert re.fullmatch(r"import cmfix\.cli: median \d+\.\d{4} s over 1 runs "
+                        r"\([+-]\d+\.\d{4} s\)", cli), cli
+    count, names = re.fullmatch(r"modules outside cmfix that it adds \((\d+)\): (.*)", added).groups()
+    assert int(count) == len(names.split())
+    assert not {"cmfix", "dataclasses", "inspect"} & set(names.split())
