@@ -31,6 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .records import Record
+
 __all__ = [
     "cyclotomic_polynomial",
     "CyclotomicNumber",
@@ -107,7 +109,7 @@ def _reduce(m: int, coeffs) -> list:
     return out
 
 
-class CyclotomicNumber:
+class CyclotomicNumber(Record):
     """An exact element of Q(zeta_m) in canonical (reduced) form.
 
     Immutable; arithmetic between two cyclotomic numbers requires equal
@@ -117,7 +119,8 @@ class CyclotomicNumber:
     ``int`` and as they hash; any other order mismatch raises.
     """
 
-    __slots__ = ("order", "coeffs")
+    order: int
+    coeffs: tuple[Fraction, ...]
 
     def __init__(self, order: int, coeffs):
         deg = len(cyclotomic_polynomial(order)) - 1
@@ -125,11 +128,7 @@ class CyclotomicNumber:
         if len(cs) > deg:
             raise ValueError(f"too many coefficients for order {order}")
         cs += [Fraction(0)] * (deg - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("CyclotomicNumber is immutable")
+        Record.__init__(self, order, tuple(cs))
 
     # -- constructors ------------------------------------------------------
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -191,7 +192,7 @@ def _dumps(obj, nl: str = "\n") -> str:
 
 
 def _residue_json(v) -> dict:
-    return {"modulus": len(v), "entries": list(v)}
+    return {"modulus": len(v), "entries": v}
 
 
 def _params_json(p: ParamSet) -> dict:
@@ -205,13 +206,13 @@ def _cyclotomic_json(v) -> dict:
 def cmd_cores(args) -> int:
     lam = _parse_partition(args.partition)
     nu, removals = core(lam, args.l)
-    _emit({"core": list(nu), "removals": removals})
+    _emit({"core": nu, "removals": removals})
     return 0
 
 
 def cmd_quotient(args) -> int:
     lam = _parse_partition(args.partition)
-    _emit([list(c) for c in quotient(lam, args.l)])
+    _emit(quotient(lam, args.l))
     return 0
 
 
@@ -257,7 +258,7 @@ def cmd_components(args) -> int:
     cat = component_catalog(args.l, args.n, args.k, p)
     if args.format == "json":
         _emit([{
-            "gamma": [list(x) for x in c.gamma],
+            "gamma": c.gamma,
             "r": c.r,
             "m": c.m,
             "d": _residue_json(c.d),
@@ -274,7 +275,7 @@ def cmd_components(args) -> int:
     w.writerow(["gamma", "r", "m", "d", "a_prime", "k_prime"])
     for c in cat:
         w.writerow([
-            json.dumps([list(x) for x in c.gamma]),
+            json.dumps(c.gamma),
             c.r,
             c.m,
             ",".join(str(x) for x in c.d),
@@ -299,9 +300,9 @@ def cmd_chartable(args) -> int:
     _emit({
         "l": t.l,
         "n": t.n,
-        "labels": [[list(c) for c in lam] for lam in t.labels],
-        "classes": [[list(c) for c in ct] for ct in t.classes],
-        "sizes": list(t.sizes),
+        "labels": t.labels,
+        "classes": t.classes,
+        "sizes": t.sizes,
         "values": [[text[id(v)] for v in row] for row in t.values],
     })
     return 0
@@ -315,11 +316,11 @@ def cmd_verify_filtration(args) -> int:
     reports = verify_filtration(args.l, args.n, args.k, gammas)
     _emit([{
         "l": r.l, "n": r.n, "k": r.k,
-        "gamma": [list(c) for c in r.gamma],
+        "gamma": r.gamma,
         "passed": r.passed,
         "classes_checked": r.checked,
-        "certificates": [{"class": [list(c) for c in cls], "codim": codim,
-                          "offending_class": [list(c) for c in off], "offending_codim": off_codim}
+        "certificates": [{"class": cls, "codim": codim,
+                          "offending_class": off, "offending_codim": off_codim}
                          for cls, codim, off, off_codim in r.certificates],
     } for r in reports])
     return 0 if all(r.passed for r in reports) else 1
@@ -360,7 +361,7 @@ def cmd_quiver_check(args) -> int:
     mm = moment_map(rep)
     out = {
         "l": rep.l,
-        "d": list(rep.d),
+        "d": rep.d,
         "moment_traces": [format_rational(m.trace()) for m in mm],
         "total_trace": format_rational(sum((m.trace() for m in mm), Fraction(0))),
     }
@@ -397,7 +398,9 @@ def run_selftest(seed: int = DEFAULT_SEED, out=None) -> bool:
     return passed == len(CHECKS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call."""
     ap = argparse.ArgumentParser(
         prog="cmfix",
         description="Exact fixed-locus combinatorics for Calogero-Moser spaces of G(l,1,n)",

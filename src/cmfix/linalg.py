@@ -21,22 +21,21 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .records import Record
+
 __all__ = ["Mat", "insert_row", "normal_form", "monic"]
 
 
-class Mat:
-    __slots__ = ("rows", "cols", "data")
+class Mat(Record):
+    rows: int
+    cols: int
+    data: tuple[tuple, ...]
 
     def __init__(self, rows: int, cols: int, data):
         data = tuple(tuple(r) for r in data)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError(f"shape mismatch: want {rows}x{cols}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Mat is immutable")
+        Record.__init__(self, rows, cols, data)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Mat":
@@ -47,21 +46,6 @@ class Mat:
         return cls(n, n, [[value if i == j else 0 for j in range(n)] for i in range(n)])
 
     # -- structure ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat):
-            return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb)
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
-    def __repr__(self):
-        return f"Mat({self.rows}x{self.cols}, {self.data!r})"
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)

@@ -3,13 +3,14 @@
 A record class annotates its fields in the class body, in constructor
 order (a subclass's own fields follow its base's).  An instance is built
 positionally or by keyword, and assigning or deleting an attribute raises
-``AttributeError``.  It compares, hashes and prints by the fields named in
-``_compared``, which are all fields unless the class names fewer: ``==``
-and ``hash`` over the tuple of those values, and the repr
-``Name(field=value, ...)``.  Instances of different classes are never
-equal.  A class that coerces or validates its input, or gives a field a
-default, defines ``__init__`` with its own signature and passes the final
-values on to ``Record.__init__``.
+``AttributeError``.  It compares, hashes and prints by its fields: ``==``
+and ``hash`` over the tuple of their values, and the repr
+``Name(field=value, ...)``; a class may define its own.  Instances of
+different classes are never equal.  ``copy``, ``deepcopy`` and ``pickle``
+rebuild a record by calling its class on its fields.  A class that coerces
+or validates its input, or gives a field a default, defines ``__init__``
+with its own signature and passes the final values on to
+``Record.__init__``.
 
 This module imports nothing, so every layer can build on it.
 """
@@ -19,13 +20,9 @@ __all__ = ["Record"]
 
 class Record:
     _fields = ()
-    _compared = ()
 
     def __init_subclass__(cls):
-        own = tuple(vars(cls).get("__annotations__", ()))
-        cls._fields += own
-        if "_compared" not in vars(cls):
-            cls._compared += own
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -50,7 +47,10 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, field) for field in self._compared)
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __reduce__(self):
+        return type(self), self._key()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -61,5 +61,5 @@ class Record:
         return hash(self._key())
 
     def __repr__(self):
-        shown = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._compared)
+        shown = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
         return f"{self.__class__.__qualname__}({shown})"

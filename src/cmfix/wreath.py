@@ -18,11 +18,12 @@ only while one table is built.
 
 The centre of the group algebra has two bases: class sums and primitive
 central idempotents, converted through the central characters
-w_chi(z_C) = |C| chi(C) / chi(1).  Each table carries ``raw`` (the int
-tuples), ``index`` (a multipartition's row as a label and column as a
-class), ``inverse`` (each column's inverse class) and ``dims`` (chi(1)).
-The reduced ``values`` are built from ``raw`` on first read, one shared
-CyclotomicNumber per distinct entry, and take no part in equality.
+w_chi(z_C) = |C| chi(C) / chi(1).  A table's fields are its labels,
+classes, class sizes and ``raw`` (the int tuples).  ``index`` (a
+multipartition's row as a label and column as a class), ``inverse`` (each
+column's inverse class), ``dims`` (chi(1)) and the reduced ``values`` (one
+shared CyclotomicNumber per distinct entry of ``raw``) are built from the
+fields on first read and take no part in equality.
 
 ``codim`` of a class is the codimension of the fixed space of any of its
 elements: a cycle contributes a fixed line exactly when its cycle product
@@ -276,14 +277,22 @@ class WreathTable(Record):
     classes: tuple[Multipartition, ...]
     sizes: tuple[int, ...]
     raw: tuple[tuple[tuple[int, ...], ...], ...]
-    index: dict
-    inverse: tuple[int, ...]
-    dims: tuple[int, ...]
-    _compared = ("l", "n", "labels", "classes", "sizes")  # the rest is derived from these
 
     @property
     def order(self) -> int:
         return group_order(self.l, self.n)
+
+    @cached_property
+    def index(self) -> dict[Multipartition, int]:
+        return {lam: i for i, lam in enumerate(self.labels)}
+
+    @cached_property
+    def inverse(self) -> tuple[int, ...]:
+        return tuple(self.index[inverse_class(c)] for c in self.classes)
+
+    @cached_property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(char_dimension(lam) for lam in self.labels)
 
     @cached_property
     def values(self) -> tuple[tuple[CyclotomicNumber, ...], ...]:
@@ -308,10 +317,7 @@ def character_table(l: int, n: int) -> WreathTable:
     assert classes == labels  # one enumeration indexes rows and columns
     sizes = tuple(s for _, s in classes_sizes)
     raw = tuple(zip(*_columns(l, n, classes)))
-    index = {lam: i for i, lam in enumerate(labels)}
-    inverse = tuple(index[inverse_class(c)] for c in classes)
-    dims = tuple(char_dimension(lam) for lam in labels)
-    return WreathTable(l, n, labels, classes, sizes, raw, index, inverse, dims)
+    return WreathTable(l, n, labels, classes, sizes, raw)
 
 
 class CentralElement(Record):

@@ -1,8 +1,12 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -515,6 +519,39 @@ def test_selftest_passes():
     assert run_selftest(seed=12345, out=buf)
     text = buf.getvalue()
     assert "FAIL" not in text
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# the smooth calls check that the flags one call gives (--l, --n and --a,
+# whose default is SUPPRESS) do not reach the next
+SUCCESSIVE = (
+    ["smooth", "--criterion", "gl1n", "--l", "2", "--n", "3", "--a", "1", "--kparams=1,-1"],
+    ["smooth", "--criterion", "cyclic", "--kparams=1,-1"],
+    ["smooth", "--criterion", "g4", "--n", "2", "--kparams=1,2,-3"],
+    ["smooth", "--kparams=0"],
+    ["cores", "--partition", "4,2,1", "--l", "2"],
+)
+# importing the cli builds no parser; each call prints its exit code after its output
+MAIN = ("import cmfix.cli as cli; assert cli.build_parser.cache_info().currsize == 0; "
+        "[print(cli.main(argv)) for argv in {0!r}]")
+
+
+def _main_in_a_fresh_process(argvs) -> tuple[str, str]:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", MAIN.format(argvs)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
+def test_successive_main_calls_print_what_each_prints_alone():
+    together = _main_in_a_fresh_process(list(SUCCESSIVE))
+    alone = [_main_in_a_fresh_process([argv]) for argv in SUCCESSIVE]
+    assert together == tuple("".join(texts) for texts in zip(*alone))
+    assert together[1] == "error: --criterion g4 reads only --kparams, not --n\n"
 
 
 def test_help_available():

@@ -9,10 +9,11 @@ package that starts re-exporting names, shows here as a changed set.
 defines ``to_json``, ``from_json``, ``parse_rational`` or ``format_rational``;
 the library takes and returns values.
 
-``records`` is the one base of the immutable value types and imports
-nothing, so ``import cmfix.cli`` loads none of the stdlib's introspection
-modules (``dataclasses`` would load ``inspect``, ``ast``, ``dis`` and
-``tokenize``).
+``records`` is the one base of all eleven immutable value types and the
+only module that may define ``__setattr__`` or ``__delattr__`` or call
+``object.__setattr__``.  It imports nothing, so ``import cmfix.cli`` loads
+none of the stdlib's introspection modules (``dataclasses`` would load
+``inspect``, ``ast``, ``dis`` and ``tokenize``).
 """
 
 import ast
@@ -30,8 +31,8 @@ ALL = {"records", "arith", "linalg", "partitions", "affine_weyl", "parameters",
 
 LOADS = {
     "records": {"records"},
-    "arith": {"arith"},
-    "linalg": {"linalg"},
+    "arith": {"arith", "records"},
+    "linalg": {"linalg", "records"},
     "partitions": {"partitions"},
     "affine_weyl": {"affine_weyl", "partitions"},
     "parameters": {"parameters", "records", "affine_weyl", "partitions"},
@@ -74,6 +75,16 @@ def test_only_cli_reads_or_writes_text(module):
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     assert "json" not in imported
     assert not defined & {"to_json", "from_json", "parse_rational", "format_rational"}
+
+
+@pytest.mark.parametrize("module", sorted(ALL - {"records"}))
+def test_only_records_sets_or_deletes_attributes(module):
+    tree = ast.parse((SRC / "cmfix" / f"{module}.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    attributes = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not defined & {"__setattr__", "__delattr__"}
+    assert "object.__setattr__" not in attributes
 
 
 def test_the_package_loads_no_layer_and_binds_only_its_version():

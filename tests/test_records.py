@@ -1,13 +1,16 @@
-"""The nine immutable records share one base, ``cmfix.records.Record``.
+"""The eleven immutable records share one base, ``cmfix.records.Record``.
 
 Each record builds positionally or by keyword, refuses assignment, compares
-and hashes by the tuple of its compared fields, is never equal to an
-instance of another class, and prints as ``Name(field=value, ...)``:
-``invariants.first_failure`` prints that repr as its witness, so it is part
-of the selftest output.
+and hashes by the tuple of its fields, is never equal to an instance of
+another class, prints as ``Name(field=value, ...)``, and comes back equal
+from ``copy``, ``deepcopy`` and ``pickle``: ``invariants.first_failure``
+prints that repr as its witness, so it is part of the selftest output.
+``CyclotomicNumber`` keeps its own ``==``, ``hash`` and repr, which compare
+a rational value with an ``int`` as ``int`` does.
 """
 
 import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,7 +21,8 @@ from cmfix.linalg import Mat
 from cmfix.parameters import CyclicCMSurface, ParamSet
 from cmfix.quiver import QuiverRep, SimplicityResult
 from cmfix.records import Record
-from cmfix.wreath import CentralElement, FiltrationReport, WreathTable, character_table
+from cmfix.wreath import (CentralElement, FiltrationReport, WreathTable, char_dimension,
+                          character_table, inverse_class)
 
 HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
@@ -30,11 +34,13 @@ def _descriptor_fields():
 
 def _table_fields():
     t = character_table(2, 2)
-    return (t.l, t.n, t.labels, t.classes, t.sizes, t.raw, t.index, t.inverse, t.dims)
+    return (t.l, t.n, t.labels, t.classes, t.sizes, t.raw)
 
 
 # class -> a function giving the fields of one instance, in constructor order
 SAMPLES = {
+    Mat: lambda: (2, 2, ((1, HALF), (0, -3))),
+    CyclotomicNumber: lambda: (3, (THIRD, Fraction(-2))),
     ParamSet: lambda: (2, HALF, (THIRD, -THIRD)),
     CyclicCMSurface: lambda: (2, (THIRD, -THIRD)),
     ComponentDescriptor: _descriptor_fields,
@@ -75,15 +81,16 @@ def test_equal_fields_give_equal_records_and_hashes(cls):
     a, b = _build(cls), cls(**dict(zip(cls._fields, SAMPLES[cls]())))
     assert a == b and not a != b and a is not b
     assert copy.copy(a) == a
-    key = tuple(getattr(a, f) for f in cls._compared)
+    key = tuple(getattr(a, f) for f in cls._fields)
     assert a != key  # a record is not a tuple
     if cls is ComponentDescriptor:  # its label_injection is a dict
         with pytest.raises(TypeError):
             hash(a)
     else:
         assert hash(a) == hash(b) == hash(key)
-    shown = ", ".join(f"{f}={getattr(a, f)!r}" for f in cls._compared)
-    assert repr(a) == f"{cls.__qualname__}({shown})"
+    if cls is not CyclotomicNumber:
+        shown = ", ".join(f"{f}={getattr(a, f)!r}" for f in cls._fields)
+        assert repr(a) == f"{cls.__qualname__}({shown})"
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -95,16 +102,41 @@ def test_records_of_different_classes_are_never_equal(cls):
         pass
 
     twin = Copy(*SAMPLES[cls]())
-    assert Copy._fields == cls._fields and twin != rec and rec != twin
+    assert Copy._fields == cls._fields
+    # a number compares by value, as an int does with an instance of a subclass
+    assert (twin == rec and rec == twin) if cls is CyclotomicNumber else (twin != rec != twin)
 
 
-def test_the_wreath_table_compares_only_its_defining_fields():
-    t = character_table(2, 2)
-    other = WreathTable(t.l, t.n, t.labels, t.classes, t.sizes, (), {}, (), ())
-    assert WreathTable._compared == ("l", "n", "labels", "classes", "sizes")
-    assert other == t and hash(other) == hash(t) and repr(other) == repr(t)
-    assert not {"raw", "index", "inverse", "dims"} & set(repr(t).replace("=", " ").split())
-    assert t.values is t.values  # a cached property, computed once
+def _copies(rec):
+    return copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_copy_deepcopy_and_pickle_rebuild_an_equal_record(cls):
+    rec = _build(cls)
+    for twin in _copies(rec):
+        assert type(twin) is cls and twin == rec and repr(twin) == repr(rec)
+
+
+def test_a_wreath_table_whose_values_were_read_copies_and_pickles():
+    t = character_table(2, 3)
+    assert t.values
+    for twin in _copies(t):
+        assert twin == t and twin.values == t.values and twin.index == t.index
+
+
+def test_the_wreath_table_derives_index_inverse_and_dims_once():
+    t = character_table(2, 3)
+    assert WreathTable._fields == ("l", "n", "labels", "classes", "sizes", "raw")
+    index = {lam: i for i, lam in enumerate(t.labels)}
+    assert t.index == index
+    assert t.inverse == tuple(index[inverse_class(c)] for c in t.classes)
+    assert t.dims == tuple(char_dimension(lam) for lam in t.labels)
+    for name in ("index", "inverse", "dims", "values"):
+        assert getattr(t, name) is getattr(t, name)  # a cached property, computed once
+    # what was derived takes no part in equality or the repr
+    fresh = WreathTable(t.l, t.n, t.labels, t.classes, t.sizes, t.raw)
+    assert fresh == t and hash(fresh) == hash(t) and repr(fresh) == repr(t)
 
 
 def test_the_repr_text_is_the_class_name_and_its_fields():
@@ -112,6 +144,8 @@ def test_the_repr_text_is_the_class_name_and_its_fields():
             == "ParamSet(l=2, a=Fraction(1, 2), k=(Fraction(1, 3), Fraction(-1, 3)))")
     assert (repr(SimplicityResult("Simple"))
             == "SimplicityResult(status='Simple', witness=None, trials=0)")
+    assert repr(Mat(1, 2, [[1, HALF]])) == "Mat(rows=1, cols=2, data=((1, Fraction(1, 2)),))"
+    assert repr(CyclotomicNumber(3, (THIRD, -2))) == "1/3 + -2*z3"
 
 
 def test_defaults_and_coercion():
