@@ -11,7 +11,9 @@ Each stored row is kept in ``normal_form``, for a rational row a primitive
 integer vector (Fraction-free elimination, as in Bareiss 1968), so rational
 elimination runs on plain ints.  ``rank`` is the pivot count; ``rref``
 inserts the rows, sorts them by pivot and divides each by its pivot entry
-once, at the end (``monic``); ``nullspace`` and ``inverse`` read the rref.
+once, at the end (``monic``), and ``inverse`` reads the rref.  ``nullspace``
+reads its kernel off the unsorted echelon rows and divides only the entries
+it returns by their pivots, so on an integer matrix it eliminates on ints.
 ``rank``, ``rref``, ``nullspace`` and the exact spin ``quiver._spin`` share
 ``insert_row``; the F_P pre-spin has its own, ``quiver._insert_mod_p``.
 """
@@ -107,7 +109,7 @@ class Mat(Record):
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form and the pivot column list.
 
-        The only place a rational row is divided by its pivot entry.
+        The only place a whole rational row is divided by its pivot entry.
         """
         rows, pivots = _echelon(self.data)
         order = sorted(range(len(rows)), key=pivots.__getitem__)
@@ -116,15 +118,24 @@ class Mat(Record):
         return Mat(self.rows, self.cols, data), [pivots[i] for i in order]
 
     def nullspace(self) -> list[tuple]:
-        """Basis of the right kernel, as tuples of length self.cols."""
-        red, piv = self.rref()
-        free = [c for c in range(self.cols) if c not in piv]
+        """Basis of the right kernel, as tuples of length self.cols.
+
+        One vector per free column c, in increasing order: 1 at c, 0 at the
+        other free columns, and at each pivot p minus the entry in column c
+        of the rref row with pivot p.  Read off the echelon rows, which are
+        reduced already, so only those entries are divided by their pivots.
+        """
+        rows, pivots = _echelon(self.data)
+        by_pivot = dict(zip(pivots, rows))
         basis = []
-        for fc in free:
+        for fc in range(self.cols):
+            if fc in by_pivot:
+                continue
             v = [0] * self.cols
             v[fc] = 1
-            for r, pc in enumerate(piv):
-                v[pc] = -red.data[r][fc]
+            for p, row in by_pivot.items():
+                # an int row has a positive int pivot; any other row leads with 1
+                v[p] = Fraction(-row[fc], row[p]) if isinstance(row[p], int) else -row[fc]
             basis.append(tuple(v))
         return basis
 

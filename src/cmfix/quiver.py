@@ -15,15 +15,15 @@ their rank over Q, so a whole F_P spin is a whole Q spin and the seed list
 is done.  Only a proper F_P spin runs the exact ``_spin``, which decides
 the verdict and builds every witness.  A seed list found whole once is
 not spun again: the kernels of later trials repeat the probes' unit
-vectors.  The characteristic polynomial (Faddeev-LeVerrier, ``_charpoly``)
-and the rational root search run on plain ints.
+vectors.  The characteristic polynomial (Faddeev-LeVerrier, ``_charpoly``),
+the rational root search and each trial's kernels run on plain ints.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from .linalg import Mat, insert_row, monic, normal_form
@@ -370,18 +370,18 @@ def _rational_eigenvalues(z: Mat) -> list[Fraction]:
     const, lead = abs(ints[-1]), abs(ints[0])
     ps, qs = _divisors(const, _ROOT_CAP), _divisors(lead, _ROOT_CAP)
     if len(ps) * len(qs) <= _ROOT_CAP:
-        cands = {Fraction(s * p, q) for p in ps for q in qs for s in (1, -1)}
+        cands = {(s * p // g, q // g) for p in ps for q in qs for g in [gcd(p, q)]
+                 for s in (1, -1)}
     else:
-        cands = {Fraction(s * p) for p in ps[:20] for s in (1, -1)}
-    for t in cands:
+        cands = {(s * p, 1) for p in ps[:20] for s in (1, -1)}
+    for p, q in cands:
         # Horner on ints: v = q**deg * f(p/q)
-        p, q = t.numerator, t.denominator
         v, qi = 0, 1
         for c in ints:
             v = v * p + c * qi
             qi *= q
         if v == 0:
-            roots.add(t)
+            roots.add(Fraction(p, q))
     return sorted(roots)
 
 
@@ -404,7 +404,8 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     verdict.  A seed list known to spin the whole space is skipped when it
     comes again.  z sums words in the arrows' own values, each word one block
     product of the small arrows (``_path``); its eigenvalues come from the
-    integer charpoly by integer Horner evaluation of every candidate p/q.
+    integer charpoly by integer Horner evaluation of every candidate (p, q),
+    and the kernels of z - t are read off the integer matrix D (z - t).
     """
     arrows = rep.X + rep.Y
     if not all(isinstance(x, (int, Fraction)) for m in arrows for row in m.data for x in row):
@@ -471,10 +472,16 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
             if (path := _path(rep, word)) is not None:
                 src, tgt, block = path
                 z = z + _embed_blocks(n, n, [(offs[tgt], offs[src], block.scale(coeff))])
+        den, zd = _cleared(z)
         for t in _rational_eigenvalues(z):
-            zz = z - Mat.scalar(n, t)
+            # D (z - t), D = lcm(den, q) for t = p/q: the kernels of z - t, on ints
+            D = lcm(den, t.denominator)
+            rows = [[x * (D // den) for x in row] for row in zd.data]
+            for i, row in enumerate(rows):
+                row[i] -= D // t.denominator * t.numerator
+            zt = Mat(n, n, rows)
             kernels = []
-            for side, m in zip(sides, (zz, zz.transpose())):
+            for side, m in zip(sides, (zt, zt.transpose())):
                 kernels.append(m.nullspace())
                 if (w := reducible(side, map(graded, kernels[-1]))) is not None:
                     return SimplicityResult("NotSimple", witness=w, trials=trials)

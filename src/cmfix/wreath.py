@@ -65,14 +65,17 @@ zeta_l = zeta_m^k, for each lam and s < l one int, pack_s(lam), holds
 cyclotomic polynomial, phi(m) digit slots per target D, largest codim
 first.  As each fibre maps one-to-one onto the labels of W', a rank
 writes the digits of each mu and s once, as one block, and a gamma scales
-its fibre's blocks by its weights.  Row C is the sum over lam and s of chi_lam(C)[s] pack_s(lam), and
-its decoded digits are its entries times L |W'| / |C|, a positive scale
-that keeps the support.  The slots row C must check, codim(D) > codim(C),
-are a low-order prefix of the pack, and only that prefix is decoded.  A
-digit is at most the sum over lam of the largest digit of lam's packs
-times the largest l1 norm of chi_lam(C) over the live C, read off the
-reduced packs, since reduction can grow a digit (at m = 15, sum_{even t}
-zeta^t has coordinates -2 and 2); a rank's slots hold its gamma's largest.
+its fibre's blocks by its weights; the rank's last gamma releases each
+block as it scales it, so the rank's digits are not held twice while that
+gamma's rows are summed.  Row C is the sum over lam and s of
+chi_lam(C)[s] pack_s(lam), and its decoded digits are its entries times
+L |W'| / |C|, a positive scale that keeps the support.  The slots row C
+must check, codim(D) > codim(C), are a low-order prefix of the pack, and
+only that prefix is decoded.  A digit is at most the sum over lam of the
+largest digit of lam's packs times the largest l1 norm of chi_lam(C) over
+the live C, read off the reduced packs, since reduction can grow a digit
+(at m = 15, sum_{even t} zeta^t has coordinates -2 and 2); a rank's slots
+hold its gamma's largest.
 
 Each call reads the fibres' (lam, mu) pairs off ``partitions.core_fibres``
 once and keeps them no longer than it runs.  The unreversed slot order
@@ -533,9 +536,12 @@ def verify_filtration(l: int, n: int, k: int,
                   for j, mu in enumerate(labels2)}
         del targets, shifted, pieces
         neg = [-j for j, _ in slots]
+        last = plans[-1][0]
         for gamma, plan in plans:
-            # pack_s(lam) is linear in its digits: w times the pack of mu's block
-            packs = [(i, [w * kron.pack(b) for b in blocks[mu]]) for i, mu, w in plan]
+            # pack_s(lam) is linear in its digits: w times the pack of mu's
+            # block; the rank's last gamma releases each block as it packs it
+            take = blocks.pop if gamma == last else blocks.__getitem__
+            packs = [(i, [w * kron.pack(b) for b in take(mu)]) for i, mu, w in plan]
             certs = []
             for ctype, i, col in live:
                 acc = 0

@@ -14,8 +14,10 @@ same algorithm with the fibre of ``partitions.core_fibres``, so with
 its labels, and with the unreversed interleaving ``beta_unreversed`` the
 only thing the sign-twist identity test compares is the label map.
 
-Four more are earlier versions of a library routine, kept as the reference
-for a rewrite that must return the same values: ``divisors_loop`` (the
+Five more are earlier versions of a library routine, kept as the reference
+for a rewrite that must return the same values: ``nullspace_rref`` (the
+kernel read off the rref, which ``linalg.Mat.nullspace`` reads off the
+unsorted echelon rows), ``divisors_loop`` (the
 bounded trial division of ``quiver._divisors``), ``charpoly_fractions``
 (Faddeev-LeVerrier over Fraction, which ``quiver._charpoly`` runs on ints),
 ``rational_roots_fractions`` (the root search with each candidate summed
@@ -27,6 +29,9 @@ n x n embeddings, which ``quiver._path`` multiplies as blocks).
 by component with ``from_core_and_quotient``.  The package labels components
 through the forward ``partitions.beta_flat_k_gamma`` alone; this is the
 reference that the forward map is checked against.
+
+``beta_flat_via_kl_quotient`` is a second route to the same labels: one
+kl-abacus of the partition whose l-quotient is the label, read slot by slot.
 
 ``char_rec`` is the Murnaghan-Nakayama rule for G(l,1,n) one entry at a
 time: chi_lam on a class's (length, colour) cycles, longest first, by
@@ -74,6 +79,7 @@ from cmfix.partitions import (
     _partition_from_beads,
     beta_flat_k_gamma,
     core,
+    core_and_quotient,
     core_fibres,
     from_core_and_quotient,
     msize,
@@ -162,6 +168,26 @@ def beta_flat_k_gamma_inverse(mu, k, gamma):
         from_core_and_quotient(gamma[i], tuple(mu[i + (k - 1 - t) * l] for t in range(k)), k)
         for i in range(l)
     )
+
+
+def beta_flat_via_kl_quotient(lam, k, l):
+    """The label of lam read off one kl-abacus, with that abacus's core and residues.
+
+    nu_lam is the partition of size l*|lam| with empty l-core and l-quotient
+    lam.  Returns its kl-core, its kl-quotient with runner i + t*l read as
+    slot i + (k-1-t)*l, and its kl-residues.  For lam in the fibre of gamma
+    these are nu_gamma (empty l-core, l-quotient gamma), beta_flat_k_gamma
+    (lam, k, gamma) and the component's d: Littlewood's decomposition for
+    l = 1.  Shares the abacus with ``core_fibres`` and nothing else.
+    """
+    m = k * l
+    nu = from_core_and_quotient((), lam, l)
+    nu_core, runners = core_and_quotient(nu, m)
+    label = [()] * m
+    for i in range(l):
+        for t in range(k):
+            label[i + (k - 1 - t) * l] = runners[i + t * l]
+    return nu_core, tuple(label), residues(nu, m)
 
 
 def restrict_round_trip(z, gamma, k, beta):
@@ -414,6 +440,23 @@ def rref_rows(vectors, dim: int) -> list[tuple]:
         out = [[a - r[col] * b for a, b in zip(r, piv)] for r in out]
         out.append(piv)
     return [tuple(r) for r in out]
+
+
+def nullspace_rref(a: Mat) -> list[tuple]:
+    """The right kernel read off the rref: one vector per free column c, in
+    increasing order, 1 at c and minus the column-c entry of each rref row at
+    that row's pivot."""
+    red, piv = a.rref()
+    basis = []
+    for fc in range(a.cols):
+        if fc in piv:
+            continue
+        v = [0] * a.cols
+        v[fc] = 1
+        for r, pc in enumerate(piv):
+            v[pc] = -red.data[r][fc]
+        basis.append(tuple(v))
+    return basis
 
 
 def spin_closure(rep, seeds) -> list[list[tuple]]:

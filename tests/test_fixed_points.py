@@ -24,7 +24,7 @@ from cmfix.partitions import (
     msize,
     partitions_upto,
 )
-from oracles import beta_flat_k_gamma_inverse, enumerate_E_direct
+from oracles import beta_flat_k_gamma_inverse, beta_flat_via_kl_quotient, enumerate_E_direct
 
 GRID = [(1, 2, 2), (1, 3, 2), (1, 4, 2), (1, 4, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]
 
@@ -154,6 +154,20 @@ def test_catalog_labels_partition_everything(l, n, k):
             assert beta_flat_k_gamma_inverse(mu, k, c.gamma) == lam
         seen.extend(c.labels)
     assert sorted(seen) == sorted(enumerate_multipartitions(l, n))
+
+
+@pytest.mark.parametrize("l,n,k", GRID)
+def test_labels_are_read_off_one_kl_abacus(l, n, k):
+    # nu_lam (empty l-core, l-quotient lam) has kl-core nu_gamma, its
+    # kl-quotient is the label up to the slot order, and its kl-residues are d
+    labels = 0
+    for gamma, fibre in core_fibres(l, n, k).items():
+        nu_gamma = cmfix.partitions.from_core_and_quotient((), gamma, l)
+        d = delta_inverse(gamma, k, l, n)
+        for lam, mu in fibre.items():
+            assert beta_flat_via_kl_quotient(lam, k, l) == (nu_gamma, mu, d)
+            labels += 1
+    assert labels == len(enumerate_multipartitions(l, n))
 
 
 def test_the_catalog_reads_each_partition_once(monkeypatch):

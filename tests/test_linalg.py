@@ -5,7 +5,7 @@ import pytest
 
 from cmfix.arith import zeta
 from cmfix.linalg import Mat
-from oracles import rref_rows
+from oracles import nullspace_rref, rref_rows
 
 
 def int_entry(rng):
@@ -73,3 +73,19 @@ def test_rref_shape_and_inverse():
     assert b * b.inverse() == Mat.scalar(2, 1)
     with pytest.raises(ValueError):
         a.inverse()
+
+
+@pytest.mark.parametrize("entry", [int_entry, rational_entry, cyclotomic_entry])
+def test_nullspace_is_the_rref_reading(entry):
+    # the dual Norton witness and the golden Norton digests hold these exact
+    # values, so each entry keeps its type as well as its value
+    def typed(basis):
+        return [[(type(x), x) for x in v] for v in basis]
+
+    shapes = set()
+    for a in random_mats(entry, count=120):
+        assert typed(a.nullspace()) == typed(nullspace_rref(a))
+        full = a.rank() == min(a.rows, a.cols) > 0
+        shapes.add("no rows" if a.rows == 0 else "no columns" if a.cols == 0
+                   else "full rank" if full else "rank deficient")
+    assert shapes == {"no rows", "no columns", "full rank", "rank deficient"}

@@ -17,6 +17,7 @@ FILTRATION_REPORT = SCRIPT.with_name("filtration_report.py")
 COMPONENT_CENSUS = SCRIPT.with_name("component_census.py")
 UNCOVERED = SCRIPT.with_name("uncovered.py")
 COLD_START = SCRIPT.with_name("cold_start.py")
+BENCH_PAIRS = SCRIPT.with_name("bench_pairs.py")
 
 
 @pytest.fixture(scope="module")
@@ -148,3 +149,81 @@ def test_cold_start_prints_the_medians_and_the_added_modules(monkeypatch, capsys
     count, names = re.fullmatch(r"modules outside cmfix that it adds \((\d+)\): (.*)", added).groups()
     assert int(count) == len(names.split())
     assert not {"cmfix", "dataclasses", "inspect"} & set(names.split())
+
+
+@pytest.fixture
+def bench_pairs(tmp_path):
+    spec = importlib.util.spec_from_file_location("cmfix_bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    trees = []
+    for name in ("old", "a-longer-checkout-name"):
+        tree = tmp_path / name
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(name)
+        (tree / ".git").mkdir()
+        trees.append(tree)
+    return module, trees
+
+
+def fake_result(run_s, failed=0):
+    return {"correct": not failed, "attempted": 4, "failed": failed,
+            "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                        "peak_rss_mib": {"value": 18.0, "unit": "MiB"}}}
+
+
+def test_bench_pairs_alternates_equal_paths_and_counts_wins(bench_pairs, monkeypatch, capsys):
+    module, (old, new) = bench_pairs
+    calls = []
+
+    def fake(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed, seconds))
+        source = old if checkout.name == "parent" else new
+        assert (checkout / "perfbench" / "run.py").read_text() == source.name
+        assert not (checkout / ".git").exists()
+        # the change is faster in pairs 1 and 3 only
+        return fake_result({1: 0.2, 2: 0.1, 5: 0.2}.get(len(calls), 0.15))
+
+    monkeypatch.setattr(module, "run_bench", fake)
+    argv = [str(old), str(new), "--workload", "quiver", "--seed", "4", "--pairs", "3",
+            "--seconds", "0.5"]
+    assert module.main(argv) == 0
+    assert [c[0].name for c in calls] == ["parent", "change", "change", "parent",
+                                          "parent", "change"]
+    assert {c[1:] for c in calls} == {("quiver", 4, 0.5)}
+    assert calls[0][0].parent == calls[1][0].parent
+    assert not calls[0][0].exists()  # the copies are gone
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pair 1: run_s 0.2000 -> 0.1000  peak_rss_mib 18.0000 -> 18.0000"
+    assert lines[4].split()[0] == "run_s" and lines[4].endswith("-25.0 %  2/3")
+    assert lines[5].split()[0] == "peak_rss_mib" and lines[5].endswith("+0.0 %  0/3")
+
+
+@pytest.mark.parametrize("failure", ["not correct", "exit code"])
+def test_bench_pairs_exits_1_on_a_failed_run(bench_pairs, monkeypatch, capsys, failure):
+    module, trees = bench_pairs
+    calls = []
+
+    def fake(checkout, workload, seed, seconds):
+        calls.append(checkout.name)
+        if len(calls) == 2:
+            if failure == "exit code":
+                raise module.RunFailed("exited with 1: boom")
+            return fake_result(0.1, failed=1)
+        return fake_result(0.1)
+
+    monkeypatch.setattr(module, "run_bench", fake)
+    argv = [*map(str, trees), "--workload", "quiver", "--seed", "1", "--pairs", "2"]
+    assert module.main(argv) == 1
+    assert calls == ["parent", "change"]
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: pair 1, change: ")
+
+
+def test_bench_pairs_rejects_a_tree_without_the_benchmark(bench_pairs, tmp_path, capsys):
+    module, (old, new) = bench_pairs
+    assert module.main([str(old), str(tmp_path), "--workload", "quiver", "--seed", "1"]) == 2
+    assert "has no perfbench/run.py" in capsys.readouterr().err
+    assert module.main([str(old), str(new), "--workload", "quiver", "--seed", "1",
+                        "--pairs", "0"]) == 2
+    assert capsys.readouterr().err == "error: --pairs must be at least 1\n"
