@@ -15,12 +15,12 @@ all build their results with it; ``zeta`` is one table row.  A product with
 a rational operand is a coefficient-wise scaling, and an inverse is the
 product of the other Galois conjugates over the norm.
 
-The CLI builds cyclotomic numbers only for the values ``chartable``
-prints, and writes their text itself; no input is read as one.  The field
-operations serve the definitional side of ``wreath``'s centre algebra
-(``to_omega``, ``embed``, ``from_omega``), and ``linalg`` and
-``quiver.scale_action`` take them as scalars, for the paper's mu_m action on
-representations.
+No CLI command builds a cyclotomic number: ``chartable`` prints the
+coordinates ``_reduce`` gives for each int tuple of a character table, and
+no input is read as one.  The field operations serve the definitional side
+of ``wreath``'s centre algebra (``to_omega``, ``embed``, ``from_omega``),
+and ``linalg`` and ``quiver.scale_action`` take them as scalars, for the
+paper's mu_m action on representations.
 
 No floats, ever.
 """

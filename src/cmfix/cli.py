@@ -17,6 +17,7 @@ import csv
 import functools
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .parameters import (
 )
 from .partitions import core, enumerate_core_tuples, partition, quotient, residues
 from .fixed_points import component_catalog, enumerate_E
+from .arith import _reduce
 from .wreath import character_table, verify_filtration
 from .linalg import Mat
 from .quiver import QuiverRep, in_deformed_fiber, moment_map, norton_simplicity
@@ -293,18 +295,26 @@ _VALUE_NL = "\n" + " " * 6
 
 def cmd_chartable(args) -> int:
     t = character_table(args.l, args.n)
-    # t.values holds one object per distinct value: render each one's text
-    # once, at the indent of a values entry, and splice it in as it is
-    distinct = {id(v): v for row in t.values for v in row}
-    text = {i: _Raw(_dumps(_cyclotomic_json(v), _VALUE_NL)) for i, v in distinct.items()}
-    _emit({
+    # t.raw holds one tuple per distinct value: render each one's text once,
+    # from its reduced int coordinates, at the indent of a values entry
+    distinct = {id(v): v for row in t.raw for v in row}
+    text = {i: _dumps({"order": t.l, "coeffs": [str(c) for c in _reduce(t.l, v)]}, _VALUE_NL)
+            for i, v in distinct.items()}
+    # the keys up to "values" through _dumps, then one join and one write per row
+    before, _, after = _dumps({
         "l": t.l,
         "n": t.n,
         "labels": t.labels,
         "classes": t.classes,
         "sizes": t.sizes,
-        "values": [[text[id(v)] for v in row] for row in t.values],
-    })
+        "values": _Raw("\0"),
+    }).partition("\0")
+    out, sep = sys.stdout, "," + _VALUE_NL
+    out.write(before + "[")
+    for i, row in enumerate(t.raw):
+        out.write(("," if i else "") + "\n    [" + _VALUE_NL + sep.join([text[id(v)] for v in row])
+                  + "\n    ]")
+    out.write("\n  ]" + after + "\n")
     return 0
 
 
@@ -488,6 +498,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # stdout's reader is gone: what its buffer still holds goes to
+            # devnull, so the flush at exit raises nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -19,11 +19,14 @@ only while one table is built.
 The centre of the group algebra has two bases: class sums and primitive
 central idempotents, converted through the central characters
 w_chi(z_C) = |C| chi(C) / chi(1).  A table's fields are its labels,
-classes, class sizes and ``raw`` (the int tuples).  ``index`` (a
+classes, class sizes and ``raw``, the int tuples: ``_columns`` keeps one
+tuple per distinct value it stores, so equal entries of ``raw`` (and of the
+columns ``verify_filtration`` builds) are one object.  ``index`` (a
 multipartition's row as a label and column as a class), ``inverse`` (each
 column's inverse class), ``dims`` (chi(1)) and the reduced ``values`` (one
 shared CyclotomicNumber per distinct entry of ``raw``) are built from the
-fields on first read and take no part in equality.
+fields on first read and take no part in equality.  ``values`` serves the
+centre algebra and the tests; no CLI command reads it.
 
 ``codim`` of a class is the codimension of the fixed space of any of its
 elements: a cycle contributes a fixed line exactly when its cycle product
@@ -189,6 +192,7 @@ def _columns(l: int, n: int, classes) -> list[list[tuple[int, ...]]]:
     # per lam of enumerate_multipartitions(l, n)
     labels = [enumerate_multipartitions(l, m) for m in range(n + 1)]
     zero = (0,) * l
+    seen = {zero: zero}  # one tuple per distinct value stored
     columns = {(): [(1,) + zero[1:]]}  # by suffix of a class's cycles
     # (m, a): per label of size m, per a-rim-hook, (its component, the index
     # of the label it leaves, add or sub)
@@ -220,7 +224,7 @@ def _columns(l: int, n: int, classes) -> list[list[tuple[int, ...]]]:
                     v = by_comp[i][j]
                     if v is not zero:
                         acc = v if acc is zero and op is add else tuple(map(op, acc, v))
-                col.append(acc if any(acc) else zero)
+                col.append(seen.setdefault(acc, acc))
             columns[suffix] = col
         out.append(columns[cycles])
     return out

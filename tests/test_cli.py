@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -153,7 +154,10 @@ def test_chartable():
     assert len(obj["labels"]) == 2 and len(obj["values"]) == 2
 
 
-@pytest.mark.parametrize("l,n", [(1, 0), (2, 0), (1, 5), (2, 1), (6, 2), (3, 4)])
+# (1, 7) to (9, 1) give negative and multi-digit coordinates, and reductions
+# with phi(l) < l - 1 (l = 8, 9)
+@pytest.mark.parametrize("l,n", [(1, 0), (2, 0), (1, 5), (2, 1), (6, 2), (3, 4),
+                                 (1, 7), (5, 3), (8, 2), (9, 1)])
 def test_chartable_prints_what_the_stdlib_prints(l, n):
     # the spliced value text must give the bytes of the plain encoder
     t = wreath.character_table(l, n)
@@ -184,6 +188,37 @@ def test_chartable_serializes_each_distinct_value_once(monkeypatch):
     # one call per entry, plus the distinct values' own text and the frame;
     # walking every entry's {"order", "coeffs"} again takes about 5 per entry
     assert calls[0] < 2 * entries
+
+
+def test_chartable_reduces_each_distinct_value_once(monkeypatch):
+    calls = []
+    reduce = cli._reduce
+
+    def counted(m, coeffs):
+        calls.append(coeffs)
+        return reduce(m, coeffs)
+
+    monkeypatch.setattr(cli, "_reduce", counted)
+    code, _ = run(["chartable", "--l", "3", "--n", "5"])
+    t = wreath.character_table(3, 5)
+    assert code == 0 and len(calls) == len({v for row in t.raw for v in row})
+
+
+def test_a_closed_stdout_is_one_error_line():
+    # chartable writes a row at a time; a reader that goes while a row is
+    # half written leaves the rest in stdout's buffer, and the flush at
+    # exit must not raise (with PYTHONUNBUFFERED there is no buffer)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "cmfix.cli", "chartable", "--l", "3", "--n", "5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0)
+    assert proc.stdout.read(1) == b"{"
+    time.sleep(0.3)  # about 0.8 MB to write: the pipe fills and the writer blocks
+    proc.stdout.read(10)
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    assert proc.stderr.read() == b"error: [Errno 32] Broken pipe\n"
+    proc.stderr.close()
 
 
 def test_writer_splices_raw_text_and_quotes_plain_strings():
@@ -477,9 +512,9 @@ def test_quiver_check_refuses_a_cyclotomic_entry_before_any_arithmetic(tmp_path,
                                        "a representation holds rational matrix entries only\n")
 
 
-def test_only_chartable_builds_cyclotomic_numbers(tmp_path, monkeypatch):
-    # the boundary of the field arithmetic: every other command runs on ints
-    # and Fractions, from cold tables
+def test_no_command_builds_cyclotomic_numbers(tmp_path, monkeypatch):
+    # the boundary of the field arithmetic: every command runs on ints and
+    # Fractions, from cold tables
     f = tmp_path / "rep.json"
     f.write_text(json.dumps(rep_json(random_rep((2, 1, 1), random.Random(7)))))
     calls = []
@@ -503,7 +538,7 @@ def test_only_chartable_builds_cyclotomic_numbers(tmp_path, monkeypatch):
         assert code == 0, argv
         counts[argv[0]] = len(calls)
     assert counts == {"verify-filtration": 0, "components": 0, "quiver-check": 0,
-                      "selftest": 0, "chartable": 23}
+                      "selftest": 0, "chartable": 0}
 
 
 def test_deterministic_output():

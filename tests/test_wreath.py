@@ -652,6 +652,13 @@ def test_table_matches_the_entrywise_rim_hook_recursion(l, n):
     char_rec.cache_clear()
 
 
+@pytest.mark.parametrize("l,n", [(1, 6), (2, 4), (3, 3), (4, 3), (6, 2)])
+def test_columns_store_one_tuple_per_distinct_value(l, n):
+    # equal entries are one object, so a reader may key them by id
+    entries = [v for col in wreath._columns(l, n, enumerate_multipartitions(l, n)) for v in col]
+    assert len({id(v) for v in entries}) == len(set(entries)) < len(entries)
+
+
 @pytest.mark.parametrize("l,n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (6, 2)])
 def test_character_values_are_algebraic_integers(l, n):
     # the column recursion runs on int tuples in Z[x]/(x^l - 1) and each
