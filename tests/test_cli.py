@@ -210,15 +210,14 @@ def test_a_closed_stdout_is_one_error_line():
     # exit must not raise (with PYTHONUNBUFFERED there is no buffer)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen([sys.executable, "-m", "cmfix.cli", "chartable", "--l", "3", "--n", "5"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0)
-    assert proc.stdout.read(1) == b"{"
-    time.sleep(0.3)  # about 0.8 MB to write: the pipe fills and the writer blocks
-    proc.stdout.read(10)
-    proc.stdout.close()
-    assert proc.wait(timeout=60) == 2
-    assert proc.stderr.read() == b"error: [Errno 32] Broken pipe\n"
-    proc.stderr.close()
+    with subprocess.Popen([sys.executable, "-m", "cmfix.cli", "chartable", "--l", "3", "--n", "5"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0) as proc:
+        assert proc.stdout.read(1) == b"{"
+        time.sleep(0.3)  # about 0.8 MB to write: the pipe fills and the writer blocks
+        proc.stdout.read(10)
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 2
+        assert proc.stderr.read() == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_writer_splices_raw_text_and_quotes_plain_strings():
