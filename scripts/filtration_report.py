@@ -4,9 +4,10 @@
 Every component restriction morphism Z(C G(l,1,n)) ->> Z(C G(kl,1,r)) is
 checked class sum by class sum.  Each grid point runs in its own cold
 ``python`` process, which checks every gamma of the point in one call.  The
-script prints one line per point: its verdict, the all-gamma time and the
-process's peak RSS (``ru_maxrss``), followed by the certificate lines of any
-failing gamma.
+script prints one line per point: its verdict, the all-gamma time, the share
+of it spent in ``wreath._columns`` (the rim-hook recursion, timed by wrapping
+it in the point's process) and the process's peak RSS (``ru_maxrss``),
+followed by the certificate lines of any failing gamma.
 
 Exit status: 1 if a certificate of violation shows up, 2 on a malformed
 --grid, 3 if no certificate shows up but some point's process did not finish
@@ -23,8 +24,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from cmfix import wreath
 from cmfix.partitions import enumerate_core_tuples
-from cmfix.wreath import verify_filtration
 
 # the points from (2,4,2) on have components of rank r >= 2, where the verdict
 # can fail; the last five, (2,6,3), (3,8,3), (3,7,2), (5,5,2) and (3,8,2) of
@@ -53,16 +54,31 @@ def certificate_lines(rep) -> list[str]:
 
 
 def measure_point(l: int, n: int, k: int) -> dict:
-    """All-gamma time, peak RSS and failures of one point in this process."""
+    """All-gamma time, its _columns share, peak RSS and failures of one
+    point in this process."""
     gammas = enumerate_core_tuples(k, l, n)
-    t0 = time.perf_counter()
-    reports = verify_filtration(l, n, k, gammas)
-    t1 = time.perf_counter()
+    columns, spent = wreath._columns, []
+
+    def timed(*args):
+        t = time.perf_counter()
+        try:
+            return columns(*args)
+        finally:
+            spent.append(time.perf_counter() - t)
+
+    wreath._columns = timed
+    try:
+        t0 = time.perf_counter()
+        reports = wreath.verify_filtration(l, n, k, gammas)
+        t1 = time.perf_counter()
+    finally:
+        wreath._columns = columns
     bad = [rep for rep in reports if not rep.passed]
     return {
         "gammas": len(reports),
         "failing": len(bad),
         "gamma_s": t1 - t0,
+        "columns_s": sum(spent),
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
         "lines": [line for rep in bad
                   for line in [f"      gamma={rep.gamma}", *certificate_lines(rep)]],
@@ -82,7 +98,8 @@ def run_grid(grid) -> int:
         point = json.loads(proc.stdout)
         print(f"[{'BAD' if point['failing'] else 'ok '}] l={l} n={n} k={k}: "
               f"{point['gammas']} gamma, {point['failing']} failing, "
-              f"all gamma {point['gamma_s']:.2f}s, peak RSS {point['peak_rss_mib']:.1f} MiB",
+              f"all gamma {point['gamma_s']:.2f}s (_columns {point['columns_s']:.2f}s), "
+              f"peak RSS {point['peak_rss_mib']:.1f} MiB",
               flush=True)
         for line in point["lines"]:
             print(line)

@@ -288,8 +288,9 @@ def cmd_components(args) -> int:
     return 0
 
 
-# newline and indent of an entry of chartable's "values": top-level object,
-# then the list of rows, then a row
+# newline and indent of an entry of chartable's "labels" and "classes", and
+# of an entry of its "values": top-level object, then the list of rows, then a row
+_ENTRY_NL = "\n" + " " * 4
 _VALUE_NL = "\n" + " " * 6
 
 
@@ -300,12 +301,15 @@ def cmd_chartable(args) -> int:
     distinct = {id(v): v for row in t.raw for v in row}
     text = {i: _dumps({"order": t.l, "coeffs": [str(c) for c in _reduce(t.l, v)]}, _VALUE_NL)
             for i, v in distinct.items()}
-    # the keys up to "values" through _dumps, then one join and one write per row
+    # one enumeration indexes rows and columns, so the labels' text serves
+    # the classes too; the keys up to "values" through _dumps, then one join
+    # and one write per row
+    labels = [_label(lam, _ENTRY_NL) for lam in t.labels]
     before, _, after = _dumps({
         "l": t.l,
         "n": t.n,
-        "labels": t.labels,
-        "classes": t.classes,
+        "labels": labels,
+        "classes": labels,
         "sizes": t.sizes,
         "values": _Raw("\0"),
     }).partition("\0")

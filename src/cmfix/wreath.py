@@ -7,21 +7,32 @@ carries the i-th linear character t -> zeta^i of the cyclic group.  Values
 follow the Murnaghan-Nakayama rule for wreath products (Macdonald, Ch. I,
 App. B): chi_lam on cycles (a, c), rest sums, over the a-rim-hooks h of each
 component i of lam, sign(h) zeta^(ci) chi_(lam - h) on rest.  It runs in
-Z[x]/(x^l - 1) on int tuples, entry t the coefficient of zeta_l^t, where a
-weight is a signed cyclic shift; each value is reduced mod the l-th
-cyclotomic polynomial (a ring map) once, at the end.  ``character_table``
-runs the rule a column at a time.  A class's cycles, longest first, are a
-chain of suffixes; the column of a suffix, over the labels of its size,
-reads the column of the next suffix at the indices of one hook table per
-(size, a).  Columns are shared by suffix and, like the hook tables, live
-only while one table is built.
+Z[x]/(x^l - 1), and each value is reduced mod the l-th cyclotomic
+polynomial (a ring map) once, at the end.  ``character_table`` runs the
+rule a column at a time.  A class's cycles, longest first, are a chain of
+suffixes; the column of a suffix, over the labels of its size, reads the
+column of the next suffix at the indices of one hook table per (size, a).
+Columns are shared by suffix and, like the hook tables, live only while
+one table is built.
+
+The recursion runs on Kronecker-packed ints (``_Kronecker``): a value is
+one int with l signed slots, slot t the coefficient of zeta_l^t, so a hook
+term is one int add (or, for sign -1, an add of the negated pack), and the
+weight zeta^(ci) rotates the slots.  A coefficient of chi_lam(C) is a
+signed count of the rim-hook paths that strip lam, at most the number of
+standard multitableaux of lam, which is chi_lam(1); so is every partial
+sum, and the largest chi_lam(1) of G(l,1,m) does not fall as m grows.  So
+slots that hold the largest chi_lam(1) of G(l,1,n) (``_largest_dimension``)
+hold every value and sum the recursion meets.  At the end each distinct
+value is decoded once, to one int tuple, entry t the coefficient of
+zeta_l^t.
 
 The centre of the group algebra has two bases: class sums and primitive
 central idempotents, converted through the central characters
 w_chi(z_C) = |C| chi(C) / chi(1).  A table's fields are its labels,
-classes, class sizes and ``raw``, the int tuples: ``_columns`` keeps one
-tuple per distinct value it stores, so equal entries of ``raw`` (and of the
-columns ``verify_filtration`` builds) are one object.  ``index`` (a
+classes, class sizes and ``raw``, the int tuples: ``_columns`` decodes one
+tuple per distinct value, so equal entries of ``raw`` (and of the columns
+``verify_filtration`` builds) are one object.  ``index`` (a
 multipartition's row as a label and column as a class), ``inverse`` (each
 column's inverse class), ``dims`` (chi(1)) and the reduced ``values`` (one
 shared CyclotomicNumber per distinct entry of ``raw``) are built from the
@@ -92,9 +103,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import factorial, lcm
-from operator import add, itemgetter, sub
+from functools import cached_property, lru_cache, partial
+from math import comb, factorial, lcm
+from operator import itemgetter, neg
 
 from .arith import CyclotomicNumber, _reduce, embed
 from .partitions import (
@@ -105,6 +116,7 @@ from .partitions import (
     core_fibres,
     enumerate_multipartitions,
     msize,
+    partitions_of,
 )
 from .records import Record
 
@@ -168,11 +180,11 @@ def inverse_class(ctype: Multipartition) -> Multipartition:
 # ---------------------------------------------------------------------------
 
 
-def _rim_hooks(lam: Partition, a: int) -> list[tuple[Partition, object]]:
-    """All removals of a rim hook of size a: (smaller partition, add or sub).
+def _rim_hooks(lam: Partition, a: int) -> list[tuple[Partition, int]]:
+    """All removals of a rim hook of size a: (smaller partition, 1 if its sign is -1).
 
     A hook is a bead of B(lam) moved a steps down to an empty position
-    (floor -len(lam)); sub when it passes an odd number of beads.
+    (floor -len(lam)); its sign is -1 when it passes an odd number of beads.
     """
     beads = [p - i for i, p in enumerate(lam, start=1)]
     floor = -len(lam)
@@ -183,19 +195,53 @@ def _rim_hooks(lam: Partition, a: int) -> list[tuple[Partition, object]]:
             continue
         height = sum(1 for c in beads if nb < c < b)
         new_lam = _partition_from_beads([nb if c == b else c for c in beads], floor)
-        out.append((new_lam, sub if height % 2 else add))
+        out.append((new_lam, height % 2))
     return out
+
+
+def _largest_dimension(l: int, n: int) -> int:
+    """The largest chi_lam(1) over the labels lam of G(l,1,n).
+
+    chi_lam(1) is the product over components i of C(t_i, |lam_i|) f(lam_i),
+    with t_i = |lam_0| + ... + |lam_i| and f the standard-tableau count, so
+    the largest is a max over compositions of n of the largest f per size.
+    """
+    top = [max(map(_syt_count, partitions_of(s))) for s in range(n + 1)]
+    best = top  # one component
+    for _ in range(l - 1):
+        best = [max(best[t - s] * comb(t, s) * top[s] for s in range(t + 1)) for t in range(n + 1)]
+    return best[n]
+
+
+class _Memo(dict):
+    """f(key), computed on the first read of each key, so that
+    ``map(memo.__getitem__, keys)`` costs one lookup per repeated key."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
 
 
 def _columns(l: int, n: int, classes) -> list[list[tuple[int, ...]]]:
     # chi_lam(C) in Z[x]/(x^l - 1): a column per C of ``classes``, an entry
-    # per lam of enumerate_multipartitions(l, n)
+    # per lam of enumerate_multipartitions(l, n); the recursion adds packs
+    # of an l-slot _Kronecker, and each distinct value is decoded once
     labels = [enumerate_multipartitions(l, m) for m in range(n + 1)]
-    zero = (0,) * l
-    seen = {zero: zero}  # one tuple per distinct value stored
-    columns = {(): [(1,) + zero[1:]]}  # by suffix of a class's cycles
-    # (m, a): per label of size m, per a-rim-hook, (its component, the index
-    # of the label it leaves, add or sub)
+    kron = _Kronecker(_largest_dimension(l, n), l)
+    rotations = {k: _Memo(partial(kron.rotate, k=k)) for k in range(1, l)}
+    decoded = _Memo(lambda v: tuple(kron.unpack(v)))
+    # by suffix of a class's cycles: packs below size n, one per distinct
+    # value, and decoded tuples at size n (the empty suffix's too at n = 0)
+    seen = {}
+    columns = {(): [1] if n else [decoded[1]]}
+    # (m, a): per label of size m, per a-rim-hook, the index in ``flat`` of
+    # its term: the label it leaves in block i (component i), or in block
+    # l + i if the hook's sign is -1
     tables = {}
     out = []
     for ctype in classes:
@@ -207,25 +253,31 @@ def _columns(l: int, n: int, classes) -> list[list[tuple[int, ...]]]:
             if suffix in columns:
                 continue
             if (m, a) not in tables:
+                size = len(labels[m - a])
                 index = {lam: j for j, lam in enumerate(labels[m - a])}
                 hooks = {comp: _rim_hooks(comp, a) for comp in set().union(*labels[m])}
-                tables[m, a] = [[(i, index[lam[:i] + (new,) + lam[i + 1:]], op)
-                                 for i, comp in enumerate(lam) for new, op in hooks[comp]]
+                tables[m, a] = [[(i + l * odd) * size + index[lam[:i] + (new,) + lam[i + 1:]]
+                                 for i, comp in enumerate(lam) for new, odd in hooks[comp]]
                                 for lam in labels[m]]
             rest = columns[suffix[1:]]
-            # weight zeta^(ci) in component i: entry t moves to t + ci
-            shifted = {k: [v if v is zero else v[-k:] + v[:-k] for v in rest] if k else rest
+            # block i is rest times zeta^(ci), a rotation of its slots by ci,
+            # and block l + i its negation
+            shifted = {k: list(map(rotations[k].__getitem__, rest)) if k else rest
                        for k in {c * i % l for i in range(l)}}
-            by_comp = [shifted[c * i % l] for i in range(l)]
+            flat = []
+            for i in range(l):
+                flat += shifted[c * i % l]
+            flat += list(map(neg, flat))
             col = []
-            for row in tables[m, a]:
-                acc = zero
-                for i, j, op in row:
-                    v = by_comp[i][j]
-                    if v is not zero:
-                        acc = v if acc is zero and op is add else tuple(map(op, acc, v))
-                col.append(seen.setdefault(acc, acc))
-            columns[suffix] = col
+            for terms in tables[m, a]:
+                acc = 0
+                for j in terms:
+                    acc += flat[j]
+                col.append(acc)
+            if m < n:
+                columns[suffix] = list(map(seen.setdefault, col, col))
+            else:
+                columns[suffix] = list(map(decoded.__getitem__, col))
         out.append(columns[cycles])
     return out
 
@@ -436,8 +488,11 @@ def i_gamma_star(z: CentralElement, gamma: Multipartition, k: int) -> CentralEle
 class _Kronecker:
     """Signed digits packed into one int, sum_i d_i 2^(8wi), and back.
 
-    Kronecker substitution: a product of digit polynomials is one product
-    of ints.  A slot is the fewest whole bytes w with 2^(8w - 1) > ``bound``,
+    Kronecker substitution: a sum of digit polynomials is one sum of ints,
+    and a product one product.  ``_columns`` runs the rim-hook recursion on
+    packs of ``count`` = l slots, where ``rotate`` is a weight zeta_l^k, and
+    ``verify_filtration`` sums its restriction rows as products of packs.
+    A slot is the fewest whole bytes w with 2^(8w - 1) > ``bound``,
     so ``unpack`` reads back any sum of products of packs whose every digit
     is at most ``bound`` in absolute value: it adds 2^(8w - 1) to each of the
     ``count`` slots, which leaves every slot in [0, 2^(8w)) with nothing to
@@ -459,6 +514,17 @@ class _Kronecker:
 
     def pack(self, slots: bytes) -> int:
         return int.from_bytes(slots, "little") - (self.bias & ((1 << 8 * len(slots)) - 1))
+
+    def rotate(self, value: int, k: int) -> int:
+        """value times x^k mod x^count - 1: the top k slots move to the bottom.
+
+        The rounding split hi = (value + 2^(P - 1)) >> P at the P bits of the
+        low count - k slots leaves value - (hi << P) as exactly their packed
+        value, since every digit is under half a slot.
+        """
+        split = 8 * self.width * (self.count - k)
+        hi = (value + (1 << (split - 1))) >> split
+        return ((value - (hi << split)) << 8 * self.width * k) + hi
 
     def unpack(self, value: int, count: int | None = None) -> list[int]:
         """The digits of the low ``count`` slots (all ``self.count`` by default)."""

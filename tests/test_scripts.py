@@ -74,8 +74,8 @@ def test_filtration_report_prints_one_line_per_point():
     assert summary == "0 failures"
     assert len(points) == 2
     for line, point in zip(points, ("l=1 n=2 k=2: 1 gamma", "l=2 n=2 k=2: 2 gamma")):
-        assert re.fullmatch(rf"\[ok \] {point}, 0 failing, all gamma \d+\.\d\ds, "
-                            r"peak RSS \d+\.\d MiB", line), line
+        assert re.fullmatch(rf"\[ok \] {point}, 0 failing, all gamma \d+\.\d\ds "
+                            r"\(_columns \d+\.\d\ds\), peak RSS \d+\.\d MiB", line), line
 
 
 def test_filtration_report_tells_a_dead_point_from_a_certificate(filtration_report, monkeypatch,
@@ -104,7 +104,8 @@ def test_filtration_report_point_lists_each_failing_gamma(filtration_report, mon
     monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: len(ctype[0]))
     point = filtration_report.measure_point(2, 2, 2)
     assert (point["gammas"], point["failing"]) == (2, 1)
-    assert point["peak_rss_mib"] > 0 and point["gamma_s"] >= 0
+    assert point["peak_rss_mib"] > 0 and 0 <= point["columns_s"] <= point["gamma_s"]
+    assert filtration_report.wreath._columns is wreath._columns  # unwrapped after the point
     assert point["lines"] == [
         "      gamma=((), ())",
         "      violates: class ((), (1, 1)) (codim 0) -> ((1,), (), (), ()) (codim 1)"]

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmfix.arith import CyclotomicNumber, cyclotomic_polynomial, zeta
 from cmfix.linalg import Mat
@@ -527,6 +528,58 @@ def test_kronecker_round_trips_the_widest_digits(bound):
     assert kron.unpack(pack([3, -1])) == [3, -1, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("l", range(1, 16))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kronecker_rotation_is_the_cyclic_shift_of_the_digits(l, data):
+    # the weight zeta^k of the column recursion: for every shift k, the top
+    # k slots move to the bottom, exactly, with digits up to half a slot
+    # less one (the widest a pack holds) of either sign
+    kron = _Kronecker(data.draw(st.sampled_from([1, 127, 128, 2**15, 2**31, 10**12])), l)
+    top = kron.half - 1
+    digits = data.draw(st.lists(st.sampled_from([top, -top]) | st.integers(-top, top),
+                                min_size=l, max_size=l))
+    value = kron.pack(kron.slots(digits))
+    for k in range(l):
+        assert kron.unpack(kron.rotate(value, k)) == digits[-k:] + digits[:-k]
+
+
+@pytest.mark.parametrize("l,n", [(1, 0), (3, 0), (1, 7), (2, 6), (3, 5), (4, 4), (5, 3), (15, 2)])
+def test_largest_dimension_is_the_largest_over_the_labels(l, n):
+    want = max(map(char_dimension, enumerate_multipartitions(l, n)))
+    assert wreath._largest_dimension(l, n) == want
+
+
+@pytest.mark.parametrize("l,n", SIZES)
+def test_table_coefficients_are_at_most_the_largest_dimension(l, n):
+    # a coefficient counts rim-hook paths with signs, so it is at most
+    # chi_lam(1): the column recursion's slots rest on it, and chi(1) itself
+    # (the identity class) meets the bound
+    top = wreath._largest_dimension(l, n)
+    assert max(abs(c) for row in character_table(l, n).raw for v in row for c in v) == top
+
+
+@pytest.mark.parametrize("l,n,k", [p for p in PACKED_GRID if p[0] * p[2] == 15])
+def test_target_coefficients_are_at_most_the_largest_dimension(l, n, k, monkeypatch):
+    # the columns verify_filtration builds at m = 15, the targets among them;
+    # under codim = -msize every class is live and every target a slot
+    monkeypatch.setattr(wreath, "codim", lambda ctype, n=None: -msize(ctype))
+    built = []
+    columns = wreath._columns
+
+    def recording(l, n, classes):
+        out = columns(l, n, classes)
+        built.append((l, n, out))
+        return out
+
+    monkeypatch.setattr(wreath, "_columns", recording)
+    verify_filtration(l, n, k, enumerate_core_tuples(k, l, n))
+    assert 15 in {m for m, _, _ in built}
+    for m, r, cols in built:
+        top = wreath._largest_dimension(m, r)
+        assert max((abs(c) for col in cols for v in col for c in v), default=0) <= top
+
+
 def test_verify_filtration_top_degree_trivial():
     # degree-n elements can map anywhere: check the top class never violates
     (rep,) = verify_filtration(2, 2, 2, [((), ())])
@@ -661,9 +714,10 @@ def test_columns_store_one_tuple_per_distinct_value(l, n):
 
 @pytest.mark.parametrize("l,n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 2), (6, 2)])
 def test_character_values_are_algebraic_integers(l, n):
-    # the column recursion runs on int tuples in Z[x]/(x^l - 1) and each
-    # value is reduced mod Phi_l once; for l > 1 some value has a term
-    # zeta^t with t >= phi(l) that the reduction folds (zeta^2, zeta^3 at l = 4)
+    # the column recursion runs on packed ints in Z[x]/(x^l - 1), decoded to
+    # int tuples, and each value is reduced mod Phi_l once; for l > 1 some
+    # value has a term zeta^t with t >= phi(l) that the reduction folds
+    # (zeta^2, zeta^3 at l = 4)
     t = character_table(l, n)
     deg = len(cyclotomic_polynomial(l)) - 1
     folded = False
