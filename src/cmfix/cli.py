@@ -7,6 +7,14 @@ writes every format of ``docs/schemas.md``; the library takes and returns
 values.  Integers are a sign and ASCII digits, rationals exact "p/q"; output
 is JSON (or CSV where supported) and is byte-identical for a fixed seed.
 
+Each ``cmd_*`` handler is registered with its name and flags by ``@_command``,
+the one place they are written.  ``main`` builds only the parser of the
+subcommand it runs: two argparse parsers in place of twelve, since building
+them all was the largest single cost of a small ``verify-filtration`` call.
+A command line that does not start with a subcommand, and one with arguments
+left over, goes to the full parser, so every help text and refusal reads as
+the full parser's.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
@@ -205,6 +213,25 @@ def _cyclotomic_json(v) -> dict:
     return {"order": v.order, "coeffs": [format_rational(c) for c in v.coeffs]}
 
 
+# subcommand name -> (help, handler, {option: add_argument keywords}), in the
+# order the full parser lists them; each @_command on a handler adds one entry
+_COMMANDS: dict[str, tuple] = {}
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": _int, "required": True}
+
+
+def _command(name: str, help: str, **options):
+    """Register the decorated handler as the subcommand ``name``, with one flag
+    ``--<option>`` per keyword, in the order given."""
+    def register(func):
+        _COMMANDS[name] = (help, func, options)
+        return func
+    return register
+
+
+@_command("cores", "l-core and removal count of a partition",
+          partition={"required": True, "help": "comma-separated parts, e.g. 4,2,1"},
+          l=_REQUIRED_INT)
 def cmd_cores(args) -> int:
     lam = _parse_partition(args.partition)
     nu, removals = core(lam, args.l)
@@ -212,23 +239,32 @@ def cmd_cores(args) -> int:
     return 0
 
 
+@_command("quotient", "l-quotient of a partition", partition=_REQUIRED, l=_REQUIRED_INT)
 def cmd_quotient(args) -> int:
     lam = _parse_partition(args.partition)
     _emit(quotient(lam, args.l))
     return 0
 
 
+@_command("residues", "residue vector of a partition", partition=_REQUIRED, l=_REQUIRED_INT)
 def cmd_residues(args) -> int:
     lam = _parse_partition(args.partition)
     _emit(_residue_json(residues(lam, args.l)))
     return 0
 
 
+@_command("enumerate-e", "dimension vectors indexing fixed components",
+          k=_REQUIRED_INT, l=_REQUIRED_INT, n=_REQUIRED_INT)
 def cmd_enumerate_e(args) -> int:
     _emit([_residue_json(d) for d in enumerate_E(args.k, args.l, args.n)])
     return 0
 
 
+@_command("transport", "parameter transport c -> c' at a dimension vector",
+          l=_REQUIRED_INT, k=_REQUIRED_INT,
+          d={"required": True, "help": "comma-separated integers, length k*l"},
+          a={"required": True, "help": 'rational "p/q"'},
+          kparams={"required": True, "help": "comma-separated rationals summing to 0"})
 def cmd_transport(args) -> int:
     p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
     d = _parse_ints(args.d)
@@ -255,6 +291,9 @@ def _label(lam, nl: str) -> _Raw:
         + nl + "]")
 
 
+@_command("components", "catalog of fixed-locus components",
+          l=_REQUIRED_INT, n=_REQUIRED_INT, k=_REQUIRED_INT, a=_REQUIRED, kparams=_REQUIRED,
+          format={"choices": ("json", "csv"), "default": "json"})
 def cmd_components(args) -> int:
     p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
     cat = component_catalog(args.l, args.n, args.k, p)
@@ -294,6 +333,7 @@ _ENTRY_NL = "\n" + " " * 4
 _VALUE_NL = "\n" + " " * 6
 
 
+@_command("chartable", "exact character table of G(l,1,n)", l=_REQUIRED_INT, n=_REQUIRED_INT)
 def cmd_chartable(args) -> int:
     t = character_table(args.l, args.n)
     # t.raw holds one tuple per distinct value: render each one's text once,
@@ -322,6 +362,9 @@ def cmd_chartable(args) -> int:
     return 0
 
 
+@_command("verify-filtration", "codimension-filtration check per component",
+          l=_REQUIRED_INT, n=_REQUIRED_INT, k=_REQUIRED_INT,
+          gamma={"help": 'JSON list of partitions, e.g. "[[1],[]]"'})
 def cmd_verify_filtration(args) -> int:
     if args.gamma is not None:
         gammas = [_parse_gamma(args.gamma)]
@@ -340,6 +383,13 @@ def cmd_verify_filtration(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+@_command("smooth", "smoothness predicates",
+          criterion={"choices": ("gl1n", "quiver", "cyclic", "g4"), "default": "gl1n"},
+          # gl1n and quiver only
+          l={"type": _int, "default": argparse.SUPPRESS, "help": "default 1"},
+          n={"type": _int, "default": argparse.SUPPRESS, "help": "default 1"},
+          a={"default": argparse.SUPPRESS, "help": 'rational "p/q", default 0'},
+          kparams=_REQUIRED)
 def cmd_smooth(args) -> int:
     # --l, --n and --a are absent from args unless given
     crit, given = args.criterion, vars(args)
@@ -363,6 +413,11 @@ def cmd_smooth(args) -> int:
     return 0
 
 
+@_command("quiver-check", "moment-map and membership checks on a representation",
+          rep={"required": True, "help": "path to a representation JSON file"},
+          theta={"help": "comma-separated rationals"},
+          seed={"type": _int, "default": DEFAULT_SEED},
+          budget={"type": _int, "default": 32})
 def cmd_quiver_check(args) -> int:
     if args.budget < 0:
         raise ValueError(f"--budget must be at least 0, got {args.budget}")
@@ -386,6 +441,7 @@ def cmd_quiver_check(args) -> int:
     return 0
 
 
+@_command("selftest", "run the invariant suite", seed={"type": _int, "default": DEFAULT_SEED})
 def cmd_selftest(args) -> int:
     return 0 if run_selftest(args.seed) else 1
 
@@ -413,91 +469,46 @@ def run_selftest(seed: int = DEFAULT_SEED, out=None) -> bool:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first ``main`` call."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command``, built once per process and command.
+
+    ``None`` gives the full parser, with every subcommand of ``_COMMANDS`` in
+    its order.  A subcommand name gives the same top-level parser holding only
+    that subcommand: it parses, refuses and documents that command's own
+    arguments as the full parser does, but builds one subparser and its flags
+    in place of eleven subparsers and their 36 flags.
+    """
     ap = argparse.ArgumentParser(
         prog="cmfix",
         description="Exact fixed-locus combinatorics for Calogero-Moser spaces of G(l,1,n)",
     )
     ap.add_argument("--version", action="version", version=f"cmfix {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cores", help="l-core and removal count of a partition")
-    p.add_argument("--partition", required=True, help="comma-separated parts, e.g. 4,2,1")
-    p.add_argument("--l", type=_int, required=True)
-    p.set_defaults(func=cmd_cores)
-
-    p = sub.add_parser("quotient", help="l-quotient of a partition")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--l", type=_int, required=True)
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("residues", help="residue vector of a partition")
-    p.add_argument("--partition", required=True)
-    p.add_argument("--l", type=_int, required=True)
-    p.set_defaults(func=cmd_residues)
-
-    p = sub.add_parser("enumerate-e", help="dimension vectors indexing fixed components")
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--l", type=_int, required=True)
-    p.add_argument("--n", type=_int, required=True)
-    p.set_defaults(func=cmd_enumerate_e)
-
-    p = sub.add_parser("transport", help="parameter transport c -> c' at a dimension vector")
-    p.add_argument("--l", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--d", required=True, help="comma-separated integers, length k*l")
-    p.add_argument("--a", required=True, help='rational "p/q"')
-    p.add_argument("--kparams", required=True, help='comma-separated rationals summing to 0')
-    p.set_defaults(func=cmd_transport)
-
-    p = sub.add_parser("components", help="catalog of fixed-locus components")
-    p.add_argument("--l", type=_int, required=True)
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--kparams", required=True)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_components)
-
-    p = sub.add_parser("chartable", help="exact character table of G(l,1,n)")
-    p.add_argument("--l", type=_int, required=True)
-    p.add_argument("--n", type=_int, required=True)
-    p.set_defaults(func=cmd_chartable)
-
-    p = sub.add_parser("verify-filtration", help="codimension-filtration check per component")
-    p.add_argument("--l", type=_int, required=True)
-    p.add_argument("--n", type=_int, required=True)
-    p.add_argument("--k", type=_int, required=True)
-    p.add_argument("--gamma", help='JSON list of partitions, e.g. "[[1],[]]"')
-    p.set_defaults(func=cmd_verify_filtration)
-
-    p = sub.add_parser("smooth", help="smoothness predicates")
-    p.add_argument("--criterion", choices=("gl1n", "quiver", "cyclic", "g4"), default="gl1n")
-    # gl1n and quiver only; absent unless given (see cmd_smooth)
-    p.add_argument("--l", type=_int, default=argparse.SUPPRESS, help="default 1")
-    p.add_argument("--n", type=_int, default=argparse.SUPPRESS, help="default 1")
-    p.add_argument("--a", default=argparse.SUPPRESS, help='rational "p/q", default 0')
-    p.add_argument("--kparams", required=True)
-    p.set_defaults(func=cmd_smooth)
-
-    p = sub.add_parser("quiver-check", help="moment-map and membership checks on a representation")
-    p.add_argument("--rep", required=True, help="path to a representation JSON file")
-    p.add_argument("--theta", help="comma-separated rationals")
-    p.add_argument("--seed", type=_int, default=DEFAULT_SEED)
-    p.add_argument("--budget", type=_int, default=32)
-    p.set_defaults(func=cmd_quiver_check)
-
-    p = sub.add_parser("selftest", help="run the invariant suite")
-    p.add_argument("--seed", type=_int, default=DEFAULT_SEED)
-    p.set_defaults(func=cmd_selftest)
-
+    for name, (help, func, options) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help)
+            for option, kwargs in options.items():
+                p.add_argument("--" + option, **kwargs)
+            p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run the subcommand that argv (default ``sys.argv[1:]``, any sequence)
+    names, and return its exit code.
+
+    A known subcommand in ``argv[0]`` is parsed by that command's parser
+    alone; anything else (no arguments, ``--help``, ``--version``, an unknown
+    command) by the full parser.  argparse refuses left-over arguments from
+    the top-level parser, whose usage line lists its subcommands, so when the
+    one-command parser leaves any the full parser parses argv again and
+    refuses them naming all eleven.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
+    args, rest = ap.parse_known_args(argv)
+    if rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError

@@ -555,8 +555,65 @@ def test_selftest_passes():
     assert "FAIL" not in text
 
 
+COMMANDS = ("cores", "quotient", "residues", "enumerate-e", "transport", "components",
+            "chartable", "verify-filtration", "smooth", "quiver-check", "selftest")
+
+
 def test_the_parser_is_built_once_per_process():
+    """Once per process and command: the full parser lists every subcommand in
+    order, a one-command parser only its own."""
     assert cli.build_parser() is cli.build_parser()
+    assert "{" + ",".join(COMMANDS) + "}" in cli.build_parser().format_usage()
+    for command in COMMANDS:
+        assert cli.build_parser(command) is cli.build_parser(command)
+        assert "{" + command + "}" in cli.build_parser(command).format_usage()
+
+
+def _exit(call, capsys) -> tuple:
+    """The exit code, stdout and stderr of a call that argparse ends."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        call()
+    return (exc.value.code, *capsys.readouterr())
+
+
+LEFTOVERS = ["components", "--l", "3", "--n", "4", "--k", "2", "--a", "1/7",
+             "--kparams=1/3,1/5,-8/15", "--convention", "quiver"]
+
+
+# leftovers, and command lines that start with no subcommand, reach the full
+# parser; the last is refused by the cores subparser itself
+@pytest.mark.parametrize("argv,code", [
+    (LEFTOVERS, 2),
+    (["smooth", "--criterion", "cyclic", "--kparams=", "1"], 2),
+    ([], 2),
+    (["bogus"], 2),
+    (["--help"], 0),
+    (["--version"], 0),
+    (["cores", "--l", "x"], 2),
+], ids=["components-leftover", "smooth-leftover", "empty", "bogus", "help", "version",
+        "subparser-refusal"])
+def test_refusals_are_the_full_parsers(argv, code, capsys):
+    full = _exit(lambda: cli.build_parser().parse_args(argv), capsys)
+    assert full[0] == code
+    assert _exit(lambda: main(argv), capsys) == full
+
+
+def test_leftover_arguments_are_refused_naming_every_subcommand(capsys):
+    code, out, err = _exit(lambda: main(LEFTOVERS), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: cmfix [-h] [--version]")
+    assert "{" + ",".join(COMMANDS) + "}" in err
+    assert err.endswith("cmfix: error: unrecognized arguments: --convention quiver\n")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_is_the_full_parsers(command, capsys):
+    full = _exit(lambda: cli.build_parser().parse_args([command, "--help"]), capsys)
+    assert _exit(lambda: cli.build_parser(command).parse_args([command, "--help"]),
+                 capsys) == full
+    assert _exit(lambda: main((command, "--help")), capsys) == full
+    assert full[0] == 0 and full[1].startswith(f"usage: cmfix {command} [-h]")
 
 
 # the smooth calls check that the flags one call gives (--l, --n and --a,
@@ -568,9 +625,14 @@ SUCCESSIVE = (
     ["smooth", "--kparams=0"],
     ["cores", "--partition", "4,2,1", "--l", "2"],
 )
-# importing the cli builds no parser; each call prints its exit code after its output
+# importing the cli builds no parser; each call prints its exit code after its
+# output; then the cache holds one parser per command called and no other (after
+# SUCCESSIVE, the smooth and the cores parsers): asking for each again builds none
 MAIN = ("import cmfix.cli as cli; assert cli.build_parser.cache_info().currsize == 0; "
-        "[print(cli.main(argv)) for argv in {0!r}]")
+        "[print(cli.main(argv)) for argv in {0!r}]; "
+        "called = {{argv[0] for argv in {0!r}}}; [cli.build_parser(c) for c in called]; "
+        "info = cli.build_parser.cache_info(); "
+        "assert info.misses == info.currsize == len(called), (info, called)")
 
 
 def _main_in_a_fresh_process(argvs) -> tuple[str, str]:

@@ -141,12 +141,16 @@ def test_cold_start_prints_the_medians_and_the_added_modules(monkeypatch, capsys
     spec = importlib.util.spec_from_file_location("cmfix_cold_start", COLD_START)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", ["cold_start.py", "--runs", "1"])  # three interpreters
+    monkeypatch.setattr(sys, "argv", ["cold_start.py", "--runs", "1"])  # five interpreters
     assert module.main() == 0
-    bare, cli, added = capsys.readouterr().out.splitlines()
+    bare, cli, full, one, added = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"bare interpreter: median \d+\.\d{4} s over 1 runs", bare), bare
     assert re.fullmatch(r"import cmfix\.cli: median \d+\.\d{4} s over 1 runs "
                         r"\([+-]\d+\.\d{4} s\)", cli), cli
+    assert re.fullmatch(r"full parser, build and parse: median \d+\.\d{2} ms over 1 runs",
+                        full), full
+    assert re.fullmatch(r"one-command parser, build and parse: median \d+\.\d{2} ms over 1 "
+                        r"runs \([+-]\d+\.\d{2} ms\)", one), one
     count, names = re.fullmatch(r"modules outside cmfix that it adds \((\d+)\): (.*)", added).groups()
     assert int(count) == len(names.split())
     assert not {"cmfix", "dataclasses", "inspect"} & set(names.split())
