@@ -6,6 +6,9 @@ selftest.  This module is the one text boundary: it reads every input and
 writes every format of ``docs/schemas.md``; the library takes and returns
 values.  Integers are a sign and ASCII digits, rationals exact "p/q"; output
 is JSON (or CSV where supported) and is byte-identical for a fixed seed.
+Each handler computes and validates all it prints before its first write, so
+a refused call writes nothing to stdout; a list document is then written one
+element at a time, and only one element's text exists at once.
 
 Each ``cmd_*`` handler is registered with its name and flags by ``@_command``,
 the one place they are written.  ``main`` builds only the parser of the
@@ -23,12 +26,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import random
 import sys
 from fractions import Fraction
+from types import GeneratorType
 
 from . import __version__
 from .parameters import (
@@ -156,7 +159,18 @@ def _read_rep(obj) -> QuiverRep:
 
 
 def _emit(obj) -> None:
-    print(_dumps(obj))
+    """Write obj to stdout as ``json.dumps(obj, indent=2)`` and a newline.  A
+    top-level list, tuple or generator is written one element at a time, each
+    rendered as it is reached; anything else is rendered whole.  Handlers compute
+    and check all they pass before the call, so a refusal comes before any write."""
+    if not isinstance(obj, (list, tuple, GeneratorType)):
+        print(_dumps(obj))
+        return
+    out, sep = sys.stdout, "["
+    for x in obj:
+        out.write(sep + "\n  " + _dumps(x, "\n  "))
+        sep = ","
+    out.write("[]\n" if sep == "[" else "\n]\n")
 
 
 _quote = json.encoder.encode_basestring_ascii
@@ -256,7 +270,7 @@ def cmd_residues(args) -> int:
 @_command("enumerate-e", "dimension vectors indexing fixed components",
           k=_REQUIRED_INT, l=_REQUIRED_INT, n=_REQUIRED_INT)
 def cmd_enumerate_e(args) -> int:
-    _emit([_residue_json(d) for d in enumerate_E(args.k, args.l, args.n)])
+    _emit(_residue_json(d) for d in enumerate_E(args.k, args.l, args.n))
     return 0
 
 
@@ -269,11 +283,8 @@ def cmd_transport(args) -> int:
     p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
     d = _parse_ints(args.d)
     out = transport(p, args.k, d)
-    _emit({
-        "a_prime": format_rational(out.a),
-        "k_prime": [format_rational(x) for x in out.k],
-        "m": out.l,
-    })
+    _emit({"a_prime": format_rational(out.a), "k_prime": [format_rational(x) for x in out.k],
+           "m": out.l})
     return 0
 
 
@@ -298,7 +309,7 @@ def cmd_components(args) -> int:
     p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
     cat = component_catalog(args.l, args.n, args.k, p)
     if args.format == "json":
-        _emit([{
+        _emit({
             "gamma": c.gamma,
             "r": c.r,
             "m": c.m,
@@ -308,22 +319,15 @@ def cmd_components(args) -> int:
             "label_injection": [{"mu": _label(mu, _PAIR_NL), "lambda": _label(lam, _PAIR_NL)}
                                 for mu, lam in sorted(c.label_injection.items())],
             "convention": "gordon",
-        } for c in cat])
+        } for c in cat)
         return 0
-    # csv flattening
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
+    # csv flattening, a row at a time
+    w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(["gamma", "r", "m", "d", "a_prime", "k_prime"])
     for c in cat:
-        w.writerow([
-            json.dumps(c.gamma),
-            c.r,
-            c.m,
-            ",".join(str(x) for x in c.d),
-            format_rational(c.c_prime.a),
-            ",".join(format_rational(x) for x in c.c_prime.k),
-        ])
-    sys.stdout.write(buf.getvalue())
+        w.writerow([json.dumps(c.gamma), c.r, c.m, ",".join(str(x) for x in c.d),
+                    format_rational(c.c_prime.a),
+                    ",".join(format_rational(x) for x in c.c_prime.k)])
     return 0
 
 
@@ -345,14 +349,8 @@ def cmd_chartable(args) -> int:
     # the classes too; the keys up to "values" through _dumps, then one join
     # and one write per row
     labels = [_label(lam, _ENTRY_NL) for lam in t.labels]
-    before, _, after = _dumps({
-        "l": t.l,
-        "n": t.n,
-        "labels": labels,
-        "classes": labels,
-        "sizes": t.sizes,
-        "values": _Raw("\0"),
-    }).partition("\0")
+    before, _, after = _dumps({"l": t.l, "n": t.n, "labels": labels, "classes": labels,
+                               "sizes": t.sizes, "values": _Raw("\0")}).partition("\0")
     out, sep = sys.stdout, "," + _VALUE_NL
     out.write(before + "[")
     for i, row in enumerate(t.raw):
@@ -371,7 +369,7 @@ def cmd_verify_filtration(args) -> int:
     else:
         gammas = enumerate_core_tuples(args.k, args.l, args.n)
     reports = verify_filtration(args.l, args.n, args.k, gammas)
-    _emit([{
+    _emit({
         "l": r.l, "n": r.n, "k": r.k,
         "gamma": r.gamma,
         "passed": r.passed,
@@ -379,7 +377,7 @@ def cmd_verify_filtration(args) -> int:
         "certificates": [{"class": cls, "codim": codim,
                           "offending_class": off, "offending_codim": off_codim}
                          for cls, codim, off, off_codim in r.certificates],
-    } for r in reports])
+    } for r in reports)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -75,10 +75,11 @@ class Mat(Record):
             return self.scale(other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch in *: {self.cols} vs {other.rows}")
-        bt = other.transpose().data
+        # other's columns; a 0-row other still has other.cols (empty) columns
+        cols = list(zip(*other.data)) if other.rows else [()] * other.cols
         out = [
             [sum((a * b for a, b in zip(row, col) if not (a == 0 or b == 0)), 0)
-             for col in bt]
+             for col in cols]
             for row in self.data
         ]
         return Mat(self.rows, other.cols, out)

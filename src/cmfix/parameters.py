@@ -54,21 +54,21 @@ class ParamSet(Record):
             raise ValueError("l must be >= 1")
         if len(k) != l:
             raise ValueError(f"need exactly l={l} values of k")
-        if sum(k) != 0:
+        if sum(common_denominator(k)[1]) != 0:
             raise ValueError(f"k must sum to 0, got {k}")
         Record.__init__(self, l, a, k)
 
 
 def theta_from_ak(p: ParamSet) -> tuple[Fraction, ...]:
-    """The quiver parameter vector of p; satisfies sigma(theta) = -a."""
+    """The quiver parameter vector of p; satisfies sigma(theta) = -a.
+
+    Computed on the numerators of (a, k) over their common denominator D:
+    theta_i = (K_{-i} - K_{1-i} - [i = 0] A) / D.
+    """
     l = p.l
-    out = []
-    for i in range(l):
-        t = p.k[(-i) % l] - p.k[(1 - i) % l]
-        if i == 0:
-            t -= p.a
-        out.append(t)
-    return tuple(out)
+    den, (a, *k) = common_denominator((p.a, *p.k))
+    return tuple(Fraction(k[(-i) % l] - k[(1 - i) % l] - (a if i == 0 else 0), den)
+                 for i in range(l))
 
 
 def ak_from_theta(theta) -> ParamSet:
@@ -121,7 +121,7 @@ def smooth_quiver(theta, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _, theta = common_denominator([Fraction(t) for t in theta])
+    _, theta = common_denominator([t if type(t) is Fraction else Fraction(t) for t in theta])
     s = sum(theta)
     if s == 0:
         return False
@@ -194,18 +194,19 @@ def transport(p: ParamSet, k_factor: int, d) -> ParamSet:
     a' = k*a and, for 1 <= j <= m (with k'_0 = k'_m),
 
         k'_j = k_(j mod l) + a*(floor((j-1)/l) - (k-1)/2 + k*(d_{1-j} - d_{-j})).
+
+    With (A, K) the numerators of (a, k) over their common denominator D,
+    k'_j is 2 K_(j mod l) + A*(2 floor((j-1)/l) - (k-1) + 2k(d_{1-j} - d_{-j}))
+    over 2D: ints throughout, one Fraction per entry.
     """
     l, k = p.l, k_factor
     m = k * l
     d = _transport_dims(p, k, d)
-    kp = [Fraction(0)] * m
+    den, (a, *ks) = common_denominator((p.a, *p.k))
+    kp = [0] * m
     for j in range(1, m + 1):
-        val = p.k[j % l] + p.a * (
-            Fraction((j - 1) // l)
-            - Fraction(k - 1, 2)
-            + k * (d[(1 - j) % m] - d[(-j) % m])
-        )
-        kp[j % m] = val
+        shift = 2 * ((j - 1) // l) - (k - 1) + 2 * k * (d[(1 - j) % m] - d[(-j) % m])
+        kp[j % m] = Fraction(2 * ks[j % l] + a * shift, 2 * den)
     return ParamSet(m, k * p.a, tuple(kp))  # sum(k') = 0 is re-checked here
 
 

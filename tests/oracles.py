@@ -45,6 +45,12 @@ smoothness predicates as products of Fraction factors, one test per pair
 ``parameters.smooth_gl1n`` and ``smooth_quiver``, which decide the same
 product with one exact integer division per pair over a common denominator.
 
+``theta_from_ak_fractions`` and ``transport_fractions`` are the quiver
+dictionary and the closed-form parameter transport entry by entry in
+Fraction arithmetic: the reference for ``parameters.theta_from_ak`` and
+``transport``, which compute on the numerators of (a, k) over one common
+denominator and build one Fraction per entry.
+
 ``component_json`` is a catalog descriptor as the structure
 ``json.dumps(..., indent=2)`` prints for ``components --format json``: the
 reference for the CLI, which writes each label as one text.  ``rep_json``
@@ -88,6 +94,7 @@ from cmfix.partitions import (
     residues,
 )
 from cmfix.affine_weyl import is_plus, sigma
+from cmfix.parameters import ParamSet
 from cmfix.wreath import character_table, from_omega, to_omega
 
 
@@ -675,6 +682,35 @@ def smooth_gl1n_fractions(p, n: int) -> bool:
                 if p.k[i] - p.k[j] - r * p.a == 0:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the quiver dictionary and the parameter transport entry by entry
+# ---------------------------------------------------------------------------
+
+
+def theta_from_ak_fractions(p) -> tuple[Fraction, ...]:
+    """theta_i = k_{-i} - k_{1-i}, less a at i = 0, in Fraction arithmetic."""
+    l = p.l
+    out = []
+    for i in range(l):
+        t = p.k[(-i) % l] - p.k[(1 - i) % l]
+        if i == 0:
+            t -= p.a
+        out.append(t)
+    return tuple(out)
+
+
+def transport_fractions(p, k: int, d) -> ParamSet:
+    """a' = k*a and k'_j = k_(j mod l) + a*(floor((j-1)/l) - (k-1)/2
+    + k*(d_{1-j} - d_{-j})) for 1 <= j <= kl, k'_0 = k'_kl, in Fraction arithmetic."""
+    l = p.l
+    m = k * l
+    kp = [Fraction(0)] * m
+    for j in range(1, m + 1):
+        kp[j % m] = p.k[j % l] + p.a * (
+            Fraction((j - 1) // l) - Fraction(k - 1, 2) + k * (d[(1 - j) % m] - d[(-j) % m]))
+    return ParamSet(m, k * p.a, tuple(kp))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cmfix import arith, cli, wreath
 from cmfix.arith import CyclotomicNumber, zeta
@@ -204,20 +204,57 @@ def test_chartable_reduces_each_distinct_value_once(monkeypatch):
     assert code == 0 and len(calls) == len({v for row in t.raw for v in row})
 
 
+# a catalog of 26 components, 0.77 MB of JSON
+CATALOG_3_9_2 = ["components", "--l", "3", "--n", "9", "--k", "2", "--a=-1/97",
+                 "--kparams=1/89,1/83,-172/7387"]
+
+
 def test_a_closed_stdout_is_one_error_line():
-    # chartable writes a row at a time; a reader that goes while a row is
-    # half written leaves the rest in stdout's buffer, and the flush at
-    # exit must not raise (with PYTHONUNBUFFERED there is no buffer)
+    # chartable writes a row at a time and components a component at a time;
+    # a reader that goes while one is half written leaves the rest in
+    # stdout's buffer, and the flush at exit must not raise (with
+    # PYTHONUNBUFFERED there is no buffer)
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     env.pop("PYTHONUNBUFFERED", None)
-    with subprocess.Popen([sys.executable, "-m", "cmfix.cli", "chartable", "--l", "3", "--n", "5"],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, bufsize=0) as proc:
-        assert proc.stdout.read(1) == b"{"
-        time.sleep(0.3)  # about 0.8 MB to write: the pipe fills and the writer blocks
-        proc.stdout.read(10)
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 2
-        assert proc.stderr.read() == b"error: [Errno 32] Broken pipe\n"
+    for argv, first in [(["chartable", "--l", "3", "--n", "5"], b"{"), (CATALOG_3_9_2, b"[")]:
+        with subprocess.Popen([sys.executable, "-m", "cmfix.cli", *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env, bufsize=0) as proc:
+            assert proc.stdout.read(1) == first
+            time.sleep(0.3)  # about 0.8 MB to write: the pipe fills and the writer blocks
+            proc.stdout.read(10)
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 2
+            assert proc.stderr.read() == b"error: [Errno 32] Broken pipe\n"
+
+
+class _Recorder(io.StringIO):
+    """A stdout that keeps the text of each write call."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return super().write(text)
+
+
+def test_components_writes_one_component_at_a_time(monkeypatch):
+    # each write holds one component's text and its separator, the last the
+    # closing bracket: the document's whole text never exists in the process
+    out = _Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(CATALOG_3_9_2) == 0
+    texts = [json.dumps(c, indent=2).replace("\n", "\n  ") for c in json.loads(out.getvalue())]
+    assert out.calls == (["[\n  " + texts[0]] + [",\n  " + t for t in texts[1:]] + ["\n]\n"])
+
+
+def test_a_refused_components_call_writes_nothing(capsys):
+    # the catalog is computed and checked before the first write
+    code = main(["components", "--l", "2", "--n", "2", "--k", "2", "--a=0", "--kparams=1,-1"])
+    assert code == 2
+    assert capsys.readouterr() == ("",
+                                   "error: parameters are not smooth; the catalog needs smoothness\n")
 
 
 def test_writer_splices_raw_text_and_quotes_plain_strings():
@@ -668,6 +705,19 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_writer_matches_the_stdlib_indent_encoder(obj):
     assert _dumps(obj) == json.dumps(obj, indent=2)
+
+
+@given(st.lists(JSON_VALUES), st.sampled_from(["list", "tuple", "generator"]))
+@example([], "list")
+@example([], "generator")
+def test_emit_streams_what_the_stdlib_indent_encoder_prints(items, kind):
+    # a top-level list, tuple or generator, empty ones included, is written
+    # an element at a time with the bytes of the plain encoder
+    obj = {"list": list, "tuple": tuple, "generator": lambda xs: (x for x in xs)}[kind](items)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        cli._emit(obj)
+    assert buf.getvalue() == json.dumps(items, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("obj", [Fraction(1, 2), 0.5, {1: "a"}, [{"a": [Fraction(3)]}]],

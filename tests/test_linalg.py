@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cmfix.arith import zeta
 from cmfix.linalg import Mat
@@ -30,6 +31,18 @@ def random_mats(entry, count: int = 60, seed: int = 3):
             data.append([2 * x for x in data[0]])  # force a dependent row
             rows += 1
         yield Mat(rows, cols, data)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_product_is_the_entrywise_sum(rows, inner, cols, data):
+    # shapes include 0 rows and 0 columns on either side: a 0-row right
+    # factor gives rows x cols zeros
+    entries = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    a = [[data.draw(entries) for _ in range(inner)] for _ in range(rows)]
+    b = [[data.draw(entries) for _ in range(cols)] for _ in range(inner)]
+    want = [[sum(a[i][t] * b[t][j] for t in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+    assert Mat(rows, inner, a) * Mat(inner, cols, b) == Mat(rows, cols, want)
 
 
 def check_invariants(a):

@@ -25,7 +25,12 @@ from cmfix.parameters import (
     weyl_on_ak,
 )
 
-from oracles import smooth_gl1n_fractions, smooth_quiver_fractions
+from oracles import (
+    smooth_gl1n_fractions,
+    smooth_quiver_fractions,
+    theta_from_ak_fractions,
+    transport_fractions,
+)
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 
@@ -248,6 +253,17 @@ def test_transport_routes_agree_on_index_set(l, n, k):
 def test_transport_rejects_k_below_1(route, k, d):
     with pytest.raises(ValueError, match="^k must be >= 1$"):
         route(ParamSet(2, Fraction(1), (Fraction(1), Fraction(-1))), k, d)
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.data())
+def test_integer_forms_equal_the_entrywise_fractions(l, k, data):
+    # the dictionary and the transport over one common denominator give the
+    # entrywise Fraction values, and every entry is a Fraction
+    p = data.draw(paramsets(l))
+    d = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=k * l, max_size=k * l)))
+    theta, out = theta_from_ak(p), transport(p, k, d)
+    assert theta == theta_from_ak_fractions(p) and out == transport_fractions(p, k, d)
+    assert all(type(x) is Fraction for x in (*theta_from_ak(p), out.a, *out.k))
 
 
 def test_transport_is_linear():
