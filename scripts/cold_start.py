@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Cold-start profile of ``import cmfix.cli`` and of its argument parser.
+"""Cold-start profile of ``import cmfix.cli`` and of reading its command line.
 
     python scripts/cold_start.py [--runs N]
 
 Starts N fresh interpreters that only start (``pass``) and N that run
 ``import cmfix.cli``, alternated, and prints the median wall time of each.
 Then N more pairs of fresh interpreters each import ``cmfix.cli`` and time,
-inside the interpreter, building a parser and parsing a ``verify-filtration``
-command line with it: the full parser of every subcommand, then the parser of
-that one command, which is what ``cmfix.cli.main`` builds.  The first build in
-a process also pays for what argparse loads and compiles on first use, so each
-timing needs its own interpreter.  It prints the median of each.  One more
-interpreter then lists the modules outside cmfix that importing
-``cmfix.cli`` adds to those the bare interpreter had already loaded.
+inside the interpreter, reading a ``verify-filtration`` command line two
+ways: from the command registry (``cmfix.cli._read_argv``), which is what
+``cmfix.cli.main`` does with a well-formed line, and with the parser of that
+one command, which ``main`` now builds only for help and refusals.  The
+parser's first build in a process also imports argparse and pays for what it
+loads and compiles on first use, so each timing needs its own interpreter.
+It prints the median of each.  One more interpreter then lists the modules
+outside cmfix that importing ``cmfix.cli`` adds to those the bare
+interpreter had already loaded.
 
 Every interpreter imports the ``src`` of this checkout and inherits the
 caller's environment, so it reads and writes bytecode caches as the caller's
@@ -31,7 +33,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 ARGV = ["verify-filtration", "--l", "3", "--n", "3", "--k", "2"]
-# seconds to build the parser of command {0!r} (None: the full one) and parse {1!r}
+# seconds to read {0!r} from the command registry
+READ = ("import time, cmfix.cli as cli; start = time.perf_counter(); "
+        "cli._read_argv({0!r}); print(time.perf_counter() - start)")
+# seconds to build the parser of command {0!r} and parse {1!r}
 PARSE = ("import time, cmfix.cli as cli; start = time.perf_counter(); "
          "cli.build_parser({0!r}).parse_known_args({1!r}); print(time.perf_counter() - start)")
 ADDED = ("import sys; before = set(sys.modules); import cmfix.cli; "
@@ -48,16 +53,17 @@ def _python(code: str) -> tuple[float, str]:
 
 
 def cold_start(runs: int) -> tuple[float, float, float, float, list[str]]:
-    """Median seconds of a bare start, of ``import cmfix.cli``, and of building
-    and parsing ARGV with the full and with the one-command parser, and the
-    modules outside cmfix that the import adds; 4 * runs + 1 interpreters."""
-    bare, cli, full, one = [], [], [], []
+    """Median seconds of a bare start, of ``import cmfix.cli``, of reading ARGV
+    from the registry and of building the one-command parser and parsing ARGV
+    with it, and the modules outside cmfix that the import adds; 4 * runs + 1
+    interpreters."""
+    bare, cli, read, one = [], [], [], []
     for _ in range(runs):
         bare.append(_python("pass")[0])
         cli.append(_python("import cmfix.cli")[0])
-        full.append(float(_python(PARSE.format(None, ARGV))[1]))
+        read.append(float(_python(READ.format(ARGV))[1]))
         one.append(float(_python(PARSE.format(ARGV[0], ARGV))[1]))
-    return (statistics.median(bare), statistics.median(cli), statistics.median(full),
+    return (statistics.median(bare), statistics.median(cli), statistics.median(read),
             statistics.median(one), _python(ADDED)[1].split())
 
 
@@ -67,13 +73,13 @@ def main() -> int:
     args = ap.parse_args()
     if args.runs < 1:
         ap.error("--runs must be >= 1")
-    bare, cli, full, one, added = cold_start(args.runs)
+    bare, cli, read, one, added = cold_start(args.runs)
     print(f"bare interpreter: median {bare:.4f} s over {args.runs} runs")
     print(f"import cmfix.cli: median {cli:.4f} s over {args.runs} runs "
           f"({cli - bare:+.4f} s)")
-    print(f"full parser, build and parse: median {full * 1e3:.2f} ms over {args.runs} runs")
-    print(f"one-command parser, build and parse: median {one * 1e3:.2f} ms over {args.runs} "
-          f"runs ({(one - full) * 1e3:+.2f} ms)")
+    print(f"registry read, what main does: median {read * 1e3:.3f} ms over {args.runs} runs")
+    print(f"one-command parser, for help and refusals, import, build and parse: median "
+          f"{one * 1e3:.3f} ms over {args.runs} runs ({(one - read) * 1e3:+.3f} ms)")
     print(f"modules outside cmfix that it adds ({len(added)}): {' '.join(added)}")
     return 0
 

@@ -11,19 +11,18 @@ a refused call writes nothing to stdout; a list document is then written one
 element at a time, and only one element's text exists at once.
 
 Each ``cmd_*`` handler is registered with its name and flags by ``@_command``,
-the one place they are written.  ``main`` builds only the parser of the
-subcommand it runs: two argparse parsers in place of twelve, since building
-them all was the largest single cost of a small ``verify-filtration`` call.
-A command line that does not start with a subcommand, and one with arguments
-left over, goes to the full parser, so every help text and refusal reads as
-the full parser's.
+the one place they are written.  ``main`` reads a well-formed command line
+straight from that registry, and builds (and imports) argparse only for what
+the registry read declines: help, ``--version``, abbreviations, a refusal.
+Then the parser of the one subcommand named parses the line, and one with
+arguments left over, or with no subcommand first, goes to the full parser, so
+every help text and refusal reads as the full parser's.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import json
@@ -31,7 +30,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from types import GeneratorType
+from types import GeneratorType, SimpleNamespace
 
 from . import __version__
 from .parameters import (
@@ -232,6 +231,9 @@ def _cyclotomic_json(v) -> dict:
 _COMMANDS: dict[str, tuple] = {}
 _REQUIRED = {"required": True}
 _REQUIRED_INT = {"type": _int, "required": True}
+# the default of a flag that is left out of the parsed arguments unless given
+# (argparse's SUPPRESS, which build_parser puts in its place)
+_ABSENT = object()
 
 
 def _command(name: str, help: str, **options):
@@ -384,9 +386,9 @@ def cmd_verify_filtration(args) -> int:
 @_command("smooth", "smoothness predicates",
           criterion={"choices": ("gl1n", "quiver", "cyclic", "g4"), "default": "gl1n"},
           # gl1n and quiver only
-          l={"type": _int, "default": argparse.SUPPRESS, "help": "default 1"},
-          n={"type": _int, "default": argparse.SUPPRESS, "help": "default 1"},
-          a={"default": argparse.SUPPRESS, "help": 'rational "p/q", default 0'},
+          l={"type": _int, "default": _ABSENT, "help": "default 1"},
+          n={"type": _int, "default": _ABSENT, "help": "default 1"},
+          a={"default": _ABSENT, "help": 'rational "p/q", default 0'},
           kparams=_REQUIRED)
 def cmd_smooth(args) -> int:
     # --l, --n and --a are absent from args unless given
@@ -466,6 +468,46 @@ def run_selftest(seed: int = DEFAULT_SEED, out=None) -> bool:
     return passed == len(CHECKS)
 
 
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """argv as ``build_parser(argv[0])`` parses it, read from ``_COMMANDS``
+    alone; None unless argv is well formed.
+
+    Well formed is a subcommand, then each of its flags at most once as
+    ``--name=value`` or as ``--name`` and a value that is ``-`` or does not
+    start with ``-``; each value converts through the flag's type and lies
+    in its choices, and every required flag is there.  Anything else (help,
+    an abbreviation, ``--``, a repeat, a refusal) is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and value != "-":
+                return None
+        name = flag[2:] if flag.startswith("--") else None
+        kwargs = options.get(name)
+        if kwargs is None or name in given:
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[name] = value
+    for option, kwargs in options.items():
+        if option not in given:
+            if kwargs.get("required"):
+                return None
+            if kwargs.get("default") is not _ABSENT:
+                given[option] = kwargs.get("default")
+    return SimpleNamespace(command=argv[0], func=func, **given)
+
+
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of ``command``, built once per process and command.
@@ -474,8 +516,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     its order.  A subcommand name gives the same top-level parser holding only
     that subcommand: it parses, refuses and documents that command's own
     arguments as the full parser does, but builds one subparser and its flags
-    in place of eleven subparsers and their 36 flags.
+    in place of eleven subparsers and their 36 flags.  ``main`` asks for one
+    only when ``_read_argv`` declines a command line, so argparse is imported
+    here, on the first such call.
     """
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="cmfix",
         description="Exact fixed-locus combinatorics for Calogero-Moser spaces of G(l,1,n)",
@@ -486,6 +532,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command in (None, name):
             p = sub.add_parser(name, help=help)
             for option, kwargs in options.items():
+                if kwargs.get("default") is _ABSENT:
+                    kwargs = {**kwargs, "default": argparse.SUPPRESS}
                 p.add_argument("--" + option, **kwargs)
             p.set_defaults(func=func)
     return ap
@@ -495,18 +543,21 @@ def main(argv=None) -> int:
     """Run the subcommand that argv (default ``sys.argv[1:]``, any sequence)
     names, and return its exit code.
 
-    A known subcommand in ``argv[0]`` is parsed by that command's parser
-    alone; anything else (no arguments, ``--help``, ``--version``, an unknown
-    command) by the full parser.  argparse refuses left-over arguments from
-    the top-level parser, whose usage line lists its subcommands, so when the
-    one-command parser leaves any the full parser parses argv again and
-    refuses them naming all eleven.
+    A well-formed command line is read from the registry by ``_read_argv``,
+    with no parser built.  Any other goes to argparse: a known subcommand in
+    ``argv[0]`` to that command's parser alone, anything else (no arguments,
+    ``--help``, ``--version``, an unknown command) to the full parser.
+    argparse refuses left-over arguments from the top-level parser, whose
+    usage line lists its subcommands, so when the one-command parser leaves
+    any the full parser parses argv again and refuses them naming all eleven.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
-    args, rest = ap.parse_known_args(argv)
-    if rest:
-        args = build_parser().parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:
+        ap = build_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
+        args, rest = ap.parse_known_args(argv)
+        if rest:
+            args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError

@@ -5,12 +5,12 @@ import random
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cmfix import arith, cli, wreath
 from cmfix.arith import CyclotomicNumber, zeta
@@ -653,8 +653,79 @@ def test_help_is_the_full_parsers(command, capsys):
     assert full[0] == 0 and full[1].startswith(f"usage: cmfix {command} [-h]")
 
 
+def _argparse_reads(argv):
+    """vars() of what the one-command parser parses from argv, or None when
+    it exits (a refusal, help) or leaves arguments over."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(out):
+        try:
+            args, rest = cli.build_parser(argv[0]).parse_known_args(argv)
+        except SystemExit:
+            return None
+    return None if rest else vars(args)
+
+
+# a flag's values: well-formed ones, and ones argparse reads otherwise or refuses
+INT_VALUES = ("2", "+4", " 5", "0", "1_0", "-1", "x", "")
+TEXT_VALUES = ("1/2", "4,2,1", "[[1],[]]", "a=b", "", "-", "-1", "-x", "-h", "--l")
+EXTRA_TOKENS = ("-h", "--help", "--", "--version", "-", "-1", "", "x", "--bogus")
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and its flags in any order, each left out, given once or
+    twice, exact or abbreviated, as --name=value or --name value, with a few
+    stray tokens among them."""
+    command = draw(st.sampled_from(COMMANDS))
+    options = cli._COMMANDS[command][2]
+    tokens = []
+    for option in draw(st.permutations(list(options))):
+        kwargs = options[option]
+        pool = ((*kwargs["choices"], "xml") if "choices" in kwargs
+                else INT_VALUES if "type" in kwargs else TEXT_VALUES)
+        for _ in range(draw(st.sampled_from((1, 1, 1, 0, 2)))):
+            cut = draw(st.sampled_from((len(option),) * 3 + tuple(range(1, len(option)))))
+            flag, value = "--" + option[:cut], draw(st.sampled_from(pool))
+            tokens += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    for extra in draw(st.lists(st.sampled_from(EXTRA_TOKENS), max_size=2)):
+        tokens.insert(draw(st.integers(0, len(tokens))), extra)
+    return [command, *tokens]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(["cores", "--partition", "-", "--l", "+4"])
+@example(["cores", "--partition=-1", "--l=2"])
+@example(["cores", "--partition", "-x", "--l", "2"])
+@example(["smooth", "--kparams", "0"])
+@example(["components", "--l", "2", "--n", "2", "--k", "2", "--a", "0", "--kparams", "0",
+          "--format", "xml"])
+def test_the_registry_reads_what_argparse_reads(argv):
+    """The registry read declines every line argparse refuses, answers help
+    for or leaves arguments of; a line it reads, it reads as argparse does."""
+    args, expected = cli._read_argv(argv), _argparse_reads(argv)
+    if expected is None:
+        assert args is None
+    elif args is not None:
+        assert vars(args) == expected
+
+
+def test_the_registry_reads_every_golden_and_benchmark_line(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from test_golden import GOLDEN
+    from workloads import WORKLOADS
+
+    argvs = [param.values[0] for param in GOLDEN]
+    argvs.append(["quiver-check", "--rep", "rep.json", "--seed", "11", "--theta", "1,-1,0"])
+    for workload in WORKLOADS.values():
+        argvs += workload.plan(1, tmp_path, True)
+    for argv in argvs:
+        args = cli._read_argv(argv)
+        assert args is not None and vars(args) == _argparse_reads(argv), argv
+
+
 # the smooth calls check that the flags one call gives (--l, --n and --a,
-# whose default is SUPPRESS) do not reach the next
+# whose default is absent) do not reach the next
 SUCCESSIVE = (
     ["smooth", "--criterion", "gl1n", "--l", "2", "--n", "3", "--a", "1", "--kparams=1,-1"],
     ["smooth", "--criterion", "cyclic", "--kparams=1,-1"],
@@ -663,10 +734,13 @@ SUCCESSIVE = (
     ["cores", "--partition", "4,2,1", "--l", "2"],
 )
 # importing the cli builds no parser; each call prints its exit code after its
-# output; then the cache holds one parser per command called and no other (after
-# SUCCESSIVE, the smooth and the cores parsers): asking for each again builds none
-MAIN = ("import cmfix.cli as cli; assert cli.build_parser.cache_info().currsize == 0; "
+# output; the calls, all well formed, build no parser and import no argparse;
+# then asking for the parser of each command called builds one each (after
+# SUCCESSIVE, the smooth and the cores parsers), and asking again builds none
+MAIN = ("import sys, cmfix.cli as cli; assert cli.build_parser.cache_info().currsize == 0; "
         "[print(cli.main(argv)) for argv in {0!r}]; "
+        "assert cli.build_parser.cache_info().currsize == 0; "
+        "assert 'argparse' not in sys.modules; "
         "called = {{argv[0] for argv in {0!r}}}; [cli.build_parser(c) for c in called]; "
         "info = cli.build_parser.cache_info(); "
         "assert info.misses == info.currsize == len(called), (info, called)")

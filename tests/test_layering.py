@@ -102,3 +102,11 @@ def test_the_cli_loads_no_introspection_module():
                    "print(*(set(sys.modules) - before))")
     assert "cmfix.cli" in added
     assert not set(NOT_LOADED) & set(added)
+
+
+def test_the_cli_loads_no_argparse():
+    # main builds a parser, and imports argparse and the gettext it loads, only
+    # for a command line that the registry read declines
+    added = _fresh("import sys; before = set(sys.modules); import cmfix.cli; "
+                   "print(*(set(sys.modules) - before))")
+    assert not {"argparse", "gettext"} & set(added)

@@ -143,17 +143,17 @@ def test_cold_start_prints_the_medians_and_the_added_modules(monkeypatch, capsys
     spec.loader.exec_module(module)
     monkeypatch.setattr(sys, "argv", ["cold_start.py", "--runs", "1"])  # five interpreters
     assert module.main() == 0
-    bare, cli, full, one, added = capsys.readouterr().out.splitlines()
+    bare, cli, read, one, added = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"bare interpreter: median \d+\.\d{4} s over 1 runs", bare), bare
     assert re.fullmatch(r"import cmfix\.cli: median \d+\.\d{4} s over 1 runs "
                         r"\([+-]\d+\.\d{4} s\)", cli), cli
-    assert re.fullmatch(r"full parser, build and parse: median \d+\.\d{2} ms over 1 runs",
-                        full), full
-    assert re.fullmatch(r"one-command parser, build and parse: median \d+\.\d{2} ms over 1 "
-                        r"runs \([+-]\d+\.\d{2} ms\)", one), one
+    assert re.fullmatch(r"registry read, what main does: median \d+\.\d{3} ms over 1 runs",
+                        read), read
+    assert re.fullmatch(r"one-command parser, for help and refusals, import, build and parse: "
+                        r"median \d+\.\d{3} ms over 1 runs \([+-]\d+\.\d{3} ms\)", one), one
     count, names = re.fullmatch(r"modules outside cmfix that it adds \((\d+)\): (.*)", added).groups()
     assert int(count) == len(names.split())
-    assert not {"cmfix", "dataclasses", "inspect"} & set(names.split())
+    assert not {"cmfix", "dataclasses", "inspect", "argparse", "gettext"} & set(names.split())
 
 
 @pytest.fixture
@@ -202,6 +202,37 @@ def test_bench_pairs_alternates_equal_paths_and_counts_wins(bench_pairs, monkeyp
     assert lines[0] == "pair 1: run_s 0.2000 -> 0.1000  peak_rss_mib 18.0000 -> 18.0000"
     assert lines[4].split()[0] == "run_s" and lines[4].endswith("-25.0 %  2/3")
     assert lines[5].split()[0] == "peak_rss_mib" and lines[5].endswith("+0.0 %  0/3")
+
+
+def test_bench_pairs_all_summarises_each_workload_and_fails_on_any(bench_pairs, monkeypatch,
+                                                                  capsys):
+    module, trees = bench_pairs
+    calls = []
+
+    def fake(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload))
+        # the change is faster on filtration only; in the third run catalog fails
+        fast = checkout.name == "change"
+        return {"filtration": fake_result(0.1 if fast else 0.2),
+                "catalog": fake_result(0.3, failed=int(len(calls) == 3))}
+
+    monkeypatch.setattr(module, "run_bench", fake)
+    argv = [*map(str, trees), "--workload", "all", "--seed", "3", "--pairs", "1"]
+    assert module.main(argv) == 0
+    assert calls == [("parent", "all"), ("change", "all")]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "pair 1 filtration: run_s 0.2000 -> 0.1000  peak_rss_mib 18.0000 -> 18.0000",
+        "pair 1 catalog: run_s 0.3000 -> 0.3000  peak_rss_mib 18.0000 -> 18.0000"]
+    rows = [line.split()[:2] + line.split()[-3:] for line in lines[3:]]
+    assert rows == [["filtration", "run_s", "-50.0", "%", "1/1"],
+                    ["filtration", "peak_rss_mib", "+0.0", "%", "0/1"],
+                    ["catalog", "run_s", "+0.0", "%", "0/1"],
+                    ["catalog", "peak_rss_mib", "+0.0", "%", "0/1"]]
+    # a failed invocation in any workload ends the comparison
+    assert module.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: pair 1, parent: catalog: 1 of 4 invocations failed\n"
 
 
 @pytest.mark.parametrize("failure", ["not correct", "exit code"])
