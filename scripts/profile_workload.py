@@ -10,6 +10,12 @@ temporary directory, and its CLI invocations run one after another through
 stdout is discarded; the top 25 functions of the profile go to stderr.  The
 exit status is 1 when an invocation exits nonzero.
 
+The profile cannot show cold-start costs: this script imports argparse,
+and with it ``gettext`` and ``locale``, to read its own arguments, and
+``cmfix.cli``, before the workload starts, so what the first CLI call in a
+fresh process pays for imports and first-use compilation is not in it.
+``scripts/cold_start.py`` measures those in fresh interpreters.
+
 cProfile keys a function by (file, line, name), so of two functions with
 one key the report keeps only one: the outer and inner generator
 expressions on the one line of ``linalg.Mat.apply`` both read

@@ -15,15 +15,20 @@ their rank over Q, so a whole F_P spin is a whole Q spin and the seed list
 is done.  Only a proper F_P spin runs the exact ``_spin``, which decides
 the verdict and builds every witness.  A seed list found whole once is
 not spun again: the kernels of later trials repeat the probes' unit
-vectors.  The characteristic polynomial (Faddeev-LeVerrier, ``_charpoly``),
-the rational root search and each trial's kernels run on plain ints.
+vectors.  Each trial runs on ints end to end: the random element z is built
+as L z from the cleared arrows (``_trial_matrix``), its characteristic
+polynomial as a primitive int polynomial (Faddeev-LeVerrier, ``_charpoly``),
+the rational root search drops each candidate whose value is nonzero mod P
+before any exact evaluation (``roots.rational_roots``, imported when the
+test runs), and the kernels of z - p/q are read off the int matrix
+q (L z) - p L.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
 
 from .linalg import Mat, insert_row, monic, normal_form
@@ -175,7 +180,7 @@ class SimplicityResult(Record):
         Record.__init__(self, status, witness, trials)
 
 
-P = 2 ** 31 - 1  # the prime of the spin certificate of ``norton_simplicity``
+P = 2 ** 31 - 1  # the prime of ``norton_simplicity``'s spin certificate and root filter
 
 
 def _grow(d, X, Y, work, insert, apply) -> tuple[list[list], int]:
@@ -272,25 +277,6 @@ def _spins_whole_mod_p(d, X, Y, seeds) -> bool:
                      lambda rows, v: [sum(map(mul, row, v)) % P for row in rows])[1]
 
 
-def _path(rep: QuiverRep, word) -> tuple[int, int, Mat] | None:
-    """A word in the arrows as one block (source, target, product), or None.
-
-    The first letter is applied first; the product is None when two
-    consecutive arrows do not meet, since the word then acts as 0.
-    """
-    def arrow(kind, i):
-        j = (i + 1) % rep.l
-        return (j, i, rep.X[i]) if kind == "x" else (i, j, rep.Y[i])
-
-    src, tgt, prod = arrow(*word[0])
-    for letter in word[1:]:
-        s, t, m = arrow(*letter)
-        if s != tgt:
-            return None
-        tgt, prod = t, m * prod
-    return src, tgt, prod
-
-
 def _cleared(m: Mat) -> tuple[int, Mat]:
     """(D, D*m) for a rational matrix m, D the lcm of its entries' denominators."""
     den = lcm(*(x.denominator for row in m.data for x in row))
@@ -298,29 +284,56 @@ def _cleared(m: Mat) -> tuple[int, Mat]:
                     [[x.numerator * (den // x.denominator) for x in row] for row in m.data])
 
 
-def _charpoly(a: Mat) -> list[Fraction]:
-    """Monic characteristic polynomial of a rational matrix, by descending power.
+def _trial_matrix(d, terms) -> tuple[int, list[list[int]]]:
+    """(L, L*z) on ints for z the sum of coeff * word over the (word, coeff) terms.
 
-    Faddeev-LeVerrier on the integer matrix B = D*a: there every M_k is an
-    integer matrix and c_k = -tr(M_k)/k an integer, so the recursion runs on
-    ints and divides exactly; then c_k(a) = c_k(B) / D**k.  M_k is a
-    polynomial in B, so (M_(k-1) + c_(k-1)) B = B (M_(k-1) + c_(k-1)), and
-    the product runs on int lists against the columns of B.
-
-    An index whose row or column of B is zero splits off a factor x
-    (expand det(x - B) along it), so such indices are dropped, until none
-    is left, and the recursion runs on the principal submatrix of the rest.
+    A word lists arrows a as (source, target, D, D*a) with D*a an int
+    ``Mat``, the first applied first.  It is the int product of the D*a over
+    D_w, the product of their D, or 0 if two consecutive arrows do not meet;
+    through a vertex of dimension 0 its block is empty and adds nothing.  L
+    is the lcm of the D_w.
     """
-    n = a.rows
-    den, b = _cleared(a)
+    n = sum(d)
+    offs = [sum(d[:i]) for i in range(len(d))]
+    paths = []
+    for word, coeff in terms:
+        src, tgt, den, m = word[0]
+        block = m.data
+        for s, t, dm, m in word[1:]:
+            if s != tgt:
+                break
+            cols = list(zip(*block))
+            tgt, den, block = t, den * dm, [[sum(map(mul, row, col)) for col in cols]
+                                            for row in m.data]
+        else:
+            paths.append((offs[tgt], offs[src], den, block, coeff))
+    L = lcm(*(p[2] for p in paths))
+    z = [[0] * n for _ in range(n)]
+    for r, c, den, block, coeff in paths:
+        f = coeff * (L // den)
+        for zr, row in zip(z[r:], block):
+            zr[c: c + len(row)] = [a + f * x for a, x in zip(zr[c:], row)]
+    return L, z
+
+
+def _charpoly(b, scale: int) -> list[int]:
+    """The charpoly of b / scale, b a square int matrix (a list of rows), as
+    its primitive int multiple with positive lead, by descending power.
+
+    Faddeev-LeVerrier on b: every M_k is an int matrix, c_k = -tr(M_k)/k an
+    int, and M_k commutes with b.  c_k(b / scale) = c_k(b) / scale**k, so
+    scale**n times the charpoly has the int coefficients c_k(b) scale**(n-k),
+    and over their gcd it is one polynomial for every positive multiple of
+    b.  An index whose row or column of b is zero splits off a factor x.
+    """
+    n = len(b)
     live = range(n)
     while True:
-        keep = [i for i in live if any(b.data[i][j] for j in live)
-                and any(b.data[j][i] for j in live)]
+        keep = [i for i in live if any(b[i][j] for j in live) and any(b[j][i] for j in live)]
         if len(keep) == len(live):
             break
         live = keep
-    rows = [[b.data[i][j] for j in live] for i in live]
+    rows = [[b[i][j] for j in live] for i in live]
     cols = list(zip(*rows))
     coeffs = [1]
     m = [[0] * len(live) for _ in live]
@@ -332,57 +345,9 @@ def _charpoly(a: Mat) -> list[Fraction]:
         c, r = divmod(-sum(row[i] for i, row in enumerate(m)), k)
         assert r == 0, "Faddeev-LeVerrier divides exactly on an integer matrix"
         coeffs.append(c)
-    coeffs += [0] * (n - len(live))
-    return [Fraction(c, den ** k) for k, c in enumerate(coeffs)]
-
-
-def _divisors(x: int, cap: int) -> list[int]:
-    """The pairs (d, x // d) of divisors d <= sqrt(x), smallest d first.
-
-    A perfect square lists its root twice.  The search stops at d = cap**2
-    or once cap entries are listed: a missed candidate can only leave a
-    verdict Unknown.
-    """
-    out = []
-    for d in range(1, min(isqrt(x), cap * cap) + 1):
-        if x % d == 0:
-            out.append(d)
-            out.append(x // d)
-            if len(out) >= cap:
-                break
-    return out
-
-
-_ROOT_CAP = 400  # the cap of _divisors in the rational root search
-
-
-def _rational_eigenvalues(z: Mat) -> list[Fraction]:
-    """All rational eigenvalues of z, by rational root search on the charpoly."""
-    coeffs = _charpoly(z)
-    # clear denominators: integer polynomial, leading lead > 0
-    denom = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    # strip trailing zero coefficients, each a root 0, down to a nonzero constant
-    roots = set()
-    while ints[-1] == 0 and len(ints) > 1:
-        roots.add(Fraction(0))
-        ints.pop()
-    const, lead = abs(ints[-1]), abs(ints[0])
-    ps, qs = _divisors(const, _ROOT_CAP), _divisors(lead, _ROOT_CAP)
-    if len(ps) * len(qs) <= _ROOT_CAP:
-        cands = {(s * p // g, q // g) for p in ps for q in qs for g in [gcd(p, q)]
-                 for s in (1, -1)}
-    else:
-        cands = {(s * p, 1) for p in ps[:20] for s in (1, -1)}
-    for p, q in cands:
-        # Horner on ints: v = q**deg * f(p/q)
-        v, qi = 0, 1
-        for c in ints:
-            v = v * p + c * qi
-            qi *= q
-        if v == 0:
-            roots.add(Fraction(p, q))
-    return sorted(roots)
+    poly = [c * scale ** (n - k) for k, c in enumerate(coeffs)] + [0] * (n - len(live))
+    g = gcd(*poly)
+    return [c // g for c in poly]
 
 
 def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> SimplicityResult:
@@ -402,11 +367,20 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     certifies a whole Q spin (reduction mod P does not raise a rank), and
     only a proper one is spun exactly, so an unlucky P costs time, never a
     verdict.  A seed list known to spin the whole space is skipped when it
-    comes again.  z sums words in the arrows' own values, each word one block
-    product of the small arrows (``_path``); its eigenvalues come from the
-    integer charpoly by integer Horner evaluation of every candidate (p, q),
-    and the kernels of z - t are read off the integer matrix D (z - t).
+    comes again.
+
+    Each trial sums random words in the arrows, and runs on ints with the
+    verdict, trial count and witness of the same trial over Q.  The rng
+    draws are those of the rational sum.  z is built as L z, each word a
+    block product of the cleared arrows (``_trial_matrix``); the exact
+    charpoly coefficients c_k(L z) / L**k are those of z, so the root
+    candidates are too.  A candidate whose value is nonzero mod P is
+    dropped, and a nonzero residue proves a nonzero value.  The kernels of
+    z - p/q are read off the int matrix q (L z) - p L, whose echelon rows
+    are those of z - p/q, since ``normal_form`` ignores a positive factor.
     """
+    from .roots import rational_roots  # compiled only when Norton's test runs
+
     arrows = rep.X + rep.Y
     if not all(isinstance(x, (int, Fraction)) for m in arrows for row in m.data for x in row):
         raise ValueError("norton_simplicity needs rational matrix entries")
@@ -418,8 +392,9 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     if n == 1:
         return SimplicityResult("Simple", trials=0)
     offs = [sum(d[:i]) for i in range(l)]
-    cleared = [_cleared(m)[1] for m in arrows]
-    primal = QuiverRep(d, tuple(cleared[:l]), tuple(cleared[l:]))
+    cleared = [_cleared(m) for m in arrows]
+    mats = [m for _, m in cleared]
+    primal = QuiverRep(d, tuple(mats[:l]), tuple(mats[l:]))
     # the dual representation: transposed maps with X and Y exchanged
     dual = QuiverRep(d, tuple(m.transpose() for m in primal.Y),
                      tuple(m.transpose() for m in primal.X))
@@ -461,28 +436,24 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
         if (w := reducible(side, probes)) is not None:
             return SimplicityResult("NotSimple", witness=w)
 
-    letters = [(kind, i) for i in range(l) for kind in "xy"]
+    # x_0, y_0, x_1, ... as (source, target, D, D * arrow)
+    letters = [a for i in range(l)
+               for a in (((i + 1) % l, i, *cleared[i]), (i, (i + 1) % l, *cleared[l + i]))]
     trials = 0
     while trials < budget:
         trials += 1
-        z = Mat.zeros(n, n)
-        for _ in range(rng.randint(2, 4)):
-            word = [rng.choice(letters) for _ in range(rng.randint(1, 3))]
-            coeff = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
-            if (path := _path(rep, word)) is not None:
-                src, tgt, block = path
-                z = z + _embed_blocks(n, n, [(offs[tgt], offs[src], block.scale(coeff))])
-        den, zd = _cleared(z)
-        for t in _rational_eigenvalues(z):
-            # D (z - t), D = lcm(den, q) for t = p/q: the kernels of z - t, on ints
-            D = lcm(den, t.denominator)
-            rows = [[x * (D // den) for x in row] for row in zd.data]
+        terms = [([rng.choice(letters) for _ in range(rng.randint(1, 3))],
+                  rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)))
+                 for _ in range(rng.randint(2, 4))]
+        L, z = _trial_matrix(d, terms)
+        for t in rational_roots(_charpoly(z, L), P):
+            # the kernels of z - t = p/q, read off the int matrix q (L z) - p L
+            rows = [[t.denominator * x for x in row] for row in z]
             for i, row in enumerate(rows):
-                row[i] -= D // t.denominator * t.numerator
-            zt = Mat(n, n, rows)
+                row[i] -= t.numerator * L
             kernels = []
-            for side, m in zip(sides, (zt, zt.transpose())):
-                kernels.append(m.nullspace())
+            for side, m in zip(sides, (rows, zip(*rows))):
+                kernels.append(Mat(n, n, m).nullspace())
                 if (w := reducible(side, map(graded, kernels[-1]))) is not None:
                     return SimplicityResult("NotSimple", witness=w, trials=trials)
             if all(len(k) == 1 for k in kernels):

@@ -17,13 +17,16 @@ only thing the sign-twist identity test compares is the label map.
 Five more are earlier versions of a library routine, kept as the reference
 for a rewrite that must return the same values: ``nullspace_rref`` (the
 kernel read off the rref, which ``linalg.Mat.nullspace`` reads off the
-unsorted echelon rows), ``divisors_loop`` (the
-bounded trial division of ``quiver._divisors``), ``charpoly_fractions``
-(Faddeev-LeVerrier over Fraction, which ``quiver._charpoly`` runs on ints),
-``rational_roots_fractions`` (the root search with each candidate summed
-in Fraction powers, which ``quiver._rational_eigenvalues`` evaluates by
-integer Horner) and ``total_matrix`` (a word in the arrows as a product of
-n x n embeddings, which ``quiver._path`` multiplies as blocks).
+unsorted echelon rows), ``divisors_loop`` (the bounded trial division by
+every integer, which ``quiver._divisors`` builds from the prime factors it
+divides out), ``charpoly_fractions`` (Faddeev-LeVerrier over Fraction,
+which ``quiver._charpoly`` runs on the int matrix L z and returns as a
+primitive int polynomial), ``rational_roots_fractions`` (the root search
+with each candidate summed in Fraction powers, which
+``quiver._rational_roots`` filters mod P and evaluates by int Horner) and
+``total_matrix`` (a word in the arrows as a product of n x n embeddings,
+which ``quiver._trial_matrix`` multiplies as int blocks of the cleared
+arrows and sums into L z).
 
 ``beta_flat_k_gamma_inverse`` is the inverse interleaving, rebuilt component
 by component with ``from_core_and_quotient``.  The package labels components
@@ -522,7 +525,7 @@ def charpoly_fractions(a: Mat) -> list[Fraction]:
 
 
 def rational_roots_fractions(z: Mat, cap: int) -> list[Fraction]:
-    """The rational root search of ``quiver._rational_eigenvalues`` over Fraction.
+    """The rational root search of ``quiver._rational_roots`` over Fraction.
 
     The same candidates (divisors of the cleared charpoly's constant over
     divisors of its lead, or the first 20 constant divisors when there are

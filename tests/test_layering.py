@@ -27,7 +27,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 ALL = {"records", "arith", "linalg", "partitions", "affine_weyl", "parameters",
-       "fixed_points", "wreath", "quiver", "invariants", "cli"}
+       "fixed_points", "wreath", "quiver", "roots", "invariants", "cli"}
 
 LOADS = {
     "records": {"records"},
@@ -39,9 +39,11 @@ LOADS = {
     "fixed_points": {"fixed_points", "parameters", "records", "affine_weyl", "partitions"},
     "wreath": {"wreath", "records", "arith", "partitions"},
     "quiver": {"quiver", "records", "linalg"},
-    "invariants": ALL - {"cli"},
+    "roots": {"roots"},
+    # norton_simplicity imports roots only when Norton's test runs
+    "invariants": ALL - {"cli", "roots"},
     # run_selftest imports invariants only when selftest runs
-    "cli": ALL - {"invariants"},
+    "cli": ALL - {"invariants", "roots"},
 }
 
 PROBE = "import sys, cmfix.{0}; print(' '.join(m[6:] for m in sys.modules if m.startswith('cmfix.')))"
@@ -85,6 +87,13 @@ def test_only_records_sets_or_deletes_attributes(module):
     attributes = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not defined & {"__setattr__", "__delattr__"}
     assert "object.__setattr__" not in attributes
+
+
+def test_nortons_test_loads_roots_when_it_runs():
+    names = _fresh("import sys, random; from cmfix.quiver import norton_simplicity, random_rep; "
+                   "norton_simplicity(random_rep((2, 1), random.Random(1))); "
+                   "print(*(m[6:] for m in sys.modules if m.startswith('cmfix.')))")
+    assert set(names) == LOADS["quiver"] | {"roots"}
 
 
 def test_the_package_loads_no_layer_and_binds_only_its_version():

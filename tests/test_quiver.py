@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 
@@ -22,17 +22,14 @@ from cmfix import quiver
 from cmfix.linalg import normal_form
 from cmfix.quiver import (
     P,
-    _ROOT_CAP,
     _charpoly,
     _cleared,
-    _divisors,
-    _embed_blocks,
     _mod_p,
-    _path,
-    _rational_eigenvalues,
     _spin,
     _spins_whole_mod_p,
+    _trial_matrix,
 )
+from cmfix.roots import _LONG, _ROOT_CAP, _TRIAL, _divisors, _primes, rational_roots
 from oracles import (
     charpoly_fractions,
     divisors_loop,
@@ -414,16 +411,48 @@ def test_divisors_match_the_bounded_loop():
     for cap in (1, 2, 3, 5, 8):
         for x in [r * r for r in range(1, 60)] + list(range(1, 3000)):
             assert _divisors(x, cap) == divisors_loop(x, cap)
-    # above cap**4 the search stops at d = cap**2
+    # above cap**4 the search stops at d = cap**2; the last three have a
+    # prime cofactor above cap**2, the product of two, and 12 (2^61 - 1)
     for cap, x in ((4, 257), (4, 6 * 7 * 11 * 13), (7, 7 ** 4 * 11 * 13 + 1),
-                   (20, 2 ** 40 - 1), (400, 400 ** 4 + 1), (400, 1_000_003 * 1_000_033)):
+                   (20, 2 ** 40 - 1), (400, 400 ** 4 + 1), (400, 1_000_003 * 1_000_033),
+                   (400, 2 ** 5 * 3 ** 2 * 7 * (2 ** 31 - 1)),
+                   (400, 360 * 1_000_003 * 1_000_033), (400, 12 * (2 ** 61 - 1))):
         assert x > cap ** 4
         assert _divisors(x, cap) == divisors_loop(x, cap)
 
 
+def test_only_a_long_divisor_search_builds_the_prime_table():
+    # the cofactor of 2^3 5^2 7 11^2 17 19 47 is a prime above 10^18, but its
+    # 200th divisor, 10340, ends the search before _LONG; 6 (2^61 - 1) has
+    # four divisors, so its search runs to cap**2 through the prime table
+    _primes.cache_clear()
+    x = 2902262499892660712835273400
+    assert _divisors(x, 400) == divisors_loop(x, 400)
+    assert divisors_loop(x, 400)[-2] == 10340 and _TRIAL < 10340 < _LONG
+    assert _primes.cache_info().currsize == 0
+    x = 6 * (2 ** 61 - 1)
+    assert _divisors(x, 400) == divisors_loop(x, 400)
+    assert _primes.cache_info().currsize == 1
+    assert _primes(3000) == [p for p in range(_TRIAL + 1, 3001)
+                             if all(p % q for q in range(2, isqrt(p) + 1))]
+
+
+def primitive(coeffs):
+    # a rational polynomial times the lcm of its denominators, as the root search takes it
+    den = lcm(*(c.denominator for c in coeffs))
+    return [int(c * den) for c in coeffs]
+
+
+def int_charpoly(a: Mat, k: int = 1):
+    # _charpoly of the int matrix L*a at scale L, L k times the lcm of a's denominators
+    L = k * lcm(*(Fraction(x).denominator for row in a.data for x in row))
+    return _charpoly([[int(L * x) for x in row] for row in a.data], L)
+
+
 def test_charpoly_matches_the_fraction_recursion():
     # mixed int and Fraction entries, all-int matrices, zero matrices, and
-    # sparse matrices whose zero rows and columns _charpoly splits off
+    # sparse matrices whose zero rows and columns _charpoly splits off; the
+    # integer polynomial is the same for every positive multiple of the matrix
     rng = random.Random(13)
     for i in range(160):
         n = rng.randint(0, 12)
@@ -436,7 +465,9 @@ def test_charpoly_matches_the_fraction_recursion():
             a = Mat(n, n, [[0 if rng.random() > density
                             else Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if rng.random() < 0.7
                             else rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        assert _charpoly(a) == charpoly_fractions(a), a
+        want = primitive(charpoly_fractions(a))
+        assert int_charpoly(a) == want, a
+        assert int_charpoly(a, rng.randint(2, 9)) == want, a
 
 
 def test_root_search_matches_the_fraction_evaluation():
@@ -461,54 +492,79 @@ def test_root_search_matches_the_fraction_evaluation():
             rows = [[diag[r] if r == c else rng.randint(-3, 3) if c > r else 0
                      for c in range(n)] for r in range(n)]
         z = Mat(n, n, rows)
-        roots = _rational_eigenvalues(z)
+        roots = rational_roots(int_charpoly(z), P)
         assert roots == rational_roots_fractions(z, _ROOT_CAP), rows
         poly = charpoly_fractions(z)
         zeros = next(k for k in range(n + 1) if poly[n - k] != 0)
-        ints = [c * lcm(*(c.denominator for c in poly)) for c in poly[:n + 1 - zeros]]
-        capped = len(_divisors(abs(int(ints[-1])), _ROOT_CAP)) \
-            * len(_divisors(int(ints[0]), _ROOT_CAP)) > _ROOT_CAP
+        ints = primitive(poly[:n + 1 - zeros])
+        capped = len(_divisors(abs(ints[-1]), _ROOT_CAP)) \
+            * len(_divisors(ints[0], _ROOT_CAP)) > _ROOT_CAP
         seen.add(("zeros>1" if zeros > 1 else "zeros<=1", capped, any(roots)))
     assert {("zeros>1", False, True), ("zeros<=1", True, True), ("zeros<=1", False, True),
             ("zeros<=1", False, False)} <= seen
 
 
-def test_path_block_matches_the_embedded_product():
+def test_the_root_filter_survives_an_unlucky_prime():
+    # x - (P + 1) vanishes mod P at the candidate 1, which is no root; the
+    # candidates of P x^2 - (3P + 1) x + 3 include 1/P and 3/P, whose q = P
+    # has no inverse mod P
+    assert (1 - (P + 1)) % P == 0
+    assert rational_roots([1, -(P + 1)], P) == [P + 1]
+    for rows in ([[P + 1]], [[Fraction(1, P), 0], [5, 3]], [[Fraction(1, P)]]):
+        z = Mat(len(rows), len(rows), rows)
+        roots = rational_roots(int_charpoly(z), P)
+        assert roots == rational_roots_fractions(z, _ROOT_CAP), rows
+    assert roots == [Fraction(1, P)]
+    assert rational_roots([P, -(3 * P + 1), 3], P) == [Fraction(1, P), 3]
+
+
+def test_trial_matrix_is_the_cleared_sum_of_embedded_products():
+    # L z on cleared arrows, against L times the sum of each coefficient times
+    # the word's product of n x n embeddings; arrows with different
+    # denominators, zero-dimensional vertices and words that do not compose
     rng = random.Random(31)
     seen = set()
-    for _ in range(400):
+    for _ in range(300):
         l = rng.randint(1, 4)
         d = tuple(rng.choice((0, 1, 2, 3)) for _ in range(l))
         rep = random_rep(d, rng)
-        if rng.random() < 0.5:
+        if rng.random() < 0.7:
             def frac(m):
-                return Mat(m.rows, m.cols, [[Fraction(x, rng.randint(1, 4)) for x in row]
+                den = rng.choice((1, 2, 3, 4, 6, 35))
+                return Mat(m.rows, m.cols, [[Fraction(x, rng.choice((1, den))) for x in row]
                                             for row in m.data])
             rep = QuiverRep(d, tuple(map(frac, rep.X)), tuple(map(frac, rep.Y)))
-        if rng.random() < 0.5:
-            word = [(rng.choice("xy"), rng.randrange(l)) for _ in range(rng.randint(1, 9))]
-        else:
-            # a walk: each letter leaves the vertex the previous one entered
-            v = rng.randrange(l)
-            word = []
-            for _ in range(rng.randint(1, 9)):
-                kind = rng.choice("xy")
-                word.append((kind, v if kind == "y" else (v - 1) % l))
-                v = (v + (1 if kind == "y" else -1)) % l
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                word = [(rng.choice("xy"), rng.randrange(l)) for _ in range(rng.randint(1, 5))]
+            else:
+                # a walk: each letter leaves the vertex the previous one entered
+                v = rng.randrange(l)
+                word = []
+                for _ in range(rng.randint(1, 5)):
+                    kind = rng.choice("xy")
+                    word.append((kind, v if kind == "y" else (v - 1) % l))
+                    v = (v + (1 if kind == "y" else -1)) % l
+            terms.append((word, rng.choice((-5, -2, 1, 3))))
         n = sum(d)
         offs = [sum(d[:i]) for i in range(l)]
-        path = _path(rep, word)
-        if path is None:
-            got = Mat.zeros(n, n)
-        else:
-            src, tgt, block = path
-            got = _embed_blocks(n, n, [(offs[tgt], offs[src], block)])
-        assert got == total_matrix(rep, word, n, offs), (d, word)
-        seen.add((path is None, len(word) > 3, 0 in d, l))
-    # both outcomes, long words, zero-dimensional vertices and every l were met
-    assert {(False, True, True), (True, True, True), (False, True, False)} \
-        <= {s[:3] for s in seen}
-    assert {s[3] for s in seen} == {1, 2, 3, 4}
+        cleared = [_cleared(m) for m in rep.X + rep.Y]
+        arrow = {(kind, i): (s, t, *cleared[h + i]) for i in range(l)
+                 for kind, s, t, h in (("x", (i + 1) % l, i, 0), ("y", i, (i + 1) % l, l))}
+        words = [([arrow[a] for a in word], coeff) for word, coeff in terms]
+        L, z = _trial_matrix(d, words)
+        total = Mat.zeros(n, n)
+        for word, coeff in terms:
+            total = total + total_matrix(rep, word, n, offs).scale(coeff)
+        assert L >= 1 and all(type(x) is int for row in z for x in row)
+        assert Mat(n, n, z) == total.scale(L), (d, terms)
+        stray = any(b[0] != a[1] for w, _ in words for a, b in zip(w, w[1:]))
+        seen.add((len({den for den, _ in cleared}) > 2, 0 in d, stray, total.is_zero(), l))
+    # every kind of case was met, each with some z != 0, and every l
+    assert {(True, True, True, False), (True, False, True, False),
+            (True, False, False, False)} <= {s[:4] for s in seen}
+    assert {s[4] for s in seen} == {1, 2, 3, 4}
 
 
 @pytest.mark.parametrize("budget", [0, -3])

@@ -1,9 +1,11 @@
 """Smoke tests of scripts/profile_workload.py on the benchmark's tiny plans,
 of the exit codes of scripts/filtration_report.py, of
-scripts/component_census.py, of scripts/uncovered.py and of
-scripts/cold_start.py."""
+scripts/component_census.py, of scripts/uncovered.py, of
+scripts/cold_start.py, of scripts/bench_pairs.py and of
+scripts/norton_report.py."""
 
 import importlib.util
+import json
 import io
 import re
 import subprocess
@@ -18,6 +20,7 @@ COMPONENT_CENSUS = SCRIPT.with_name("component_census.py")
 UNCOVERED = SCRIPT.with_name("uncovered.py")
 COLD_START = SCRIPT.with_name("cold_start.py")
 BENCH_PAIRS = SCRIPT.with_name("bench_pairs.py")
+NORTON_REPORT = SCRIPT.with_name("norton_report.py")
 
 
 @pytest.fixture(scope="module")
@@ -263,3 +266,48 @@ def test_bench_pairs_rejects_a_tree_without_the_benchmark(bench_pairs, tmp_path,
     assert module.main([str(old), str(new), "--workload", "quiver", "--seed", "1",
                         "--pairs", "0"]) == 2
     assert capsys.readouterr().err == "error: --pairs must be at least 1\n"
+
+
+@pytest.fixture(scope="module")
+def norton_report():
+    spec = importlib.util.spec_from_file_location("cmfix_norton_report", NORTON_REPORT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_norton_report_prints_each_case_with_its_verdict_and_shares(norton_report):
+    from cmfix.quiver import norton_simplicity
+
+    proc = subprocess.run([sys.executable, str(NORTON_REPORT), "--tiny", "--seed", "3"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    cases = norton_report.cases(3, True)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(cases) == 5
+    for case, line in zip(cases, lines):
+        found = re.fullmatch(r"\[(\w+) *\] (.+): (\d+) trials, \d+\.\d{3} s; charpoly \d+ %, "
+                             r"roots \d+ %, kernels \d+ %, F_P spins \d+ %", line)
+        assert found, line
+        rep, seed = norton_report.build(case)
+        res = norton_simplicity(rep, seed=seed)
+        assert found.groups() == (res.status, norton_report.label(case), str(res.trials))
+
+
+def test_norton_report_exits_3_on_a_dead_case(norton_report, monkeypatch, capsys):
+    def run(argv, **kwargs):
+        case = json.loads(argv[-1])
+        if case[0] == "cm":
+            return subprocess.CompletedProcess(argv, -9, "")
+        result = {"status": "Simple", "trials": 1, "seconds": 0.5,
+                  "parts": {"charpoly": 0.1, "roots": 0.2, "kernels": 0.0, "F_P spins": 0.05}}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(result))
+
+    monkeypatch.setattr(norton_report.subprocess, "run", run)
+    assert norton_report.main(["--tiny"]) == 3
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0].endswith("1 trials, 0.500 s; charpoly 20 %, roots 40 %, "
+                                        "kernels 0 %, F_P spins 10 %")
+    assert len(out.splitlines()) == 3
+    assert err.splitlines() == ["error: cm d=(3) (seed 0) exited with -9",
+                                "error: cm d=(3) (seed 20200513) exited with -9"]
