@@ -13,10 +13,18 @@ takes the workload's three tiny representations and the point d = (3).
 Each case runs in its own cold ``python`` process, which makes one
 ``quiver.norton_simplicity`` call with the default budget.  The script
 prints one line per case: the verdict, the trial count, the seconds of the
-call and the shares of them spent in the charpoly (``quiver._charpoly``),
-the root search (``roots.rational_roots``), the kernels
-(``linalg.Mat.nullspace``) and the F_P spins (``quiver._spins_whole_mod_p``),
-each timed by wrapping the function in the case's process.
+call, the rational roots the trials saw and how many of them were settled
+(had their kernels read and spun), and the shares of the seconds spent in
+the charpoly (``quiver._charpoly``), the root search
+(``roots.rational_roots``), the echelons (``linalg._echelon`` as the trials
+call it), the kernel reads (``linalg.kernel``, likewise) and the F_P spins
+(``quiver._spins_whole_mod_p``), each timed by wrapping the function in the
+case's process.
+
+A root is seen when the root search hands it to the trial loop, which
+builds its echelon.  A settled root reads its kernel, and when its spins
+find no witness there, also builds and reads the echelon of the transpose;
+so settled = kernel reads - echelons + seen.
 
 Exit status: 0; 2 on a bad argument; 3 if a case's process did not finish
 (its exit code goes to stderr).
@@ -34,14 +42,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from cmfix import linalg, quiver, roots
+from cmfix import quiver, roots
 from cmfix.cli import _read_rep
 from cmfix.linalg import Mat
 from workloads import NORTON_SEED, _cm_point, quiver_reps
 
 # (share label, owner, attribute) of each timed function
 PARTS = (("charpoly", quiver, "_charpoly"), ("roots", roots, "rational_roots"),
-         ("kernels", linalg.Mat, "nullspace"), ("F_P spins", quiver, "_spins_whole_mod_p"))
+         ("echelons", quiver, "_echelon"), ("kernels", quiver, "kernel"),
+         ("F_P spins", quiver, "_spins_whole_mod_p"))
 
 
 def cases(seed: int, tiny: bool) -> list[list]:
@@ -68,12 +77,16 @@ def build(case: list) -> tuple[quiver.QuiverRep, int]:
 
 
 def measure(case: list) -> dict:
-    """Verdict, trial count, seconds and seconds per part of one case, in this process."""
+    """Verdict, trial count, roots seen and settled, seconds and seconds per
+    part of one case, in this process."""
     rep, norton = build(case)
     spent = dict.fromkeys((name for name, *_ in PARTS), 0.0)
+    calls = dict.fromkeys(spent, 0)
+    seen = 0
 
     def timed(name, func):
         def wrapper(*args):
+            calls[name] += 1
             start = time.perf_counter()
             try:
                 return func(*args)
@@ -81,9 +94,17 @@ def measure(case: list) -> dict:
                 spent[name] += time.perf_counter() - start
         return wrapper
 
+    def counted(found):
+        nonlocal seen
+        for t in found:
+            seen += 1
+            yield t
+
     originals = [(owner, attr, getattr(owner, attr)) for _, owner, attr in PARTS]
     for (name, *_), (owner, attr, func) in zip(PARTS, originals):
         setattr(owner, attr, timed(name, func))
+    search = roots.rational_roots
+    roots.rational_roots = lambda *args: counted(search(*args))
     try:
         start = time.perf_counter()
         res = quiver.norton_simplicity(rep, seed=norton)
@@ -91,13 +112,16 @@ def measure(case: list) -> dict:
     finally:
         for owner, attr, func in originals:
             setattr(owner, attr, func)
-    return {"status": res.status, "trials": res.trials, "seconds": seconds, "parts": spent}
+    return {"status": res.status, "trials": res.trials, "seen": seen,
+            "settled": calls["kernels"] - calls["echelons"] + seen,
+            "seconds": seconds, "parts": spent}
 
 
 def line(case: list, result: dict) -> str:
     total = result["seconds"] or 1.0
     shares = ", ".join(f"{name} {100 * s / total:.0f} %" for name, s in result["parts"].items())
     return (f"[{result['status']:<9}] {label(case)}: {result['trials']} trials, "
+            f"{result['seen']} roots, {result['settled']} settled, "
             f"{result['seconds']:.3f} s; {shares}")
 
 

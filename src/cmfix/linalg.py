@@ -11,11 +11,15 @@ Each stored row is kept in ``normal_form``, for a rational row a primitive
 integer vector (Fraction-free elimination, as in Bareiss 1968), so rational
 elimination runs on plain ints.  ``rank`` is the pivot count; ``rref``
 inserts the rows, sorts them by pivot and divides each by its pivot entry
-once, at the end (``monic``), and ``inverse`` reads the rref.  ``nullspace``
-reads its kernel off the unsorted echelon rows and divides only the entries
-it returns by their pivots, so on an integer matrix it eliminates on ints.
-``rank``, ``rref``, ``nullspace`` and the exact spin ``quiver._spin`` share
-``insert_row``; the F_P pre-spin has its own, ``quiver._insert_mod_p``.
+once, at the end (``monic``), and ``inverse`` reads the rref.  ``kernel``
+is the one kernel reader: it reads a basis off the unsorted echelon rows
+that ``_echelon`` returns and divides only the entries it returns by their
+pivots, so on an integer matrix it eliminates on ints.  ``nullspace`` is
+``kernel`` of ``_echelon``; Norton's trials (``quiver.norton_simplicity``)
+build each echelon once, take the rank off it, and call ``kernel`` only
+for the roots whose verdict needs one.  ``rank``, ``rref``, ``nullspace``,
+the trials and the exact spin ``quiver._spin`` share ``insert_row``; the
+F_P pre-spin has its own, ``quiver._insert_mod_p``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from math import gcd, lcm
 
 from .records import Record
 
-__all__ = ["Mat", "insert_row", "normal_form", "monic"]
+__all__ = ["Mat", "insert_row", "kernel", "normal_form", "monic"]
 
 
 class Mat(Record):
@@ -119,26 +123,8 @@ class Mat(Record):
         return Mat(self.rows, self.cols, data), [pivots[i] for i in order]
 
     def nullspace(self) -> list[tuple]:
-        """Basis of the right kernel, as tuples of length self.cols.
-
-        One vector per free column c, in increasing order: 1 at c, 0 at the
-        other free columns, and at each pivot p minus the entry in column c
-        of the rref row with pivot p.  Read off the echelon rows, which are
-        reduced already, so only those entries are divided by their pivots.
-        """
-        rows, pivots = _echelon(self.data)
-        by_pivot = dict(zip(pivots, rows))
-        basis = []
-        for fc in range(self.cols):
-            if fc in by_pivot:
-                continue
-            v = [0] * self.cols
-            v[fc] = 1
-            for p, row in by_pivot.items():
-                # an int row has a positive int pivot; any other row leads with 1
-                v[p] = Fraction(-row[fc], row[p]) if isinstance(row[p], int) else -row[fc]
-            basis.append(tuple(v))
-        return basis
+        """Basis of the right kernel, as tuples of length self.cols (``kernel``)."""
+        return kernel(_echelon(self.data), self.cols)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -219,9 +205,36 @@ def monic(row) -> tuple:
 
 
 def _echelon(data) -> tuple[list[tuple], list[int]]:
+    """The reduced echelon basis (rows, pivots) of the rows of data, by ``insert_row``."""
     rows: list[tuple] = []
     pivots: list[int] = []
     for r in data:
         insert_row(rows, pivots, r)
     return rows, pivots
+
+
+def kernel(echelon, cols: int) -> list[tuple]:
+    """Basis of the right kernel of a matrix with cols columns, read off the
+    echelon (rows, pivots) of its rows, as ``_echelon`` returns it.
+
+    One vector per free column c, in increasing order: 1 at c, 0 at the
+    other free columns, and at each pivot p minus the entry in column c of
+    the rref row with pivot p.  The echelon rows are reduced already, so
+    only those entries are divided by their pivots.  The rank is the pivot
+    count, so a caller that needs only the kernel's dimension, cols minus
+    the rank, reads it off the echelon and never calls this.
+    """
+    rows, pivots = echelon
+    by_pivot = dict(zip(pivots, rows))
+    basis = []
+    for fc in range(cols):
+        if fc in by_pivot:
+            continue
+        v = [0] * cols
+        v[fc] = 1
+        for p, row in by_pivot.items():
+            # an int row has a positive int pivot; any other row leads with 1
+            v[p] = Fraction(-row[fc], row[p]) if isinstance(row[p], int) else -row[fc]
+        basis.append(tuple(v))
+    return basis
 

@@ -22,6 +22,15 @@ the rational root search drops each candidate whose value is nonzero mod P
 before any exact evaluation (``roots.rational_roots``, imported when the
 test runs), and the kernels of z - p/q are read off the int matrix
 q (L z) - p L.
+
+Most roots cannot decide, so their kernels wait.  One echelon of
+A = q (L z) - p L gives rank A = rank A^T, and so the dimension of both
+kernels.  Only a root of rank n - 1 can certify Simple; it has its kernels
+read (``linalg.kernel``) and spun at once, and every other root is kept
+pending.  A Simple certificate is a proof, so no pending root could have
+found a witness then; when a spin is proper, or the budget runs out, the
+pending roots are settled first, in trial order, and the verdict is the
+one that settling every root in turn reaches.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import Mat, insert_row, monic, normal_form
+from .linalg import Mat, _echelon, insert_row, kernel, monic, normal_form
 from .records import Record
 
 __all__ = [
@@ -376,8 +385,24 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     charpoly coefficients c_k(L z) / L**k are those of z, so the root
     candidates are too.  A candidate whose value is nonzero mod P is
     dropped, and a nonzero residue proves a nonzero value.  The kernels of
-    z - p/q are read off the int matrix q (L z) - p L, whose echelon rows
-    are those of z - p/q, since ``normal_form`` ignores a positive factor.
+    z - p/q are read off the int matrix a = q (L z) - p L, whose echelon
+    rows are those of z - p/q, since ``normal_form`` ignores a positive
+    factor.
+
+    Each root's echelon is built once.  Its pivot count is rank a, which is
+    also rank a^T, so both kernels have dimension n - rank a.  A root of
+    rank below n - 1 cannot certify Simple: it is kept pending, with no
+    kernel read and no spin.  A root of rank n - 1 is settled at once: the
+    kernel off the echelon and its spin, then the kernel of a^T and its
+    spin.  If both spin the whole space, the verdict is Simple at this
+    trial: that certificate proves the representation simple, so no pending
+    root has a witness, and no earlier root decided, since every rank is
+    exact.  If a spin is proper, the first pending root
+    to find a witness, in trial order, gives the verdict, and else this
+    root's witness does.  When the budget runs out the pending roots are
+    settled the same way, and the verdict is Unknown if none finds one.
+    Either way the status, trial count and witness are those of settling
+    every root in turn, and the rng draws are unchanged.
     """
     from .roots import rational_roots  # compiled only when Norton's test runs
 
@@ -429,6 +454,18 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
         comps = ((i, vec[o: o + di]) for i, (o, di) in enumerate(zip(offs, d)))
         return [(i, c) for i, c in comps if any(c)]
 
+    def settle(trial, a, echelon):
+        # the primal kernel's spins, then the dual's, whose kernel is that of
+        # the transpose: NotSimple with the first witness, or None
+        w = reducible(sides[0], map(graded, kernel(echelon, n)))
+        if w is None:
+            w = reducible(sides[1], map(graded, kernel(_echelon(zip(*a)), n)))
+        return None if w is None else SimplicityResult("NotSimple", witness=w, trials=trial)
+
+    def first_witness(default):
+        # the verdict of the first pending root that finds one, in trial order
+        return next(filter(None, (settle(*root) for root in pending)), default)
+
     # deterministic probes: coordinate vectors at every vertex, both sides
     probes = [[(i, tuple(int(t == c) for t in range(di)))]
               for i, di in enumerate(d) for c in range(di)]
@@ -439,6 +476,7 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
     # x_0, y_0, x_1, ... as (source, target, D, D * arrow)
     letters = [a for i in range(l)
                for a in (((i + 1) % l, i, *cleared[i]), (i, (i + 1) % l, *cleared[l + i]))]
+    pending = []  # (trial, a, echelon of a) of each root that cannot certify Simple
     trials = 0
     while trials < budget:
         trials += 1
@@ -447,20 +485,20 @@ def norton_simplicity(rep: QuiverRep, seed: int = 0, budget: int = 32) -> Simpli
                  for _ in range(rng.randint(2, 4))]
         L, z = _trial_matrix(d, terms)
         for t in rational_roots(_charpoly(z, L), P):
-            # the kernels of z - t = p/q, read off the int matrix q (L z) - p L
-            rows = [[t.denominator * x for x in row] for row in z]
-            for i, row in enumerate(rows):
+            # z - t = p/q as the int matrix a = q (L z) - p L, and its echelon
+            a = [[t.denominator * x for x in row] for row in z]
+            for i, row in enumerate(a):
                 row[i] -= t.numerator * L
-            kernels = []
-            for side, m in zip(sides, (rows, zip(*rows))):
-                kernels.append(Mat(n, n, m).nullspace())
-                if (w := reducible(side, map(graded, kernels[-1]))) is not None:
-                    return SimplicityResult("NotSimple", witness=w, trials=trials)
-            if all(len(k) == 1 for k in kernels):
-                # both kernel vectors were spun above; a nonzero vector spins to
-                # a nonzero subrepresentation, so not proper means everything
+            echelon = _echelon(a)
+            if len(echelon[1]) != n - 1:
+                pending.append((trials, a, echelon))
+            elif (res := settle(trials, a, echelon)) is None:
+                # both kernel vectors spun whole; a nonzero vector spins to a
+                # nonzero subrepresentation, so not proper means everything
                 return SimplicityResult("Simple", trials=trials)
-    return SimplicityResult("Unknown", trials=trials)
+            else:
+                return first_witness(res)
+    return first_witness(SimplicityResult("Unknown", trials=trials))
 
 
 def random_rep(d, rng: random.Random, lo: int = -3, hi: int = 3) -> QuiverRep:

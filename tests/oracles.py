@@ -14,16 +14,18 @@ same algorithm with the fibre of ``partitions.core_fibres``, so with
 its labels, and with the unreversed interleaving ``beta_unreversed`` the
 only thing the sign-twist identity test compares is the label map.
 
-Five more are earlier versions of a library routine, kept as the reference
+Six more are earlier versions of a library routine, kept as the reference
 for a rewrite that must return the same values: ``nullspace_rref`` (the
-kernel read off the rref, which ``linalg.Mat.nullspace`` reads off the
-unsorted echelon rows), ``divisors_loop`` (the bounded trial division by
-every integer, which ``quiver._divisors`` builds from the prime factors it
-divides out), ``charpoly_fractions`` (Faddeev-LeVerrier over Fraction,
-which ``quiver._charpoly`` runs on the int matrix L z and returns as a
-primitive int polynomial), ``rational_roots_fractions`` (the root search
-with each candidate summed in Fraction powers, which
-``quiver._rational_roots`` filters mod P and evaluates by int Horner) and
+kernel read off the rref, which ``linalg.kernel`` reads off the unsorted
+echelon rows), ``norton_undeferred`` (Norton's test with both kernels and
+their spins at every root, which ``quiver.norton_simplicity`` reads only at
+the roots whose verdict needs them), ``divisors_loop`` (the bounded trial
+division by every integer, which ``roots._divisors`` builds from the prime
+factors it divides out), ``charpoly_fractions`` (Faddeev-LeVerrier over
+Fraction, which ``quiver._charpoly`` runs on the int matrix L z and returns
+as a primitive int polynomial), ``rational_roots_fractions`` (the root
+search with each candidate summed in Fraction powers, which
+``roots.rational_roots`` filters mod P and evaluates by int Horner) and
 ``total_matrix`` (a word in the arrows as a product of n x n embeddings,
 which ``quiver._trial_matrix`` multiplies as int blocks of the cleared
 arrows and sums into L z).
@@ -71,6 +73,7 @@ what ``verify_filtration`` decodes from its Kronecker-packed integer rows.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -82,8 +85,20 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cmfix.arith import CyclotomicNumber, embed, zeta
-from cmfix.linalg import Mat
-from cmfix.quiver import _embed_blocks
+from cmfix.linalg import Mat, normal_form
+from cmfix.quiver import (
+    P,
+    QuiverRep,
+    SimplicityResult,
+    _charpoly,
+    _cleared,
+    _embed_blocks,
+    _mod_p,
+    _spin,
+    _spins_whole_mod_p,
+    _trial_matrix,
+)
+from cmfix.roots import rational_roots
 from cmfix.partitions import (
     _partition_from_beads,
     beta_flat_k_gamma,
@@ -525,7 +540,7 @@ def charpoly_fractions(a: Mat) -> list[Fraction]:
 
 
 def rational_roots_fractions(z: Mat, cap: int) -> list[Fraction]:
-    """The rational root search of ``quiver._rational_roots`` over Fraction.
+    """The rational root search of ``roots.rational_roots`` over Fraction.
 
     The same candidates (divisors of the cleared charpoly's constant over
     divisors of its lead, or the first 20 constant divisors when there are
@@ -559,6 +574,96 @@ def total_matrix(rep, word, n: int, offs) -> Mat:
         blk = (offs[i], offs[j], rep.X[i]) if kind == "x" else (offs[j], offs[i], rep.Y[i])
         out = _embed_blocks(n, n, [blk]) * out
     return out
+
+
+def norton_undeferred(rep: QuiverRep, seed: int = 0, budget: int = 32) -> SimplicityResult:
+    """``quiver.norton_simplicity`` before its undecisive roots were deferred.
+
+    Each rational root t of each trial gets both exact kernels of z - t and
+    a spin of every kernel vector, in trial order, and the first root that
+    decides returns.  The deferring test must return the same status, trial
+    count and witness.
+    """
+    arrows = rep.X + rep.Y
+    if not all(isinstance(x, (int, Fraction)) for m in arrows for row in m.data for x in row):
+        raise ValueError("norton_simplicity needs rational matrix entries")
+    rng = random.Random(seed)
+    l, d = rep.l, rep.d
+    n = sum(d)
+    if n == 0:
+        return SimplicityResult("NotSimple", witness=None, trials=0)
+    if n == 1:
+        return SimplicityResult("Simple", trials=0)
+    offs = [sum(d[:i]) for i in range(l)]
+    cleared = [_cleared(m) for m in arrows]
+    mats = [m for _, m in cleared]
+    primal = QuiverRep(d, tuple(mats[:l]), tuple(mats[l:]))
+    # the dual representation: transposed maps with X and Y exchanged
+    dual = QuiverRep(d, tuple(m.transpose() for m in primal.Y),
+                     tuple(m.transpose() for m in primal.X))
+    # each side with its arrows reduced mod P and the seed lists known to
+    # spin the whole space
+    sides = [(side, tuple(map(_mod_p, side.X)), tuple(map(_mod_p, side.Y)), set())
+             for side in (primal, dual)]
+
+    def reducible(side, seed_lists):
+        # the witness of the first seed list whose spin is proper: its bases,
+        # or on the dual side their per-vertex orthogonal complements; a seed
+        # list seen whole before, or whole over F_P, is not spun over Q
+        module, X_p, Y_p, whole = side
+        for seeds in seed_lists:
+            seeds = tuple((i, normal_form(v)) for i, v in seeds)
+            if seeds in whole:
+                continue
+            if _spins_whole_mod_p(d, X_p, Y_p, seeds):
+                whole.add(seeds)
+                continue
+            bases = _spin(module, seeds)
+            spun = sum(map(len, bases))
+            if spun == n:
+                whole.add(seeds)
+            elif spun:
+                if module is primal:
+                    return tuple(map(tuple, bases))
+                return tuple(tuple(Mat(len(b), di, b).nullspace()) for b, di in zip(bases, d))
+        return None
+
+    def graded(vec):
+        comps = ((i, vec[o: o + di]) for i, (o, di) in enumerate(zip(offs, d)))
+        return [(i, c) for i, c in comps if any(c)]
+
+    # deterministic probes: coordinate vectors at every vertex, both sides
+    probes = [[(i, tuple(int(t == c) for t in range(di)))]
+              for i, di in enumerate(d) for c in range(di)]
+    for side in sides:
+        if (w := reducible(side, probes)) is not None:
+            return SimplicityResult("NotSimple", witness=w)
+
+    # x_0, y_0, x_1, ... as (source, target, D, D * arrow)
+    letters = [a for i in range(l)
+               for a in (((i + 1) % l, i, *cleared[i]), (i, (i + 1) % l, *cleared[l + i]))]
+    trials = 0
+    while trials < budget:
+        trials += 1
+        terms = [([rng.choice(letters) for _ in range(rng.randint(1, 3))],
+                  rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)))
+                 for _ in range(rng.randint(2, 4))]
+        L, z = _trial_matrix(d, terms)
+        for t in rational_roots(_charpoly(z, L), P):
+            # the kernels of z - t = p/q, read off the int matrix q (L z) - p L
+            rows = [[t.denominator * x for x in row] for row in z]
+            for i, row in enumerate(rows):
+                row[i] -= t.numerator * L
+            kernels = []
+            for side, m in zip(sides, (rows, zip(*rows))):
+                kernels.append(Mat(n, n, m).nullspace())
+                if (w := reducible(side, map(graded, kernels[-1]))) is not None:
+                    return SimplicityResult("NotSimple", witness=w, trials=trials)
+            if all(len(k) == 1 for k in kernels):
+                # both kernel vectors were spun above; a nonzero vector spins to
+                # a nonzero subrepresentation, so not proper means everything
+                return SimplicityResult("Simple", trials=trials)
+    return SimplicityResult("Unknown", trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -18,12 +19,14 @@ from cmfix.quiver import (
     random_rep,
     scale_action,
 )
-from cmfix import quiver
+from cmfix import linalg, quiver
+from cmfix.cli import _read_rep
 from cmfix.linalg import normal_form
 from cmfix.quiver import (
     P,
     _charpoly,
     _cleared,
+    _embed_blocks,
     _mod_p,
     _spin,
     _spins_whole_mod_p,
@@ -33,12 +36,14 @@ from cmfix.roots import _LONG, _ROOT_CAP, _TRIAL, _divisors, _primes, rational_r
 from oracles import (
     charpoly_fractions,
     divisors_loop,
+    norton_undeferred,
     rational_roots_fractions,
     rref_rows,
     spin_closure,
     total_matrix,
 )
 from test_golden import norton_family
+from workloads import NORTON_SEED, quiver_reps
 
 
 def in_fiber(rep, theta):
@@ -380,17 +385,21 @@ def test_a_whole_spin_mod_p_is_a_whole_spin():
     assert {(True, True), (False, False)} <= seen
 
 
+def unlucky_family():
+    """Every third rep of the Norton family with every arrow times P, and its index."""
+    for i, rep, _ in norton_family():
+        if i % 3 == 0:
+            yield i, QuiverRep(rep.d, tuple(m.scale(P) for m in rep.X),
+                               tuple(m.scale(P) for m in rep.Y))
+
+
 def test_an_unlucky_prime_changes_no_result(monkeypatch):
     # every arrow times P: every image vanishes mod P, so only seed lists that
     # span the whole space by themselves are certified, and the results must be
     # those of the exact spins alone
-    reps = []
-    for i, rep, _ in norton_family():
-        if i % 3:
-            continue
-        rep = QuiverRep(rep.d, tuple(m.scale(P) for m in rep.X), tuple(m.scale(P) for m in rep.Y))
+    reps = list(unlucky_family())
+    for _, rep in reps:
         assert not any(x for m in rep.X + rep.Y for row in _mod_p(_cleared(m)[1]) for x in row)
-        reps.append((i, rep))
     got = [norton_simplicity(rep, seed=i, budget=16) for i, rep in reps]
     monkeypatch.setattr(quiver, "_spins_whole_mod_p", lambda *a: False)
     assert got == [norton_simplicity(rep, seed=i, budget=16) for i, rep in reps]
@@ -572,3 +581,134 @@ def test_simplicity_without_budget_is_unknown(budget):
     rep = random_rep((2, 1, 1), random.Random(1))
     assert norton_simplicity(rep).status == "Simple"
     assert norton_simplicity(rep, budget=budget) == SimplicityResult("Unknown", trials=0)
+
+
+def random_family():
+    """600 random representations, l <= 3, d_i <= 2, entries in {-1, 0, 1} and
+    about half the arrows zero, each with a Norton seed."""
+    rng = random.Random(5)
+    for _ in range(600):
+        l = rng.randint(1, 3)
+        d = tuple(rng.randint(0, 2) for _ in range(l))
+        rep = random_rep(d, rng, -1, 1)
+        X, Y = ([Mat.zeros(m.rows, m.cols) if rng.random() < 0.5 else m for m in ms]
+                for ms in (rep.X, rep.Y))
+        yield QuiverRep(d, tuple(X), tuple(Y)), rng.randrange(1000)
+
+
+def hidden_sums():
+    """150 direct sums of two random representations, d_i in {1, 2} and
+    entries in [-2, 2], under a random change of basis at every vertex, each
+    with a Norton seed.
+
+    Every fifth sums two copies of one representation, d_i = 2 and entries
+    in [-1, 1], so that every root has a kernel of dimension at least 2 and
+    none decides.  The
+    coordinate vectors rarely lie in a summand, so many of these are found
+    reducible only by a trial's kernel vectors.
+    """
+    rng = random.Random(9)
+    for i in range(150):
+        l = rng.randint(1, 3)
+        if i % 5:
+            a, b = (random_rep(tuple(rng.randint(1, 2) for _ in range(l)), rng, -2, 2)
+                    for _ in range(2))
+        else:
+            a = b = random_rep((2,) * l, rng, -1, 1)
+        d = tuple(x + y for x, y in zip(a.d, b.d))
+        X, Y = ([_embed_blocks(m.rows + k.rows, m.cols + k.cols, [(0, 0, m), (m.rows, m.cols, k)])
+                 for m, k in zip(ms, ks)] for ms, ks in ((a.X, b.X), (a.Y, b.Y)))
+        g = []
+        for di in d:
+            m = Mat.zeros(di, di)
+            while m.rank() < di:
+                m = Mat(di, di, [[rng.randint(-2, 2) for _ in range(di)] for _ in range(di)])
+            g.append(m)
+        yield gl_action(g, QuiverRep(d, tuple(X), tuple(Y))), rng.randrange(1000)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """(built, read), emptied by ``norton_simplicity`` when a test runs it:
+    each echelon it builds with the trial it was built in, and each echelon
+    whose kernel it reads."""
+    built, read = [], []
+    trial_matrix, run = quiver._trial_matrix, quiver.norton_simplicity
+
+    def trial(d, terms):
+        trial.count += 1
+        return trial_matrix(d, terms)
+
+    def echelon(data):
+        built.append((trial.count, linalg._echelon(data)))
+        return built[-1][1]
+
+    def kernel(echelon, cols):
+        read.append(echelon)
+        return linalg.kernel(echelon, cols)
+
+    def norton(*args, **kwargs):
+        trial.count = 0
+        built.clear()
+        read.clear()
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(quiver, "_trial_matrix", trial)
+    monkeypatch.setattr(quiver, "_echelon", echelon)
+    monkeypatch.setattr(quiver, "kernel", kernel)
+    return norton, built, read
+
+
+def test_deferring_the_undecisive_roots_changes_no_result(reads):
+    # norton_undeferred reads both kernels of every root and spins every
+    # kernel vector; the deferring loop must find the same status, trial count
+    # and witness, also when a wide root's witness must win over a later
+    # decisive root's, and when it turns up only once the budget is spent
+    norton, built, _ = reads
+    cases = [(rep, i, 16) for i, rep, _ in norton_family()]
+    cases += [(rep, s, 32) for rep, s in random_family()]
+    cases += [(rep, s, 32) for rep, s in hidden_sums()]
+    cases += [(rep, i, 16) for i, rep in unlucky_family()]
+    paths = Counter()
+    for rep, seed, budget in cases:
+        got = norton(rep, seed=seed, budget=budget)
+        want = norton_undeferred(rep, seed, budget)
+        assert (got.status, got.trials, got.witness) == (want.status, want.trials, want.witness)
+        if got.status == "NotSimple" and got.trials:
+            # the trial of the decisive root: the first echelon of rank n - 1
+            n = sum(rep.d)
+            last = next((t for t, e in built if len(e[1]) == n - 1), None)
+            paths["budget spent" if last is None else
+                  "wide root first" if got.trials < last else "decisive root"] += 1
+    assert set(paths) == {"budget spent", "wide root first", "decisive root"}
+
+
+def test_kernels_are_read_only_where_the_verdict_needs_them(reads):
+    norton, built, read = reads
+    reps = {stem: _read_rep(obj) for stem, obj in quiver_reps(1, False).items()}
+    seen = {}
+    for stem in ("zero-arrow-222222", "generic-3333", "generic-444"):
+        rep = reps[stem]
+        res = norton(rep, seed=NORTON_SEED)
+        echelons = [e for _, e in built]
+        n = sum(rep.d)
+        if res.status == "Simple":
+            # one decisive root, the last one seen: its kernel, then its
+            # transpose's; every earlier root was too wide to decide
+            *wide, last, dual = echelons
+            assert wide and all(len(e[1]) < n - 1 for e in wide)
+            assert len(last[1]) == len(dual[1]) == n - 1
+            assert list(map(id, read)) == [id(last), id(dual)]
+            seen[stem] = (res.status, res.trials, len(wide) + 1)
+        else:
+            # Unknown: every root settled after the last trial, in trial order,
+            # each primal kernel followed by its transpose's
+            roots = len(echelons) // 2
+            assert all(len(e[1]) < n - 1 for e in echelons[:roots])
+            assert list(map(id, read)) == [id(e) for pair in zip(echelons[:roots], echelons[roots:])
+                                           for e in pair]
+            seen[stem] = (res.status, res.trials, roots)
+    # (status, trials, roots seen): one root a trial; norton_undeferred reads
+    # two kernels at every root, 150 in all, against 2 + 2 + 64 here
+    assert seen == {"zero-arrow-222222": ("Simple", 16, 16), "generic-3333": ("Simple", 27, 27),
+                    "generic-444": ("Unknown", 32, 32)}

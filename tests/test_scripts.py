@@ -286,12 +286,16 @@ def test_norton_report_prints_each_case_with_its_verdict_and_shares(norton_repor
     lines = proc.stdout.splitlines()
     assert len(lines) == len(cases) == 5
     for case, line in zip(cases, lines):
-        found = re.fullmatch(r"\[(\w+) *\] (.+): (\d+) trials, \d+\.\d{3} s; charpoly \d+ %, "
-                             r"roots \d+ %, kernels \d+ %, F_P spins \d+ %", line)
+        found = re.fullmatch(r"\[(\w+) *\] (.+): (\d+) trials, (\d+) roots, (\d+) settled, "
+                             r"\d+\.\d{3} s; charpoly \d+ %, roots \d+ %, echelons \d+ %, "
+                             r"kernels \d+ %, F_P spins \d+ %", line)
         assert found, line
         rep, seed = norton_report.build(case)
         res = norton_simplicity(rep, seed=seed)
-        assert found.groups() == (res.status, norton_report.label(case), str(res.trials))
+        assert found.groups()[:3] == (res.status, norton_report.label(case), str(res.trials))
+        # a Simple verdict settles its one decisive root, and only that one
+        seen, settled = int(found[4]), int(found[5])
+        assert settled <= seen and (res.status != "Simple" or res.trials == 0 or settled == 1)
 
 
 def test_norton_report_exits_3_on_a_dead_case(norton_report, monkeypatch, capsys):
@@ -299,15 +303,16 @@ def test_norton_report_exits_3_on_a_dead_case(norton_report, monkeypatch, capsys
         case = json.loads(argv[-1])
         if case[0] == "cm":
             return subprocess.CompletedProcess(argv, -9, "")
-        result = {"status": "Simple", "trials": 1, "seconds": 0.5,
-                  "parts": {"charpoly": 0.1, "roots": 0.2, "kernels": 0.0, "F_P spins": 0.05}}
+        result = {"status": "Simple", "trials": 1, "seen": 3, "settled": 1, "seconds": 0.5,
+                  "parts": {"charpoly": 0.1, "roots": 0.2, "echelons": 0.025, "kernels": 0.0,
+                            "F_P spins": 0.05}}
         return subprocess.CompletedProcess(argv, 0, json.dumps(result))
 
     monkeypatch.setattr(norton_report.subprocess, "run", run)
     assert norton_report.main(["--tiny"]) == 3
     out, err = capsys.readouterr()
-    assert out.splitlines()[0].endswith("1 trials, 0.500 s; charpoly 20 %, roots 40 %, "
-                                        "kernels 0 %, F_P spins 10 %")
+    assert out.splitlines()[0].endswith("1 trials, 3 roots, 1 settled, 0.500 s; charpoly 20 %, "
+                                        "roots 40 %, echelons 5 %, kernels 0 %, F_P spins 10 %")
     assert len(out.splitlines()) == 3
     assert err.splitlines() == ["error: cm d=(3) (seed 0) exited with -9",
                                 "error: cm d=(3) (seed 20200513) exited with -9"]
