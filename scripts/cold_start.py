@@ -8,10 +8,10 @@ Starts N fresh interpreters that only start (``pass``) and N that run
 Then N more pairs of fresh interpreters each import ``cmfix.cli`` and time,
 inside the interpreter, reading a ``verify-filtration`` command line two
 ways: from the command registry (``cmfix.cli._read_argv``), which is what
-``cmfix.cli.main`` does with a well-formed line, and with the parser of that
-one command, which ``main`` now builds only for help and refusals.  The
-parser's first build in a process also imports argparse and pays for what it
-loads and compiles on first use, so each timing needs its own interpreter.
+``cmfix.cli.main`` does with a well-formed line, and with the full parser,
+which ``main`` builds only for help and refusals.  The parser's first build
+in a process also imports argparse and pays for what it loads and compiles on
+first use, so each timing needs its own interpreter.
 It prints the median of each.  One more interpreter then lists the modules
 outside cmfix that importing ``cmfix.cli`` adds to those the bare
 interpreter had already loaded.
@@ -36,9 +36,9 @@ ARGV = ["verify-filtration", "--l", "3", "--n", "3", "--k", "2"]
 # seconds to read {0!r} from the command registry
 READ = ("import time, cmfix.cli as cli; start = time.perf_counter(); "
         "cli._read_argv({0!r}); print(time.perf_counter() - start)")
-# seconds to build the parser of command {0!r} and parse {1!r}
+# seconds to build the full parser and parse {0!r}
 PARSE = ("import time, cmfix.cli as cli; start = time.perf_counter(); "
-         "cli.build_parser({0!r}).parse_known_args({1!r}); print(time.perf_counter() - start)")
+         "cli.build_parser().parse_known_args({0!r}); print(time.perf_counter() - start)")
 ADDED = ("import sys; before = set(sys.modules); import cmfix.cli; "
          "print(*sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'cmfix'))")
 
@@ -54,17 +54,17 @@ def _python(code: str) -> tuple[float, str]:
 
 def cold_start(runs: int) -> tuple[float, float, float, float, list[str]]:
     """Median seconds of a bare start, of ``import cmfix.cli``, of reading ARGV
-    from the registry and of building the one-command parser and parsing ARGV
-    with it, and the modules outside cmfix that the import adds; 4 * runs + 1
+    from the registry and of building the full parser and parsing ARGV with
+    it, and the modules outside cmfix that the import adds; 4 * runs + 1
     interpreters."""
-    bare, cli, read, one = [], [], [], []
+    bare, cli, read, full = [], [], [], []
     for _ in range(runs):
         bare.append(_python("pass")[0])
         cli.append(_python("import cmfix.cli")[0])
         read.append(float(_python(READ.format(ARGV))[1]))
-        one.append(float(_python(PARSE.format(ARGV[0], ARGV))[1]))
+        full.append(float(_python(PARSE.format(ARGV))[1]))
     return (statistics.median(bare), statistics.median(cli), statistics.median(read),
-            statistics.median(one), _python(ADDED)[1].split())
+            statistics.median(full), _python(ADDED)[1].split())
 
 
 def main() -> int:
@@ -73,13 +73,13 @@ def main() -> int:
     args = ap.parse_args()
     if args.runs < 1:
         ap.error("--runs must be >= 1")
-    bare, cli, read, one, added = cold_start(args.runs)
+    bare, cli, read, full, added = cold_start(args.runs)
     print(f"bare interpreter: median {bare:.4f} s over {args.runs} runs")
     print(f"import cmfix.cli: median {cli:.4f} s over {args.runs} runs "
           f"({cli - bare:+.4f} s)")
     print(f"registry read, what main does: median {read * 1e3:.3f} ms over {args.runs} runs")
-    print(f"one-command parser, for help and refusals, import, build and parse: median "
-          f"{one * 1e3:.3f} ms over {args.runs} runs ({(one - read) * 1e3:+.3f} ms)")
+    print(f"full parser, for help and refusals, import, build and parse: median "
+          f"{full * 1e3:.3f} ms over {args.runs} runs ({(full - read) * 1e3:+.3f} ms)")
     print(f"modules outside cmfix that it adds ({len(added)}): {' '.join(added)}")
     return 0
 

@@ -14,9 +14,8 @@ Each ``cmd_*`` handler is registered with its name and flags by ``@_command``,
 the one place they are written.  ``main`` reads a well-formed command line
 straight from that registry, and builds (and imports) argparse only for what
 the registry read declines: help, ``--version``, abbreviations, a refusal.
-Then the parser of the one subcommand named parses the line, and one with
-arguments left over, or with no subcommand first, goes to the full parser, so
-every help text and refusal reads as the full parser's.
+The full parser then parses the line, so it writes every help text and
+refusal.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
@@ -24,7 +23,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import os
 import random
@@ -222,18 +220,11 @@ def _params_json(p: ParamSet) -> dict:
     return {"l": p.l, "a": format_rational(p.a), "k": [format_rational(x) for x in p.k]}
 
 
-def _cyclotomic_json(v) -> dict:
-    return {"order": v.order, "coeffs": [format_rational(c) for c in v.coeffs]}
-
-
 # subcommand name -> (help, handler, {option: add_argument keywords}), in the
 # order the full parser lists them; each @_command on a handler adds one entry
 _COMMANDS: dict[str, tuple] = {}
 _REQUIRED = {"required": True}
 _REQUIRED_INT = {"type": _int, "required": True}
-# the default of a flag that is left out of the parsed arguments unless given
-# (argparse's SUPPRESS, which build_parser puts in its place)
-_ABSENT = object()
 
 
 def _command(name: str, help: str, **options):
@@ -386,20 +377,20 @@ def cmd_verify_filtration(args) -> int:
 @_command("smooth", "smoothness predicates",
           criterion={"choices": ("gl1n", "quiver", "cyclic", "g4"), "default": "gl1n"},
           # gl1n and quiver only
-          l={"type": _int, "default": _ABSENT, "help": "default 1"},
-          n={"type": _int, "default": _ABSENT, "help": "default 1"},
-          a={"default": _ABSENT, "help": 'rational "p/q", default 0'},
+          l={"type": _int, "help": "default 1"},
+          n={"type": _int, "help": "default 1"},
+          a={"help": 'rational "p/q", default 0'},
           kparams=_REQUIRED)
 def cmd_smooth(args) -> int:
-    # --l, --n and --a are absent from args unless given
-    crit, given = args.criterion, vars(args)
+    crit = args.criterion
     if crit in ("gl1n", "quiver"):
-        p = ParamSet(given.get("l", 1), parse_rational(given.get("a", "0")),
+        p = ParamSet(1 if args.l is None else args.l,
+                     parse_rational("0" if args.a is None else args.a),
                      _parse_rationals(args.kparams))
-        n = given.get("n", 1)
+        n = 1 if args.n is None else args.n
         val = smooth_gl1n(p, n) if crit == "gl1n" else smooth_quiver(theta_from_ak(p), n)
     else:
-        extra = [f"--{o}" for o in ("l", "n", "a") if o in given]
+        extra = [f"--{o}" for o in ("l", "n", "a") if getattr(args, o) is not None]
         if extra:
             raise ValueError(f"--criterion {crit} reads only --kparams, not {', '.join(extra)}")
         ks = _parse_rationals(args.kparams)
@@ -469,8 +460,8 @@ def run_selftest(seed: int = DEFAULT_SEED, out=None) -> bool:
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace | None:
-    """argv as ``build_parser(argv[0])`` parses it, read from ``_COMMANDS``
-    alone; None unless argv is well formed.
+    """argv as ``build_parser()`` parses it, read from ``_COMMANDS`` alone;
+    None unless argv is well formed.
 
     Well formed is a subcommand, then each of its flags at most once as
     ``--name=value`` or as ``--name`` and a value that is ``-`` or does not
@@ -503,22 +494,15 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
         if option not in given:
             if kwargs.get("required"):
                 return None
-            if kwargs.get("default") is not _ABSENT:
-                given[option] = kwargs.get("default")
+            given[option] = kwargs.get("default")
     return SimpleNamespace(command=argv[0], func=func, **given)
 
 
-@functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command``, built once per process and command.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand of ``_COMMANDS``, in its order.
 
-    ``None`` gives the full parser, with every subcommand of ``_COMMANDS`` in
-    its order.  A subcommand name gives the same top-level parser holding only
-    that subcommand: it parses, refuses and documents that command's own
-    arguments as the full parser does, but builds one subparser and its flags
-    in place of eleven subparsers and their 36 flags.  ``main`` asks for one
-    only when ``_read_argv`` declines a command line, so argparse is imported
-    here, on the first such call.
+    ``main`` builds it only when ``_read_argv`` declines a command line, so
+    argparse is imported here, on the first such call.
     """
     import argparse
 
@@ -529,13 +513,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"cmfix {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help, func, options) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help)
-            for option, kwargs in options.items():
-                if kwargs.get("default") is _ABSENT:
-                    kwargs = {**kwargs, "default": argparse.SUPPRESS}
-                p.add_argument("--" + option, **kwargs)
-            p.set_defaults(func=func)
+        p = sub.add_parser(name, help=help)
+        for option, kwargs in options.items():
+            p.add_argument("--" + option, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
@@ -544,20 +525,11 @@ def main(argv=None) -> int:
     names, and return its exit code.
 
     A well-formed command line is read from the registry by ``_read_argv``,
-    with no parser built.  Any other goes to argparse: a known subcommand in
-    ``argv[0]`` to that command's parser alone, anything else (no arguments,
-    ``--help``, ``--version``, an unknown command) to the full parser.
-    argparse refuses left-over arguments from the top-level parser, whose
-    usage line lists its subcommands, so when the one-command parser leaves
-    any the full parser parses argv again and refuses them naming all eleven.
+    with no parser built.  Any other (help, ``--version``, an abbreviation, a
+    refusal) goes to the full parser.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_argv(argv)
-    if args is None:
-        ap = build_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
-        args, rest = ap.parse_known_args(argv)
-        if rest:
-            args = build_parser().parse_args(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cmfix import arith, cli, wreath
-from cmfix.arith import CyclotomicNumber, zeta
 from cmfix.cli import _dumps, _Raw, _read_rep, format_rational, main, parse_rational, run_selftest
 from cmfix.fixed_points import component_catalog
 from cmfix.parameters import ParamSet
@@ -379,6 +378,17 @@ def test_smooth_cyclic_and_g4_refuse_l_n_and_a(capsys, criterion, kparams, optio
                                        f"not {flags}\n")
 
 
+@pytest.mark.parametrize("options,says", [
+    (["--l", "0", "--kparams=0"], "l must be >= 1"),
+    (["--l", "2", "--n", "0", "--a", "1", "--kparams=1,-1"], "n must be >= 1"),
+], ids=["l-0", "n-0"])
+def test_smooth_zero_l_and_n_are_refused_not_defaulted(capsys, options, says):
+    # only a flag left out takes its default of 1: a given 0 is refused
+    code, out = run(["smooth", "--criterion", "gl1n", *options])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {says}\n"
+
+
 def test_usage_error_exit_2(capsys, tmp_path):
     code, _ = run(["cores", "--partition", "2,3", "--l", "2"])  # not decreasing
     assert code == 2
@@ -451,9 +461,9 @@ def test_zero_denominators_and_empty_n_exit_2(tmp_path, capsys, argv):
 def test_rep_json_round_trip():
     rep = random_rep((2, 1), random.Random(41))
     assert _read_rep(json.loads(json.dumps(rep_json(rep)))) == rep
-    # a cyclotomic entry, as chartable would print it, is refused by its place and value
+    # a cyclotomic entry, as chartable prints it, is refused by its place and value
     obj = rep_json(rep)
-    obj["Y"][1][1][0] = cli._cyclotomic_json(zeta(4))
+    obj["Y"][1][1][0] = {"order": 4, "coeffs": ["0", "1"]}
     with pytest.raises(ValueError, match=r'^Y\[1\]\[1\]\[0\] is \{"order": 4, "coeffs": \["0", "1"\]\}: '
                        "a representation holds rational matrix entries only$"):
         _read_rep(json.loads(json.dumps(obj)))
@@ -469,15 +479,6 @@ def test_rep_integral_entries_are_ints():
     assert entries == [3, 2, -2, 5, Fraction(1, 2), 0, -1, Fraction(2, 3)]
     assert [type(x) for x in entries] == [int] * 4 + [Fraction, int, int, Fraction]
     assert _read_rep(json.loads(json.dumps(rep_json(rep)))) == rep
-
-
-@given(st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=12),
-                min_size=2, max_size=2))
-def test_cyclotomic_json_round_trip(coeffs):
-    # chartable prints this form; the constructor reads it back exactly
-    a = CyclotomicNumber(6, coeffs)
-    obj = json.loads(json.dumps(cli._cyclotomic_json(a)))
-    assert CyclotomicNumber(obj["order"], map(parse_rational, obj["coeffs"])) == a
 
 
 def test_quiver_check(tmp_path):
@@ -596,14 +597,8 @@ COMMANDS = ("cores", "quotient", "residues", "enumerate-e", "transport", "compon
             "chartable", "verify-filtration", "smooth", "quiver-check", "selftest")
 
 
-def test_the_parser_is_built_once_per_process():
-    """Once per process and command: the full parser lists every subcommand in
-    order, a one-command parser only its own."""
-    assert cli.build_parser() is cli.build_parser()
+def test_the_full_usage_lists_every_subcommand_in_order():
     assert "{" + ",".join(COMMANDS) + "}" in cli.build_parser().format_usage()
-    for command in COMMANDS:
-        assert cli.build_parser(command) is cli.build_parser(command)
-        assert "{" + command + "}" in cli.build_parser(command).format_usage()
 
 
 def _exit(call, capsys) -> tuple:
@@ -618,8 +613,8 @@ LEFTOVERS = ["components", "--l", "3", "--n", "4", "--k", "2", "--a", "1/7",
              "--kparams=1/3,1/5,-8/15", "--convention", "quiver"]
 
 
-# leftovers, and command lines that start with no subcommand, reach the full
-# parser; the last is refused by the cores subparser itself
+# lines the registry declines: leftovers, no subcommand first, help, the
+# version, and one that the cores subparser itself refuses
 @pytest.mark.parametrize("argv,code", [
     (LEFTOVERS, 2),
     (["smooth", "--criterion", "cyclic", "--kparams=", "1"], 2),
@@ -647,19 +642,17 @@ def test_leftover_arguments_are_refused_naming_every_subcommand(capsys):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_help_is_the_full_parsers(command, capsys):
     full = _exit(lambda: cli.build_parser().parse_args([command, "--help"]), capsys)
-    assert _exit(lambda: cli.build_parser(command).parse_args([command, "--help"]),
-                 capsys) == full
     assert _exit(lambda: main((command, "--help")), capsys) == full
     assert full[0] == 0 and full[1].startswith(f"usage: cmfix {command} [-h]")
 
 
 def _argparse_reads(argv):
-    """vars() of what the one-command parser parses from argv, or None when
-    it exits (a refusal, help) or leaves arguments over."""
+    """vars() of what the full parser parses from argv, or None when it exits
+    (a refusal, help) or leaves arguments over."""
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(out):
         try:
-            args, rest = cli.build_parser(argv[0]).parse_known_args(argv)
+            args, rest = cli.build_parser().parse_known_args(argv)
         except SystemExit:
             return None
     return None if rest else vars(args)
@@ -717,15 +710,19 @@ def test_the_registry_reads_every_golden_and_benchmark_line(tmp_path):
 
     argvs = [param.values[0] for param in GOLDEN]
     argvs.append(["quiver-check", "--rep", "rep.json", "--seed", "11", "--theta", "1,-1,0"])
+    # every line of every workload, tiny and full size, at two seeds: one
+    # that the registry declines would cost the benchmark an argparse build
     for workload in WORKLOADS.values():
         argvs += workload.plan(1, tmp_path, True)
+        for seed in (1, 2):
+            argvs += workload.plan(seed, tmp_path, False)
     for argv in argvs:
         args = cli._read_argv(argv)
         assert args is not None and vars(args) == _argparse_reads(argv), argv
 
 
 # the smooth calls check that the flags one call gives (--l, --n and --a,
-# whose default is absent) do not reach the next
+# whose default is None) do not reach the next
 SUCCESSIVE = (
     ["smooth", "--criterion", "gl1n", "--l", "2", "--n", "3", "--a", "1", "--kparams=1,-1"],
     ["smooth", "--criterion", "cyclic", "--kparams=1,-1"],
@@ -733,17 +730,11 @@ SUCCESSIVE = (
     ["smooth", "--kparams=0"],
     ["cores", "--partition", "4,2,1", "--l", "2"],
 )
-# importing the cli builds no parser; each call prints its exit code after its
-# output; the calls, all well formed, build no parser and import no argparse;
-# then asking for the parser of each command called builds one each (after
-# SUCCESSIVE, the smooth and the cores parsers), and asking again builds none
-MAIN = ("import sys, cmfix.cli as cli; assert cli.build_parser.cache_info().currsize == 0; "
+# each call prints its exit code after its output; importing the cli and
+# running the calls, all well formed, imports no argparse
+MAIN = ("import sys, cmfix.cli as cli; "
         "[print(cli.main(argv)) for argv in {0!r}]; "
-        "assert cli.build_parser.cache_info().currsize == 0; "
-        "assert 'argparse' not in sys.modules; "
-        "called = {{argv[0] for argv in {0!r}}}; [cli.build_parser(c) for c in called]; "
-        "info = cli.build_parser.cache_info(); "
-        "assert info.misses == info.currsize == len(called), (info, called)")
+        "assert 'argparse' not in sys.modules")
 
 
 def _main_in_a_fresh_process(argvs) -> tuple[str, str]:

@@ -146,14 +146,14 @@ def test_cold_start_prints_the_medians_and_the_added_modules(monkeypatch, capsys
     spec.loader.exec_module(module)
     monkeypatch.setattr(sys, "argv", ["cold_start.py", "--runs", "1"])  # five interpreters
     assert module.main() == 0
-    bare, cli, read, one, added = capsys.readouterr().out.splitlines()
+    bare, cli, read, full, added = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"bare interpreter: median \d+\.\d{4} s over 1 runs", bare), bare
     assert re.fullmatch(r"import cmfix\.cli: median \d+\.\d{4} s over 1 runs "
                         r"\([+-]\d+\.\d{4} s\)", cli), cli
     assert re.fullmatch(r"registry read, what main does: median \d+\.\d{3} ms over 1 runs",
                         read), read
-    assert re.fullmatch(r"one-command parser, for help and refusals, import, build and parse: "
-                        r"median \d+\.\d{3} ms over 1 runs \([+-]\d+\.\d{3} ms\)", one), one
+    assert re.fullmatch(r"full parser, for help and refusals, import, build and parse: "
+                        r"median \d+\.\d{3} ms over 1 runs \([+-]\d+\.\d{3} ms\)", full), full
     count, names = re.fullmatch(r"modules outside cmfix that it adds \((\d+)\): (.*)", added).groups()
     assert int(count) == len(names.split())
     assert not {"cmfix", "dataclasses", "inspect", "argparse", "gettext"} & set(names.split())
