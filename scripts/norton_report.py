@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time Norton's simplicity test case by case, and where its time goes.
 
-    python scripts/norton_report.py [--seed S] [--tiny]
+    python scripts/norton_report.py [--seed S] [--tiny] [--repeats N]
 
 The cases are the six representations of the ``quiver`` benchmark workload
 for seed S (``perfbench/workloads.quiver_reps``), each tested at the
@@ -21,6 +21,12 @@ call it), the kernel reads (``linalg.kernel``, likewise) and the F_P spins
 (``quiver._spins_whole_mod_p``), each timed by wrapping the function in the
 case's process.
 
+A single cold call swings with the machine's state, by up to 1.7x between
+runs of one case.  With ``--repeats N`` (N >= 1), the case's process then
+makes N more calls, warm and unwrapped, and the line gives both the cold
+call's seconds and the median of the N warm ones:
+``0.020 s cold, 0.018 s warm``.
+
 A root is seen when the root search hands it to the trial loop, which
 builds its echelon.  A settled root reads its kernel, and when its spins
 find no witness there, also builds and reads the echelon of the transpose;
@@ -33,6 +39,7 @@ Exit status: 0; 2 on a bad argument; 3 if a case's process did not finish
 import argparse
 import json
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -76,9 +83,10 @@ def build(case: list) -> tuple[quiver.QuiverRep, int]:
     return quiver.QuiverRep((n,), (Mat(n, n, X),), (Mat(n, n, Y),)), norton
 
 
-def measure(case: list) -> dict:
+def measure(case: list, repeats: int = 0) -> dict:
     """Verdict, trial count, roots seen and settled, seconds and seconds per
-    part of one case, in this process."""
+    part of one case, in this process; then, with ``repeats``, the median
+    seconds of that many more calls (None without)."""
     rep, norton = build(case)
     spent = dict.fromkeys((name for name, *_ in PARTS), 0.0)
     calls = dict.fromkeys(spent, 0)
@@ -112,23 +120,32 @@ def measure(case: list) -> dict:
     finally:
         for owner, attr, func in originals:
             setattr(owner, attr, func)
+    warm = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        quiver.norton_simplicity(rep, seed=norton)
+        warm.append(time.perf_counter() - start)
     return {"status": res.status, "trials": res.trials, "seen": seen,
             "settled": calls["kernels"] - calls["echelons"] + seen,
-            "seconds": seconds, "parts": spent}
+            "seconds": seconds, "parts": spent,
+            "warm": statistics.median(warm) if warm else None}
 
 
 def line(case: list, result: dict) -> str:
     total = result["seconds"] or 1.0
     shares = ", ".join(f"{name} {100 * s / total:.0f} %" for name, s in result["parts"].items())
+    seconds = f"{result['seconds']:.3f} s"
+    if result.get("warm") is not None:
+        seconds += f" cold, {result['warm']:.3f} s warm"
     return (f"[{result['status']:<9}] {label(case)}: {result['trials']} trials, "
-            f"{result['seen']} roots, {result['settled']} settled, "
-            f"{result['seconds']:.3f} s; {shares}")
+            f"{result['seen']} roots, {result['settled']} settled, {seconds}; {shares}")
 
 
-def run(seed: int, tiny: bool) -> int:
+def run(seed: int, tiny: bool, repeats: int = 0) -> int:
     crashed = 0
     for case in cases(seed, tiny):
-        proc = subprocess.run([sys.executable, __file__, "--case", json.dumps(case)],
+        proc = subprocess.run([sys.executable, __file__, "--repeats", str(repeats),
+                               "--case", json.dumps(case)],
                               stdout=subprocess.PIPE, text=True)
         if proc.returncode:
             print(f"error: {label(case)} exited with {proc.returncode}", file=sys.stderr,
@@ -144,12 +161,16 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=1, help="seed of the workload representations")
     ap.add_argument("--tiny", action="store_true", help="the tiny representations and d = (3)")
+    ap.add_argument("--repeats", type=int, default=0,
+                    help="warm calls per case after the cold one, reported by their median")
     ap.add_argument("--case", help=argparse.SUPPRESS)  # one case, reported as JSON
     args = ap.parse_args(argv)
+    if args.repeats < 0:
+        ap.error(f"--repeats must be at least 0, got {args.repeats}")
     if args.case is not None:
-        print(json.dumps(measure(json.loads(args.case))))
+        print(json.dumps(measure(json.loads(args.case), args.repeats)))
         return 0
-    return run(args.seed, args.tiny)
+    return run(args.seed, args.tiny, args.repeats)
 
 
 if __name__ == "__main__":

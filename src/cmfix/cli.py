@@ -281,18 +281,33 @@ def cmd_transport(args) -> int:
     return 0
 
 
-# newline and indent of an entry of a component's "labels", and of the
-# "mu" and "lambda" of an entry of its "label_injection"
+# newline and indent of an entry of a component's "labels" and
+# "label_injection", and of the "mu" and "lambda" of an injection entry
 _LABEL_NL = "\n" + " " * 6
 _PAIR_NL = "\n" + " " * 8
 
 
-def _label(lam, nl: str) -> _Raw:
-    """The multipartition lam, a tuple of tuples of ints, as ``_dumps(lam, nl)``."""
+def _labeller(nl: str):
+    """A renderer of multipartitions at one indent: it returns each
+    multipartition lam, a tuple of tuples of ints, as ``_dumps(lam, nl)``.
+
+    The renderer makes each distinct partition's text once, on its first
+    lookup, and joins those texts for every multipartition it renders.  A
+    handler makes one per indent it writes labels at, and drops it when it
+    returns.
+    """
     inner, part = nl + "  ", nl + "    "
-    return _Raw("[" + inner + ("," + inner).join(
-        ["[" + part + ("," + part).join(map(str, c)) + inner + "]" if c else "[]" for c in lam])
-        + nl + "]")
+    sep, part_sep, end = "," + inner, "," + part, inner + "]"
+    start, stop = "[" + inner, nl + "]"
+
+    class Texts(dict):
+        # partition -> its text, made on the first lookup of the partition
+        def __missing__(self, c):
+            t = self[c] = "[" + part + part_sep.join(map(str, c)) + end
+            return t
+
+    text = Texts({(): "[]"}).__getitem__
+    return lambda lam: _Raw(start + sep.join(map(text, lam)) + stop)
 
 
 @_command("components", "catalog of fixed-locus components",
@@ -302,14 +317,17 @@ def cmd_components(args) -> int:
     p = ParamSet(args.l, parse_rational(args.a), _parse_rationals(args.kparams))
     cat = component_catalog(args.l, args.n, args.k, p)
     if args.format == "json":
+        # each injection entry {"mu", "lambda"} is one text, as _dumps writes it
+        label, pair = _labeller(_LABEL_NL), _labeller(_PAIR_NL)
+        mu_key, lam_key = "{" + _PAIR_NL + '"mu": ', "," + _PAIR_NL + '"lambda": '
         _emit({
             "gamma": c.gamma,
             "r": c.r,
             "m": c.m,
             "d": _residue_json(c.d),
             "c_prime": _params_json(c.c_prime),
-            "labels": [_label(lam, _LABEL_NL) for lam in c.labels],
-            "label_injection": [{"mu": _label(mu, _PAIR_NL), "lambda": _label(lam, _PAIR_NL)}
+            "labels": [label(lam) for lam in c.labels],
+            "label_injection": [_Raw(mu_key + pair(mu) + lam_key + pair(lam) + _LABEL_NL + "}")
                                 for mu, lam in sorted(c.label_injection.items())],
             "convention": "gordon",
         } for c in cat)
@@ -341,7 +359,8 @@ def cmd_chartable(args) -> int:
     # one enumeration indexes rows and columns, so the labels' text serves
     # the classes too; the keys up to "values" through _dumps, then one join
     # and one write per row
-    labels = [_label(lam, _ENTRY_NL) for lam in t.labels]
+    label = _labeller(_ENTRY_NL)
+    labels = [label(lam) for lam in t.labels]
     before, _, after = _dumps({"l": t.l, "n": t.n, "labels": labels, "classes": labels,
                                "sizes": t.sizes, "values": _Raw("\0")}).partition("\0")
     out, sep = sys.stdout, "," + _VALUE_NL

@@ -108,21 +108,29 @@ class ComponentDescriptor(Record):
 
 
 def component_catalog(l: int, n: int, k: int, p: ParamSet) -> list[ComponentDescriptor]:
-    """One descriptor per gamma; requires smooth parameters."""
+    """One descriptor per gamma; requires smooth parameters.
+
+    The call reads the fibres of one ``core_fibres`` call and builds the set
+    of kl-multipartitions of r once per rank r; every gamma of rank r checks
+    its label injection against that one set, so each gamma's bijection is
+    still checked.  Nothing outlives the call.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if p.l != l:
         raise ValueError("parameter set has the wrong l")
     if not smooth_gl1n(p, n):
         raise ValueError("parameters are not smooth; the catalog needs smoothness")
-    out = []
+    m = k * l
+    out, targets = [], {}
     for gamma, fibre in core_fibres(l, n, k).items():
         r = (n - msize(gamma)) // k
-        m = k * l
         d = _delta_inverse(gamma, k, l, r)
         cp = transport(p, k, d)
         inj = {mu: lam for lam, mu in fibre.items()}
-        assert len(inj) == len(fibre) and set(inj) == set(enumerate_multipartitions(m, r))
+        if r not in targets:
+            targets[r] = frozenset(enumerate_multipartitions(m, r))
+        assert len(inj) == len(fibre) and inj.keys() == targets[r], gamma
         out.append(
             ComponentDescriptor(
                 l=l, n=n, k=k, gamma=gamma, r=r, m=m, d=d, c_prime=cp,

@@ -46,14 +46,16 @@ verdict can tell the two orders apart.
 component gamma are ``core_fibres(l, n, k)[gamma]`` wherever they are needed,
 a dict from each label to its interleaved k-quotient.  It reads every
 partition of size <= n in one abacus pass, which both picks out the
-k-cores of its keys and reads the labels, and it caches nothing: each call
-builds a new value, and its callers read it once per call.
+k-cores of its keys and reads the labels, and rebuilds each distinct k-core
+once from its runner charges.  It caches nothing: each call builds a new
+value, and its callers read it once per call.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import chain
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -268,10 +270,11 @@ def check_core_tuple(gamma: Multipartition, k: int, l: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _interleave(quotients, k: int) -> Multipartition:
+def _interleave(quotients) -> Multipartition:
     # the slot rule: quotient t of component i fills slot i + (k-1-t)l, so
-    # slot s*l + i holds quotient k-1-s of component i
-    return tuple(quot[k - 1 - s] for s in range(k) for quot in quotients)
+    # slot s*l + i holds quotient k-1-s of component i, which is entry s of
+    # the reversed quotient i: zip the reversed quotients, slot group by group
+    return tuple(chain.from_iterable(zip(*[quot[::-1] for quot in quotients])))
 
 
 def beta_flat_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Multipartition:
@@ -288,7 +291,7 @@ def beta_flat_k_gamma(lam: Multipartition, k: int, gamma: Multipartition) -> Mul
         if nu != g:
             raise ValueError(f"core mismatch in component {i}: Core_{k}{c} = {nu} != {g}")
         quotients.append(quot)
-    return _interleave(quotients, k)
+    return _interleave(quotients)
 
 
 # ---------------------------------------------------------------------------
@@ -369,15 +372,24 @@ def core_fibres(
 
     Keys are enumerate_core_tuples(k, l, n) in that order.  The fibre of
     gamma maps each label lam to beta_flat_k_gamma(lam, k, gamma), and
-    iterates its labels in the enumerate_multipartitions(l, n) order.  Each
-    partition of size <= n takes one abacus pass, which both tells the
-    k-cores the keys are made of and reads every label component, whatever
-    the number of labels or keys it is a component of.  The result is a new
-    value on every call; a caller that reads it twice keeps it.
+    iterates its labels in the enumerate_multipartitions(l, n) order.
+
+    Each call makes every piece once: one abacus pass per partition of size
+    <= n, which both tells the k-cores the keys are made of and reads every
+    label component, whatever the number of labels or keys it is a
+    component of; and one ``core_from_charges`` per distinct charge vector
+    those passes read, so partitions with one k-core share one core value.
+    The pieces live in the call alone: the result is a new value on every
+    call, and a caller that reads it twice keeps it.
     """
-    reads = {p: core_and_quotient(p, k) for p in partitions_upto(n)}
+    cores, reads = {}, {}
+    for p in partitions_upto(n):
+        charges, quot = _runner_data(p, k)
+        if charges not in cores:
+            cores[charges] = core_from_charges(charges)
+        reads[p] = cores[charges], quot
     fibres = {g: {} for g in _core_tuples(k, l, n, lambda p: not any(reads[p][1]))}
     for lam in enumerate_multipartitions(l, n):
-        cqs = [reads[c] for c in lam]
-        fibres[tuple(nu for nu, _ in cqs)][lam] = _interleave([q for _, q in cqs], k)
+        gamma, quotients = zip(*[reads[c] for c in lam])
+        fibres[gamma][lam] = _interleave(quotients)
     return fibres

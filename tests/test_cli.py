@@ -20,6 +20,7 @@ from cmfix.quiver import random_rep
 from cmfix.wreath import verify_filtration
 
 from oracles import component_json, rep_json
+from test_wreath import _cache_sizes, _module_caches
 
 
 def run(argv):
@@ -123,14 +124,33 @@ def test_components_json_and_csv():
     (2, 3, 2, "1/97", "1,-1"),        # empty parts in labels, mu and lambda
     (3, 4, 2, "-1/97", "1/89,1/83,-172/7387"),
     (2, 5, 3, "7/1000003", "3/1000033,-3/1000033"),
-], ids=["l1-k2", "l1-k1", "l2-k2", "l3-k2", "l2-k3"])
+    # in these two, one partition is a component of labels, of mu and of
+    # lambda, at two indents, and labels have empty components
+    (2, 6, 3, "7/1000003", "3/1000033,-3/1000033"),
+    (3, 9, 2, "-1/97", "1/89,1/83,-172/7387"),  # CATALOG_3_9_2
+], ids=["l1-k2", "l1-k1", "l2-k2", "l3-k2", "l2-k3", "l2-n6-k3", "catalog-3-9-2"])
 def test_components_prints_what_the_stdlib_prints(l, n, k, a, kparams):
-    # each label text is written whole; the bytes must be the plain encoder's
+    # each label text is joined from partition texts made once per indent;
+    # the bytes must be the plain encoder's
     p = ParamSet(l, parse_rational(a), tuple(map(parse_rational, kparams.split(","))))
     want = [component_json(c) for c in component_catalog(l, n, k, p)]
     argv = ["components", "--l", str(l), "--n", str(n), "--k", str(k), f"--a={a}",
             f"--kparams={kparams}"]
     assert run(argv) == (0, json.dumps(want, indent=2) + "\n")
+
+
+def test_the_label_renderer_leaves_no_module_level_memo():
+    # the catalog, the table and one reduced value warm every library cache
+    # the two commands read; rendering their labels must then leave every
+    # package cache as it found it, so no partition text outlives the call
+    component_catalog(2, 6, 3, ParamSet(2, Fraction(1, 97), (Fraction(1), Fraction(-1))))
+    arith._reduce(3, wreath.character_table(3, 4).raw[0][0])
+    caches = _module_caches()
+    before = _cache_sizes(caches)
+    assert run(["components", "--l", "2", "--n", "6", "--k", "3", "--a=1/97",
+                "--kparams=1,-1"])[0] == 0
+    assert run(["chartable", "--l", "3", "--n", "4"])[0] == 0
+    assert _cache_sizes(caches) == before
 
 
 def test_components_convention_flag(capsys):

@@ -25,6 +25,7 @@ from cmfix.partitions import (
     partitions_upto,
 )
 from oracles import beta_flat_k_gamma_inverse, beta_flat_via_kl_quotient, enumerate_E_direct
+from test_wreath import _cache_sizes, _module_caches
 
 GRID = [(1, 2, 2), (1, 3, 2), (1, 4, 2), (1, 4, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)]
 
@@ -187,6 +188,57 @@ def test_the_catalog_reads_each_partition_once(monkeypatch):
     passes.clear()
     enumerate_core_tuples(2, 3, 9)
     assert 0 < len(passes) <= len(partitions_upto(9)) == 97
+    # the 97 passes read four charge vectors, those of the 2-cores (), (1),
+    # (2,1) and (3,2,1); each core is built from its charges once per call
+    built = []
+    rebuild = cmfix.partitions.core_from_charges
+    monkeypatch.setattr(cmfix.partitions, "core_from_charges",
+                        lambda s: built.append(tuple(s)) or rebuild(s))
+    fibres = core_fibres(3, 9, 2)
+    assert len(built) == len(set(built)) == 4
+    assert {nu for gamma in fibres for nu in gamma} == {(), (1,), (2, 1), (3, 2, 1)}
+    # start every package cache empty and warm what the call reads from its
+    # callees' caches; the call must then leave them all as it found them
+    caches = _module_caches()
+    for x in caches:
+        if hasattr(x, "cache_clear"):
+            x.cache_clear()
+    partitions_upto(9)
+    before = _cache_sizes(caches)
+    built.clear()
+    assert core_fibres(3, 9, 2) == fibres
+    assert _cache_sizes(caches) == before and len(built) == 4
+
+
+def test_the_catalog_builds_each_ranks_targets_once(monkeypatch):
+    # (3,9,2) has 26 components over the five ranks 0..4
+    calls = []
+    targets = cmfix.fixed_points.enumerate_multipartitions
+    monkeypatch.setattr(cmfix.fixed_points, "enumerate_multipartitions",
+                        lambda m, r: calls.append((m, r)) or targets(m, r))
+    cat = component_catalog(3, 9, 2, generic_params(3))
+    assert len(cat) == 26
+    assert sorted(calls) == [(6, r) for r in range(5)] == sorted({(6, c.r) for c in cat})
+
+
+@pytest.mark.parametrize("corrupt", ["first", "second"])
+@pytest.mark.parametrize("wrong", ["duplicate", "foreign"])
+def test_a_wrong_label_map_fails_on_the_shared_targets(monkeypatch, corrupt, wrong):
+    # at (2,5,2) two gamma have rank 2 and share the set of their 14 targets;
+    # one label of either mapped to another label's mu, or to a mu that is
+    # no 4-multipartition of 2, must fail that gamma's check all the same
+    l, n, k = 2, 5, 2
+    fibres = core_fibres(l, n, k)
+    shared = [g for g in fibres if (n - msize(g)) // k == 2]
+    assert len(shared) == 2 and all(len(fibres[g]) == 14 for g in shared)
+    fibre = fibres[shared[0] if corrupt == "first" else shared[1]]
+    first, second = list(fibre)[:2]
+    fibre[second] = fibre[first] if wrong == "duplicate" else ((3,), (), (), ())
+    monkeypatch.setattr(cmfix.fixed_points, "core_fibres", lambda *args: fibres)
+    with pytest.raises(AssertionError):
+        component_catalog(l, n, k, generic_params(l))
+    monkeypatch.undo()
+    assert len(component_catalog(l, n, k, generic_params(l))) == len(fibres)
 
 
 def test_component_dimension_is_2r():

@@ -41,6 +41,21 @@ def test_profile_prints_the_top_functions(profile_script, workload, capsys):
     assert capsys.readouterr().out == ""  # the workload's stdout is discarded
 
 
+def test_profile_times_each_invocation_before_the_profile(profile_script, tmp_path, capsys):
+    argvs = profile_script.WORKLOADS["catalog"].plan(3, tmp_path, True)
+    out = io.StringIO()
+    assert profile_script.profile("catalog", seed=3, tiny=True, out=out, times=True) == 0
+    lines = out.getvalue().splitlines()
+    seconds = []
+    for argv, line in zip(argvs + [["total"]], lines):
+        found = re.fullmatch(r"(\d+\.\d{4}) s  (.+)", line)
+        assert found and found[2] == " ".join(argv), line
+        seconds.append(float(found[1]))
+    assert abs(sum(seconds[:-1]) - seconds[-1]) <= 0.0001 * len(argvs)
+    assert "function calls" in lines[len(argvs) + 1]
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("grid,code", [
     ("1,2,2;2,2,2", 0),
     ("2,4", 2),
@@ -276,10 +291,12 @@ def norton_report():
     return module
 
 
-def test_norton_report_prints_each_case_with_its_verdict_and_shares(norton_report):
+def _check_norton_lines(norton_report, *flags, seconds=r"\d+\.\d{3} s"):
+    # one line per tiny case at seed 3, each with the verdict, label and trial
+    # count the test gives in this process, and the seconds as `seconds` reads
     from cmfix.quiver import norton_simplicity
 
-    proc = subprocess.run([sys.executable, str(NORTON_REPORT), "--tiny", "--seed", "3"],
+    proc = subprocess.run([sys.executable, str(NORTON_REPORT), "--tiny", "--seed", "3", *flags],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0 and proc.stderr == ""
     cases = norton_report.cases(3, True)
@@ -287,7 +304,7 @@ def test_norton_report_prints_each_case_with_its_verdict_and_shares(norton_repor
     assert len(lines) == len(cases) == 5
     for case, line in zip(cases, lines):
         found = re.fullmatch(r"\[(\w+) *\] (.+): (\d+) trials, (\d+) roots, (\d+) settled, "
-                             r"\d+\.\d{3} s; charpoly \d+ %, roots \d+ %, echelons \d+ %, "
+                             + seconds + r"; charpoly \d+ %, roots \d+ %, echelons \d+ %, "
                              r"kernels \d+ %, F_P spins \d+ %", line)
         assert found, line
         rep, seed = norton_report.build(case)
@@ -296,6 +313,15 @@ def test_norton_report_prints_each_case_with_its_verdict_and_shares(norton_repor
         # a Simple verdict settles its one decisive root, and only that one
         seen, settled = int(found[4]), int(found[5])
         assert settled <= seen and (res.status != "Simple" or res.trials == 0 or settled == 1)
+
+
+def test_norton_report_prints_each_case_with_its_verdict_and_shares(norton_report):
+    _check_norton_lines(norton_report)
+
+
+def test_norton_report_prints_the_cold_and_the_warm_seconds_with_repeats(norton_report):
+    _check_norton_lines(norton_report, "--repeats", "2",
+                        seconds=r"\d+\.\d{3} s cold, \d+\.\d{3} s warm")
 
 
 def test_norton_report_exits_3_on_a_dead_case(norton_report, monkeypatch, capsys):
@@ -316,3 +342,21 @@ def test_norton_report_exits_3_on_a_dead_case(norton_report, monkeypatch, capsys
     assert len(out.splitlines()) == 3
     assert err.splitlines() == ["error: cm d=(3) (seed 0) exited with -9",
                                 "error: cm d=(3) (seed 20200513) exited with -9"]
+
+
+def test_norton_report_takes_the_median_of_the_warm_calls(norton_report, monkeypatch):
+    # one cold call, then the median of the seconds of `repeats` more
+    calls, medians = [], []
+    test = norton_report.quiver.norton_simplicity
+    monkeypatch.setattr(norton_report.quiver, "norton_simplicity",
+                        lambda *args, **kwargs: calls.append(1) or test(*args, **kwargs))
+    monkeypatch.setattr(norton_report.statistics, "median",
+                        lambda xs: medians.append(list(xs)) or 0.5)
+    result = norton_report.measure(["cm", 3, 0], repeats=3)
+    assert len(calls) == 4 and [len(xs) for xs in medians] == [3] and result["warm"] == 0.5
+    assert norton_report.measure(["cm", 3, 0])["warm"] is None and len(calls) == 5
+    assert " 1.000 s cold, 0.500 s warm; " in norton_report.line(["cm", 3, 0], {
+        **result, "seconds": 1.0})
+    with pytest.raises(SystemExit) as exc:
+        norton_report.main(["--tiny", "--repeats", "-1"])
+    assert exc.value.code == 2
