@@ -4,10 +4,15 @@
 Every component restriction morphism Z(C G(l,1,n)) ->> Z(C G(kl,1,r)) is
 checked class sum by class sum.  Each grid point runs in its own cold
 ``python`` process, which checks every gamma of the point in one call.  The
-script prints one line per point: its verdict, the all-gamma time, the share
-of it spent in ``wreath._columns`` (the rim-hook recursion, timed by wrapping
-it in the point's process) and the process's peak RSS (``ru_maxrss``),
-followed by the certificate lines of any failing gamma.
+script prints one line per point: its verdict, its gamma and the orbits
+they fall into, the all-gamma time, the shares of it spent in
+``wreath._columns`` (the rim-hook recursion) and in the orbit search, and
+the process's peak RSS (VmHWM), followed by the certificate lines of any
+failing gamma.  The orbits are those of the grouping the check itself makes
+(``wreath._fibre_orbits``), read and timed by wrapping it in the point's
+process like ``_columns``; a gamma of a rank with no live class is not
+searched and counts as its own orbit.  VmHWM, not ``ru_maxrss``: Linux
+carries the spawning parent's peak over into a child's ``ru_maxrss``.
 
 Exit status: 1 if a certificate of violation shows up, 2 on a malformed
 --grid, 3 if no certificate shows up but some point's process did not finish
@@ -16,7 +21,6 @@ Exit status: 1 if a certificate of violation shows up, 2 on a malformed
 
 import argparse
 import json
-import resource
 import subprocess
 import sys
 import time
@@ -53,33 +57,50 @@ def certificate_lines(rep) -> list[str]:
             for cert in rep.certificates]
 
 
+def peak_rss_mib() -> float:
+    """VmHWM of this process image, which starts afresh at exec."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024  # kB
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
 def measure_point(l: int, n: int, k: int) -> dict:
-    """All-gamma time, its _columns share, peak RSS and failures of one
-    point in this process."""
+    """All-gamma time, its _columns and orbit-search shares, the gamma
+    orbits, peak RSS and failures of one point in this process."""
     gammas = enumerate_core_tuples(k, l, n)
-    columns, spent = wreath._columns, []
+    originals = {name: getattr(wreath, name) for name in ("_columns", "_fibre_orbits")}
+    spent, groupings = dict.fromkeys(originals, 0.0), []
 
-    def timed(*args):
-        t = time.perf_counter()
-        try:
-            return columns(*args)
-        finally:
-            spent.append(time.perf_counter() - t)
+    def timed(name):
+        def call(*args):
+            t = time.perf_counter()
+            out = originals[name](*args)
+            spent[name] += time.perf_counter() - t
+            if name == "_fibre_orbits":
+                groupings.append(out)
+            return out
+        return call
 
-    wreath._columns = timed
+    for name in originals:
+        setattr(wreath, name, timed(name))
     try:
         t0 = time.perf_counter()
         reports = wreath.verify_filtration(l, n, k, gammas)
         t1 = time.perf_counter()
     finally:
-        wreath._columns = columns
+        for name, f in originals.items():
+            setattr(wreath, name, f)
     bad = [rep for rep in reports if not rep.passed]
     return {
         "gammas": len(reports),
+        "orbits": len(reports) - sum(g != rho for orbit in groupings for g, rho in orbit.items()),
         "failing": len(bad),
         "gamma_s": t1 - t0,
-        "columns_s": sum(spent),
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KiB on Linux
+        "columns_s": spent["_columns"],
+        "orbits_s": spent["_fibre_orbits"],
+        "peak_rss_mib": peak_rss_mib(),
         "lines": [line for rep in bad
                   for line in [f"      gamma={rep.gamma}", *certificate_lines(rep)]],
     }
@@ -97,8 +118,9 @@ def run_grid(grid) -> int:
             continue
         point = json.loads(proc.stdout)
         print(f"[{'BAD' if point['failing'] else 'ok '}] l={l} n={n} k={k}: "
-              f"{point['gammas']} gamma, {point['failing']} failing, "
-              f"all gamma {point['gamma_s']:.2f}s (_columns {point['columns_s']:.2f}s), "
+              f"{point['gammas']} gamma in {point['orbits']} orbits, "
+              f"{point['failing']} failing, all gamma {point['gamma_s']:.2f}s "
+              f"(_columns {point['columns_s']:.2f}s, orbits {point['orbits_s']:.3f}s), "
               f"peak RSS {point['peak_rss_mib']:.1f} MiB",
               flush=True)
         for line in point["lines"]:

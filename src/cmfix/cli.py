@@ -40,7 +40,7 @@ from .parameters import (
     theta_from_ak,
     transport,
 )
-from .partitions import core, enumerate_core_tuples, partition, quotient, residues
+from .partitions import core, partition, quotient, residues
 from .fixed_points import component_catalog, enumerate_E
 from .arith import _reduce
 from .wreath import character_table, verify_filtration
@@ -376,10 +376,7 @@ def cmd_chartable(args) -> int:
           l=_REQUIRED_INT, n=_REQUIRED_INT, k=_REQUIRED_INT,
           gamma={"help": 'JSON list of partitions, e.g. "[[1],[]]"'})
 def cmd_verify_filtration(args) -> int:
-    if args.gamma is not None:
-        gammas = [_parse_gamma(args.gamma)]
-    else:
-        gammas = enumerate_core_tuples(args.k, args.l, args.n)
+    gammas = None if args.gamma is None else [_parse_gamma(args.gamma)]
     reports = verify_filtration(args.l, args.n, args.k, gammas)
     _emit({
         "l": r.l, "n": r.n, "k": r.k,

@@ -69,7 +69,8 @@ def delta_map(d, l: int) -> Multipartition:
     nu_core, gamma = core_and_quotient(nu, l)
     # equal class sums make Res_l(nu) a multiple of delta_l, so every charge
     # of nu's l-core is 0: the l-core is empty for any d that gets here
-    assert nu_core == (), (d, nu)
+    if nu_core != ():
+        raise AssertionError((d, nu))
     return gamma
 
 
@@ -130,7 +131,8 @@ def component_catalog(l: int, n: int, k: int, p: ParamSet) -> list[ComponentDesc
         inj = {mu: lam for lam, mu in fibre.items()}
         if r not in targets:
             targets[r] = frozenset(enumerate_multipartitions(m, r))
-        assert len(inj) == len(fibre) and inj.keys() == targets[r], gamma
+        if len(inj) != len(fibre) or inj.keys() != targets[r]:
+            raise AssertionError(gamma)
         out.append(
             ComponentDescriptor(
                 l=l, n=n, k=k, gamma=gamma, r=r, m=m, d=d, c_prime=cp,

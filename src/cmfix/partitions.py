@@ -48,7 +48,15 @@ a dict from each label to its interleaved k-quotient.  It reads every
 partition of size <= n in one abacus pass, which both picks out the
 k-cores of its keys and reads the labels, and rebuilds each distinct k-core
 once from its runner charges.  It caches nothing: each call builds a new
-value, and its callers read it once per call.
+value, and its callers read it once per call.  A caller that has already
+listed the labels, or read some partitions off the k-abacus (``check_core_tuple``
+takes the same reader), hands them in, so nothing is read twice.
+
+``label_action`` is the one map on labels: component i moves to slot
+a*i + b mod l, a a unit, and every component is conjugated or none is.
+These maps form a group, and ``_fibre_orbits`` groups the component
+indices gamma whose fibres it carries onto each other through
+``beta_flat_k_gamma`` (``wreath`` says why such gamma share a verdict).
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain
+from math import gcd
 
 Partition = tuple[int, ...]
 Multipartition = tuple[Partition, ...]
@@ -75,6 +84,7 @@ __all__ = [
     "from_core_and_quotient",
     "residue_to_core",
     "flip",
+    "label_action",
     "core_multi",
     "check_core_tuple",
     "beta_flat_k_gamma",
@@ -107,6 +117,43 @@ def msize(lam: Multipartition) -> int:
 def flip(lam: Multipartition) -> Multipartition:
     """Reverse the component order; an involution."""
     return tuple(reversed(lam))
+
+
+class _Memo(dict):
+    """f(key), computed on the first read of each key, so that
+    ``map(memo.__getitem__, keys)`` costs one lookup per repeated key."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
+
+
+def _conjugate(lam: Partition) -> Partition:
+    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0])) if lam else ()
+
+
+def label_action(l: int, a: int = 1, b: int = 0, conj: bool = False):
+    """The map of l-multipartitions that moves component i to slot
+    (a*i + b) mod l, and conjugates every component when conj.
+
+    a must be a unit mod l.  The maps form a group: (a, b) composes as
+    x -> a*x + b does, conjugation commutes with it and is an involution,
+    and rotation by b = 1 applied l times is the identity.
+    """
+    if gcd(a, l) != 1:
+        raise ValueError(f"{a} is not a unit mod {l}")
+    order = [0] * l
+    for i in range(l):
+        order[(a * i + b) % l] = i
+    if not conj:
+        return lambda lam: tuple([lam[i] for i in order])
+    conjugates = _Memo(_conjugate)
+    return lambda lam: tuple([conjugates[lam[i]] for i in order])
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +208,13 @@ def _runner_data(lam: Partition, l: int) -> tuple[tuple[int, ...], Multipartitio
 def _partition_from_beads(explicit: list[int], floor: int) -> Partition:
     # bead set = explicit (all >= floor) plus every integer < floor;
     # total charge must be 0, i.e. len(explicit) == -floor
-    assert len(explicit) == -floor
+    if len(explicit) != -floor:
+        raise AssertionError
     parts = []
     for i, b in enumerate(sorted(explicit, reverse=True), start=1):
         p = b + i
-        assert p >= 0
+        if p < 0:
+            raise AssertionError
         if p:
             parts.append(p)
     return tuple(parts)
@@ -195,7 +244,8 @@ def core_and_quotient(lam: Partition, l: int) -> tuple[Partition, Multipartition
     """The l-core and the l-quotient of lam, read off one abacus pass."""
     ch, quots = _runner_data(lam, l)
     nu = core_from_charges(ch)
-    assert size(lam) == size(nu) + msize(quots) * l
+    if size(lam) != size(nu) + msize(quots) * l:
+        raise AssertionError
     return nu, quots
 
 
@@ -222,7 +272,8 @@ def from_core_and_quotient(nu: Partition, mu: Multipartition, l: int) -> Partiti
     if len(mu) != l:
         raise ValueError(f"quotient must have {l} components")
     lam = _from_runners(s, mu)
-    assert size(lam) == size(nu) + l * msize(mu)
+    if size(lam) != size(nu) + l * msize(mu):
+        raise AssertionError
     return lam
 
 
@@ -237,10 +288,12 @@ def residue_to_core(d) -> tuple[Partition, int]:
     ch = tuple(d[j] - d[(j + 1) % l] for j in range(l))
     nu = core_from_charges(ch)
     rl = sum(d) - size(nu)
-    assert rl % l == 0
+    if rl % l:
+        raise AssertionError
     r = rl // l
     res = residues(nu, l)
-    assert all(d[i] == res[i] + r for i in range(l))
+    if any(d[i] != res[i] + r for i in range(l)):
+        raise AssertionError
     return nu, r
 
 
@@ -249,15 +302,17 @@ def core_multi(lam: Multipartition, k: int) -> Multipartition:
     return tuple(core(c, k)[0] for c in lam)
 
 
-def check_core_tuple(gamma: Multipartition, k: int, l: int, n: int) -> int:
+def check_core_tuple(gamma: Multipartition, k: int, l: int, n: int, read=None) -> int:
     """Validate gamma as a component index: an l-tuple of k-cores with
-    |gamma| <= n and |gamma| = n mod k.  Returns the rank r = (n-|gamma|)/k."""
+    |gamma| <= n and |gamma| = n mod k.  Returns the rank r = (n-|gamma|)/k.
+
+    ``read(p)``, if given, is p's k-abacus read (charges, quotient)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(gamma) != l:
         raise ValueError(f"gamma must have {l} components")
     for g in gamma:
-        if not is_l_core(g, k):
+        if any(quotient(g, k) if read is None else read(g)[1]):
             raise ValueError(f"component {g} is not a {k}-core")
     sz = msize(gamma)
     if sz > n or (n - sz) % k != 0:
@@ -365,7 +420,7 @@ def enumerate_core_tuples(k: int, l: int, n: int) -> list[Multipartition]:
 
 
 def core_fibres(
-    l: int, n: int, k: int
+    l: int, n: int, k: int, labels=None, read=None
 ) -> dict[Multipartition, dict[Multipartition, Multipartition]]:
     """The l-multipartitions of n grouped by componentwise k-core, each with
     its interleaved k-quotient.
@@ -380,16 +435,68 @@ def core_fibres(
     component of; and one ``core_from_charges`` per distinct charge vector
     those passes read, so partitions with one k-core share one core value.
     The pieces live in the call alone: the result is a new value on every
-    call, and a caller that reads it twice keeps it.
+    call, and a caller that reads it twice keeps it.  ``labels``, if given,
+    is enumerate_multipartitions(l, n), and ``read(p)`` p's k-abacus read,
+    as a caller that has built them shares them.
     """
     cores, reads = {}, {}
     for p in partitions_upto(n):
-        charges, quot = _runner_data(p, k)
+        charges, quot = _runner_data(p, k) if read is None else read(p)
         if charges not in cores:
             cores[charges] = core_from_charges(charges)
         reads[p] = cores[charges], quot
     fibres = {g: {} for g in _core_tuples(k, l, n, lambda p: not any(reads[p][1]))}
-    for lam in enumerate_multipartitions(l, n):
+    for lam in enumerate_multipartitions(l, n) if labels is None else labels:
         gamma, quotients = zip(*[reads[c] for c in lam])
         fibres[gamma][lam] = _interleave(quotients)
     return fibres
+
+
+def _fibre_moves(l: int, k: int) -> list:
+    """The pairs (tau, tau') of label actions along which ``_fibre_orbits``
+    tries to carry one fibre onto another.
+
+    ``beta_flat_k_gamma`` puts runner t of component i in slot
+    i + (k-1-t)l, and the k-quotient of lam' is the reversed, conjugated
+    k-quotient of lam.  So tau = (a, b, conj) can carry beta only as the
+    slot map i + sl -> (a*i + b mod l) + s'l, s' = k-1-s under conj and s
+    otherwise, and only where that map is x -> a'x + b' mod kl; tau' =
+    (a', b', conj) is that map, and a' = a mod l.
+    """
+    m, out = k * l, []
+    for conj in (False, True):
+        blocks = [(k - 1 - s if conj else s) * l for s in range(k)]
+        for a in [a for a in range(l) if gcd(a, l) == 1]:
+            for b in range(l):
+                slots = [(a * i + b) % l + s for s in blocks for i in range(l)]
+                v = slots[0]
+                u = (slots[1] - v) % m if m > 1 else 0
+                if slots == [(u * j + v) % m for j in range(m)]:
+                    out.append((label_action(l, a, b, conj), label_action(m, u, v, conj)))
+    return out
+
+
+def _fibre_orbits(l: int, k: int, fibres, gammas) -> dict[Multipartition, Multipartition]:
+    """Each gamma of ``gammas`` (of one rank) -> the first gamma of its orbit.
+
+    gamma joins the orbit of an earlier rho only where a pair (tau, tau') of
+    ``_fibre_moves`` sends rho to gamma and has beta(tau lam) = tau' beta(lam)
+    for every label lam of rho's fibre, beta the fibres' label maps; a gamma
+    with no such rho starts an orbit.  The images of an orbit's first gamma
+    are listed once another gamma is asked.
+    """
+    # images: tau(rho) -> (rho, tau, tau'), over the first gamma rho of each
+    # orbit; fresh: the last such rho, whose images are not listed yet
+    moves, orbit, images, fresh = None, {}, {}, ()
+    for gamma in gammas:
+        for rho in fresh:
+            moves = moves or _fibre_moves(l, k)
+            for tau, tau2 in moves:
+                images.setdefault(tau(rho), []).append((rho, tau, tau2))
+        orbit[gamma], fresh = gamma, (gamma,)
+        want = fibres[gamma]
+        for rho, tau, tau2 in images.get(gamma, ()):
+            if all(want.get(tau(lam)) == tau2(mu) for lam, mu in fibres[rho].items()):
+                orbit[gamma], fresh = rho, ()
+                break
+    return orbit

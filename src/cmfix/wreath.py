@@ -70,6 +70,36 @@ columns chi_lam(C) are built once, for the largest top(r) asked for, and
 each rank keeps its rows, codim(C) < top(r).  The target columns
 chi_mu(D^-1) are built once per rank and freed before any row is summed,
 chi(1) comes from ``char_dimension``, and no character table is built.
+Each piece a call needs more than once is built once in it (``_Once``) and
+handed to every reader: each list of labels and its index, each
+standard-tableau count (``char_dimension`` and ``_largest_dimension``), each
+partition's rim hooks of each size (every hook table of every ``_columns``
+call) and each partition's k-abacus read (the gamma checks and
+``core_fibres``); each target's chi_mu(1) is built once per rank.
+
+Gamma in one orbit of the label symmetries share a report.  Three kinds of
+map act on the labels of G(l,1,n), and likewise of W' = G(m,1,r).
+Rotating the components by b is the twist by the b-th power of the linear
+character delta (the product of all cycle products): z_C -> zeta^(b c(C))
+z_C with c(C) = sum_j j len(C_j), so chi_(rot lam)(C) = zeta^(c(C))
+chi_lam(C).  Conjugating every component is the sign twist T below.  The
+Galois automorphism sigma_a of Q(zeta_m), a a unit mod m, fixes every class
+sum and sends e_lam to the idempotent whose component a*i is lam_i (a mod l
+on G(l,1,n)).  The twists are diagonal in class sums.  Now let tau =
+(a, b, conj) and tau' = (a', b', conj), a' = a mod l, act on the labels of
+G(l,1,n) and of W' (``partitions.label_action``), with beta(tau lam) =
+tau' beta(lam) for every lam in the fibre of gamma.  Let Phi and Phi' be
+the composites of twists and sigma_a' that move the idempotents as tau and
+tau' do.  Then i*_(tau gamma) Phi = Phi' i*_gamma on every e_lam, and both
+sides act on scalars through sigma_a', so on class sums the coefficient of
+z_D in i*_(tau gamma)(z_C) is a root of unity times sigma_a' of the one in
+i*_gamma(z_C).  The two rows have the same support, so for any ``codim``
+the two gamma have the same certificates.  ``verify_filtration`` groups
+the asked gamma of each rank with live classes by
+``partitions._fibre_orbits``, which merges two only where it has checked
+that equation on the whole fibre, sums the rows of each orbit's first
+gamma only, and gives every member of the orbit that report under its own
+gamma.
 
 With L the lcm of the fibre's chi_lam(1), each term is weighted by the int
 (L / chi_lam(1)) chi_mu(1), and the sum runs by Kronecker substitution
@@ -111,7 +141,11 @@ from .arith import CyclotomicNumber, _reduce, embed
 from .partitions import (
     Multipartition,
     Partition,
+    _Memo,
+    _core_tuples,
+    _fibre_orbits,
     _partition_from_beads,
+    _runner_data,
     check_core_tuple,
     core_fibres,
     enumerate_multipartitions,
@@ -159,7 +193,8 @@ def enumerate_classes(l: int, n: int) -> list[tuple[Multipartition, int]]:
     """All class types with their sizes; sizes sum to l^n * n!."""
     order = group_order(l, n)
     out = [(t, order // centralizer_order(t, l)) for t in enumerate_multipartitions(l, n)]
-    assert sum(s for _, s in out) == order
+    if sum(s for _, s in out) != order:
+        raise AssertionError
     return out
 
 
@@ -199,40 +234,58 @@ def _rim_hooks(lam: Partition, a: int) -> list[tuple[Partition, int]]:
     return out
 
 
-def _largest_dimension(l: int, n: int) -> int:
+def _syt_count(lam: Partition) -> int:
+    # hook length formula
+    if not lam:
+        return 1
+    conj = [0] * lam[0]
+    for p in lam:
+        for c in range(p):
+            conj[c] += 1
+    num = factorial(sum(lam))
+    for i, p in enumerate(lam, start=1):
+        for j in range(1, p + 1):
+            hook = (p - j) + (conj[j - 1] - i) + 1
+            if num % hook:
+                raise AssertionError
+            num //= hook
+    return num
+
+
+def _largest_dimension(l: int, n: int, syt=_syt_count) -> int:
     """The largest chi_lam(1) over the labels lam of G(l,1,n).
 
     chi_lam(1) is the product over components i of C(t_i, |lam_i|) f(lam_i),
     with t_i = |lam_0| + ... + |lam_i| and f the standard-tableau count, so
     the largest is a max over compositions of n of the largest f per size.
+    ``syt`` is f: a caller that counts tableaux elsewhere too passes its own.
     """
-    top = [max(map(_syt_count, partitions_of(s))) for s in range(n + 1)]
+    top = [max(map(syt, partitions_of(s))) for s in range(n + 1)]
     best = top  # one component
     for _ in range(l - 1):
         best = [max(best[t - s] * comb(t, s) * top[s] for s in range(t + 1)) for t in range(n + 1)]
     return best[n]
 
 
-class _Memo(dict):
-    """f(key), computed on the first read of each key, so that
-    ``map(memo.__getitem__, keys)`` costs one lookup per repeated key."""
+class _Once:
+    """What one call builds at most once and drops when it returns: the
+    label lists and their indices by (l, n), the standard-tableau count of
+    each partition, and its rim hooks of each size a."""
 
-    __slots__ = ("f",)
-
-    def __init__(self, f):
-        self.f = f
-
-    def __missing__(self, key):
-        value = self[key] = self.f(key)
-        return value
+    def __init__(self):
+        self.labels = _Memo(lambda key: enumerate_multipartitions(*key))
+        self.index = _Memo(lambda key: {lam: j for j, lam in enumerate(self.labels[key])})
+        self.syt = _Memo(_syt_count)
+        self.hooks = _Memo(lambda a: _Memo(partial(_rim_hooks, a=a)))
 
 
-def _columns(l: int, n: int, classes) -> list[list[tuple[int, ...]]]:
+def _columns(l: int, n: int, classes, once=None) -> list[list[tuple[int, ...]]]:
     # chi_lam(C) in Z[x]/(x^l - 1): a column per C of ``classes``, an entry
     # per lam of enumerate_multipartitions(l, n); the recursion adds packs
     # of an l-slot _Kronecker, and each distinct value is decoded once
-    labels = [enumerate_multipartitions(l, m) for m in range(n + 1)]
-    kron = _Kronecker(_largest_dimension(l, n), l)
+    once = once or _Once()
+    labels = [once.labels[l, m] for m in range(n + 1)]
+    kron = _Kronecker(_largest_dimension(l, n, once.syt.__getitem__), l)
     rotations = {k: _Memo(partial(kron.rotate, k=k)) for k in range(1, l)}
     decoded = _Memo(lambda v: tuple(kron.unpack(v)))
     # by suffix of a class's cycles: packs below size n, one per distinct
@@ -254,8 +307,7 @@ def _columns(l: int, n: int, classes) -> list[list[tuple[int, ...]]]:
                 continue
             if (m, a) not in tables:
                 size = len(labels[m - a])
-                index = {lam: j for j, lam in enumerate(labels[m - a])}
-                hooks = {comp: _rim_hooks(comp, a) for comp in set().union(*labels[m])}
+                index, hooks = once.index[l, m - a], once.hooks[a]
                 tables[m, a] = [[(i + l * odd) * size + index[lam[:i] + (new,) + lam[i + 1:]]
                                  for i, comp in enumerate(lam) for new, odd in hooks[comp]]
                                 for lam in labels[m]]
@@ -297,31 +349,15 @@ def character_value(lam: Multipartition, ctype: Multipartition, l: int | None = 
     return character_table(l, n).value(lam, ctype)
 
 
-def char_dimension(lam: Multipartition) -> int:
-    """chi_lam(1) = multinomial(n; sizes) * product of standard-tableau counts."""
+def char_dimension(lam: Multipartition, syt=_syt_count) -> int:
+    """chi_lam(1) = multinomial(n; sizes) * product of standard-tableau counts,
+    each ``syt(component)``."""
     n = msize(lam)
     out = factorial(n)
     for comp in lam:
         out //= factorial(sum(comp))
-        out *= _syt_count(comp)
+        out *= syt(comp)
     return out
-
-
-def _syt_count(lam: Partition) -> int:
-    # hook length formula
-    if not lam:
-        return 1
-    conj = [0] * lam[0]
-    for p in lam:
-        for c in range(p):
-            conj[c] += 1
-    num = factorial(sum(lam))
-    for i, p in enumerate(lam, start=1):
-        for j in range(1, p + 1):
-            hook = (p - j) + (conj[j - 1] - i) + 1
-            assert num % hook == 0
-            num //= hook
-    return num
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +409,8 @@ def character_table(l: int, n: int) -> WreathTable:
     labels = tuple(enumerate_multipartitions(l, n))
     classes_sizes = enumerate_classes(l, n)
     classes = tuple(t for t, _ in classes_sizes)
-    assert classes == labels  # one enumeration indexes rows and columns
+    if classes != labels:  # one enumeration indexes rows and columns
+        raise AssertionError
     sizes = tuple(s for _, s in classes_sizes)
     raw = tuple(zip(*_columns(l, n, classes)))
     return WreathTable(l, n, labels, classes, sizes, raw)
@@ -545,13 +582,14 @@ class FiltrationReport(Record):
 
 
 def verify_filtration(l: int, n: int, k: int,
-                      gammas: list[Multipartition]) -> tuple[FiltrationReport, ...]:
+                      gammas: list[Multipartition] | None = None) -> tuple[FiltrationReport, ...]:
     """Check that restriction respects the codimension filtration degreewise.
 
-    For each gamma of ``gammas`` and every class sum z_C of G(l,1,n): its
-    image under i*_gamma must be supported on classes of G(kl,1,r) of codim
-    at most codim(C).  Every gamma is validated before any column is built,
-    and one report comes back per gamma, in the order given.  One pass
+    For each gamma of ``gammas`` (every gamma, in the enumerate_core_tuples
+    order, if None) and every class sum z_C of G(l,1,n): its image under
+    i*_gamma must be supported on classes of G(kl,1,r) of codim at most
+    codim(C).  Every gamma is validated before any column is built, and one
+    report comes back per gamma, in the order given.  One pass
     serves them all (module docstring): the live columns once, the target
     columns and digit blocks once per rank.  A class that is not live passes
     by the codim bound and still counts in ``checked``.  Each live row is
@@ -560,42 +598,49 @@ def verify_filtration(l: int, n: int, k: int,
     table order, and within a row over D in sorted order, as those of the
     full matrix would.  Failures are reported, never raised.
     """
+    once, reads = _Once(), _Memo(partial(_runner_data, l=k))
+    if gammas is None:
+        gammas = _core_tuples(k, l, n, lambda p: not any(reads[p][1]))
     gammas = list(gammas)  # read twice: to validate, then to order the reports
-    ranks = {gamma: check_core_tuple(gamma, k, l, n) for gamma in gammas}
+    ranks = {gamma: check_core_tuple(gamma, k, l, n, reads.__getitem__) for gamma in gammas}
     m = k * l
-    classes = enumerate_multipartitions(l, n)
+    classes = once.labels[l, n]
     lo = min(codim(c, n) for c in classes)
     # top(r): the largest codim of a class of G(m,1,r); with no gamma, no class is live
-    tops = {r: max(codim(d, r) for d in enumerate_multipartitions(m, r)) for r in set(ranks.values())}
+    tops = {r: max(codim(d, r) for d in once.labels[m, r]) for r in set(ranks.values())}
     rows = [(c, i) for c in classes if (i := codim(c, n)) < max(tops.values(), default=lo)]
-    cols = _columns(l, n, [c for c, _ in rows]) if rows else []
-    index = {lam: i for i, lam in enumerate(classes)}
+    cols = _columns(l, n, [c for c, _ in rows], once) if rows else []
+    index = once.index[l, n]
     phi = len(_reduce(m, [1]))
     # a gamma whose rank has no live class passes as it stands
     reports = {gamma: FiltrationReport(l, n, k, gamma, True, len(classes), ()) for gamma in ranks}
-    fibres = core_fibres(l, n, k)
+    fibres = core_fibres(l, n, k, classes, reads.__getitem__)
+    syt = once.syt.__getitem__
     for r, top in tops.items():
         live = [(c, i, col) for (c, i), col in zip(rows, cols) if i < top]
         if not live:
             continue
-        labels2 = enumerate_multipartitions(m, r)
+        # each orbit's first gamma is checked, and its report serves the orbit
+        orbit = _fibre_orbits(l, k, fibres, [g for g, s in ranks.items() if s == r])
+        labels2 = once.labels[m, r]
         # (codim(D), D) for the targets, largest codim first
         slots = sorted(((j, d) for d in labels2 if (j := codim(d, r)) > lo),
                        key=itemgetter(0), reverse=True)
         # chi_mu(D^-1) for each target D, a column over the labels of G(m,1,r)
-        targets = _columns(m, r, [inverse_class(d) for _, d in slots])
+        targets = _columns(m, r, [inverse_class(d) for _, d in slots], once)
         # zeta_m^(ks) v reduced mod Phi_m for s < l, for each value v of a target column
         shifted = {v: [tuple(_reduce(m, v[-k * s:] + v[:-k * s])) for s in range(l)]
                    for v in {v for col in targets for v in col}}
         big = {v: max(abs(c) for x in xs for c in x) for v, xs in shifted.items()}
         top_digit = {mu: max(big[col[j]] for col in targets) for j, mu in enumerate(labels2)}
+        dims2 = {mu: char_dimension(mu, syt) for mu in labels2}
         # (row of lam, mu, weight (L / chi_lam(1)) chi_mu(1)) over each gamma's fibre
         plans = []
-        for gamma in [g for g, s in ranks.items() if s == r]:
+        for gamma in [g for g, rho in orbit.items() if g == rho]:
             fibre = fibres[gamma]
-            dims = [char_dimension(lam) for lam in fibre]
+            dims = [char_dimension(lam, syt) for lam in fibre]
             L = lcm(*dims)
-            plans.append((gamma, [(index[lam], mu, L // a * char_dimension(mu))
+            plans.append((gamma, [(index[lam], mu, L // a * dims2[mu])
                                   for (lam, mu), a in zip(fibre.items(), dims)]))
         bound = max(sum(w * top_digit[mu] * max(sum(map(abs, col[i])) for _, _, col in live)
                         for i, mu, w in plan) for _, plan in plans)
@@ -628,4 +673,7 @@ def verify_filtration(l: int, n: int, k: int,
                 certs += [(ctype, i, d, j) for d, j in found]
             del packs  # before the next gamma builds its own
             reports[gamma] = FiltrationReport(l, n, k, gamma, not certs, len(classes), tuple(certs))
+        for gamma, rho in orbit.items():
+            rep = reports[rho]
+            reports[gamma] = FiltrationReport(l, n, k, gamma, rep.passed, rep.checked, rep.certificates)
     return tuple(reports[gamma] for gamma in gammas)

@@ -69,6 +69,11 @@ into a CyclotomicNumber and scaled.  It takes the fibre from
 and shares no other step with the two sides it checks: its rows are the
 images of the class sums under ``wreath.i_gamma_star``, and its support is
 what ``verify_filtration`` decodes from its Kronecker-packed integer rows.
+
+``verify_filtration_per_gamma`` is the filtration check one call per gamma:
+a call on a single gamma sums that gamma's own rows, so it is the reference
+for the call on many, which sums one gamma per orbit of the label
+symmetries and hands its report to the rest of the orbit.
 """
 
 from __future__ import annotations
@@ -113,6 +118,7 @@ from cmfix.partitions import (
 )
 from cmfix.affine_weyl import is_plus, sigma
 from cmfix.parameters import ParamSet
+from cmfix import wreath
 from cmfix.wreath import character_table, from_omega, to_omega
 
 
@@ -701,6 +707,12 @@ def restriction_matrix_loop(l, n, k, gamma):
                for d, vec in zip(t2.classes, acc) if any(vec))
         rows.append(tuple(sorted((d, x * scale) for d, x in row if x)))
     return tuple(rows)
+
+
+def verify_filtration_per_gamma(l, n, k, gammas):
+    """One ``wreath.verify_filtration`` call per gamma, read through the
+    module so that a patched ``codim`` or ``core_fibres`` applies."""
+    return tuple(wreath.verify_filtration(l, n, k, [gamma])[0] for gamma in gammas)
 
 
 # ---------------------------------------------------------------------------

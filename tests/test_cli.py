@@ -351,9 +351,9 @@ def test_verify_filtration_builds_each_column_set_once(monkeypatch):
     built = []
     columns = wreath._columns
 
-    def recording(l, n, classes):
+    def recording(l, n, classes, *once):
         built.append((l, n))
-        return columns(l, n, classes)
+        return columns(l, n, classes, *once)
 
     monkeypatch.setattr(wreath, "_columns", recording)
     code, out = run(["verify-filtration", "--l", "2", "--n", "5", "--k", "2"])

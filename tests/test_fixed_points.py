@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +243,32 @@ def test_a_wrong_label_map_fails_on_the_shared_targets(monkeypatch, corrupt, wro
         component_catalog(l, n, k, generic_params(l))
     monkeypatch.undo()
     assert len(component_catalog(l, n, k, generic_params(l))) == len(fibres)
+
+
+def test_a_wrong_label_map_fails_under_python_O():
+    # the label-bijection check is an explicit raise, so ``python -O``, which
+    # drops every assert statement, keeps it: one label of a gamma of rank 2
+    # at (2,5,2) mapped to another label's mu must still fail the catalog
+    code = (
+        "import cmfix.fixed_points as fp\n"
+        "from fractions import Fraction\n"
+        "from cmfix.parameters import ParamSet\n"
+        "fibres = fp.core_fibres(2, 5, 2)\n"
+        "fibre = fibres[((1,), ())]\n"
+        "first, second = list(fibre)[:2]\n"
+        "fibre[second] = fibre[first]\n"
+        "fp.core_fibres = lambda *args: fibres\n"
+        "p = ParamSet(2, Fraction(1, 97), (Fraction(1), Fraction(-1)))\n"
+        "try:\n"
+        "    fp.component_catalog(2, 5, 2, p)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised', exc.args)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cmfix.fixed_points.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised (((1,), ()),)\n"
 
 
 def test_component_dimension_is_2r():

@@ -144,3 +144,11 @@ def _tokens(module):
 def test_a_module_stays_below_the_parsers_token_doubling(module):
     # a module listed over the limit that falls below it leaves the list
     assert (_tokens(module) < TOKEN_LIMIT) == (module not in OVER_TOKEN_LIMIT)
+
+
+@pytest.mark.parametrize("module", ["fixed_points", "partitions", "wreath"])
+def test_no_invariant_check_is_an_assert(module):
+    # ``python -O`` drops assert statements, so each check that guards a
+    # returned value raises AssertionError explicitly
+    tree = ast.parse((SRC / "cmfix" / f"{module}.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]

@@ -1,4 +1,5 @@
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from cmfix.partitions import (
     flip,
     from_core_and_quotient,
     is_l_core,
+    label_action,
     msize,
     partition,
     partitions_of,
@@ -354,3 +356,30 @@ def test_core_tuples_match_the_brute_force_filter(l, n, k):
     brute = [g for g in brute
              if (n - msize(g)) % k == 0 and all(is_core_oracle(c, k) for c in g)]
     assert enumerate_core_tuples(k, l, n) == brute
+
+
+@pytest.mark.parametrize("l,n", [(1, 3), (2, 3), (3, 3), (4, 2), (5, 2), (6, 2)])
+def test_label_actions_are_a_group_action(l, n):
+    # component i goes to slot a*i + b mod l: rotation by 1 has order l,
+    # (a, b) composes as x -> a*x + b does, conjugation is an involution that
+    # commutes with every slot map, and each map permutes the labels
+    labels = enumerate_multipartitions(l, n)
+    units = [a for a in range(l) if gcd(a, l) == 1]
+    rot, conj = label_action(l, 1, 1), label_action(l, conj=True)
+    maps = {(a, b): label_action(l, a, b) for a in units for b in range(l)}
+    for lam in labels:
+        x = lam
+        for _ in range(l):
+            x = rot(x)
+        assert x == lam == label_action(l)(lam)
+        assert conj(lam) == conjugate_multi(lam) and conj(conj(lam)) == lam
+        for (a1, b1), f in maps.items():
+            assert label_action(l, a1, b1, True)(lam) == f(conj(lam)) == conj(f(lam))
+            for (a2, b2), g in maps.items():
+                assert f(g(lam)) == maps[a1 * a2 % l, (a1 * b2 + b1) % l](lam)
+    for f in [conj, *maps.values()]:
+        assert sorted(map(f, labels)) == sorted(labels)
+    for a in range(l):
+        if a not in units:
+            with pytest.raises(ValueError):
+                label_action(l, a)

@@ -91,9 +91,44 @@ def test_filtration_report_prints_one_line_per_point():
     *points, summary = proc.stdout.splitlines()
     assert summary == "0 failures"
     assert len(points) == 2
-    for line, point in zip(points, ("l=1 n=2 k=2: 1 gamma", "l=2 n=2 k=2: 2 gamma")):
+    for line, point in zip(points, ("l=1 n=2 k=2: 1 gamma in 1 orbits",
+                                    "l=2 n=2 k=2: 2 gamma in 2 orbits")):
         assert re.fullmatch(rf"\[ok \] {point}, 0 failing, all gamma \d+\.\d\ds "
-                            r"\(_columns \d+\.\d\ds\), peak RSS \d+\.\d MiB", line), line
+                            r"\(_columns \d+\.\d\ds, orbits \d+\.\d{3}s\), "
+                            r"peak RSS \d+\.\d MiB", line), line
+
+
+def test_filtration_report_counts_the_orbits_the_check_makes(filtration_report):
+    # k does not divide n: (2,5,2)'s two gamma of each rank form one orbit,
+    # (3,3,2)'s three of rank 1 form two, and its four of rank 0, with no
+    # live class, are not searched
+    from cmfix import wreath
+
+    proc = subprocess.run([sys.executable, str(FILTRATION_REPORT), "--grid", "3,3,2;2,5,2"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *points, summary = proc.stdout.splitlines()
+    assert summary == "0 failures"
+    assert points[0].startswith("[ok ] l=3 n=3 k=2: 7 gamma in 6 orbits, 0 failing")
+    assert points[1].startswith("[ok ] l=2 n=5 k=2: 4 gamma in 2 orbits, 0 failing")
+    point = filtration_report.measure_point(2, 5, 2)
+    assert (point["gammas"], point["orbits"]) == (4, 2)
+    assert 0 <= point["orbits_s"] <= point["gamma_s"]
+    assert filtration_report.wreath._fibre_orbits is wreath._fibre_orbits  # unwrapped
+
+
+def test_filtration_report_peak_is_the_points_own(tmp_path):
+    # a point launched from a process that holds 96 MiB reports its own
+    # peak, far below that, and not the spawning parent's
+    code = ("import json, subprocess, sys\n"
+            "held = b'x' * (96 << 20)\n"
+            f"proc = subprocess.run([sys.executable, {str(FILTRATION_REPORT)!r}, '--point', '1,2,2'],"
+            " stdout=subprocess.PIPE, text=True, check=True)\n"
+            "print(json.loads(proc.stdout)['peak_rss_mib'], len(held) >> 20)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak, held = proc.stdout.split()
+    assert held == "96" and 0 < float(peak) < 64
 
 
 def test_filtration_report_tells_a_dead_point_from_a_certificate(filtration_report, monkeypatch,
@@ -112,7 +147,8 @@ def test_filtration_report_tells_a_dead_point_from_a_certificate(filtration_repo
     assert err == "error: point 1,2,2 exited with 7\n"
     *points, summary = out.splitlines()
     assert summary == "0 failures, 1 of 2 points did not finish"
-    assert len(points) == 1 and points[0].startswith("[ok ] l=2 n=2 k=2: 2 gamma, 0 failing")
+    assert len(points) == 1 and points[0].startswith("[ok ] l=2 n=2 k=2: 2 gamma in 2 orbits, "
+                                                     "0 failing")
 
 
 def test_filtration_report_point_lists_each_failing_gamma(filtration_report, monkeypatch):

@@ -1,7 +1,9 @@
+import hashlib
 import random
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +12,12 @@ from cmfix.arith import CyclotomicNumber, cyclotomic_polynomial, zeta
 from cmfix.linalg import Mat
 from cmfix.partitions import (
     beta_flat_k_gamma,
+    core_fibres,
     enumerate_core_tuples,
     enumerate_multipartitions,
+    label_action,
     msize,
+    partitions_upto,
 )
 from cmfix.wreath import (
     CentralElement,
@@ -47,6 +52,7 @@ from oracles import (
     restriction_matrix_loop,
     sign,
     sn_character_table,
+    verify_filtration_per_gamma,
 )
 
 SIZES = [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
@@ -567,8 +573,8 @@ def test_target_coefficients_are_at_most_the_largest_dimension(l, n, k, monkeypa
     built = []
     columns = wreath._columns
 
-    def recording(l, n, classes):
-        out = columns(l, n, classes)
+    def recording(l, n, classes, *once):
+        out = columns(l, n, classes, *once)
         built.append((l, n, out))
         return out
 
@@ -621,6 +627,28 @@ def test_character_table_leaves_no_module_level_memo():
     t = wreath.character_table.__wrapped__(2, 3)
     assert _cache_sizes(caches) == before
     assert t.raw == character_table(2, 3).raw
+
+
+def test_verify_filtration_builds_each_piece_once(monkeypatch):
+    # one call over every gamma at (2,5,2), the CLI's: one abacus read per
+    # partition of size <= 5, one label list per (l, n), one tableau count
+    # per partition and one rim-hook list per (partition, size), for the
+    # gamma checks, the fibres, the columns and the dimensions together
+    calls = {}
+
+    def counted(name, f):
+        return lambda *args, **kw: calls[name].append((args, sorted(kw.items()))) or f(*args, **kw)
+
+    for name in ("_runner_data", "enumerate_multipartitions", "_syt_count", "_rim_hooks"):
+        calls[name] = []
+        monkeypatch.setattr(wreath, name, counted(name, getattr(wreath, name)))
+    verify_filtration(2, 5, 2)
+    assert len(calls["_runner_data"]) == len(partitions_upto(5)) == 19
+    # (2, m) for m <= 5 and (4, r) for r <= 2: the classes, the tops and
+    # the labels of every size the columns read
+    assert len(calls["enumerate_multipartitions"]) == 9
+    for name, made in calls.items():
+        assert made and len(made) == len({repr(key) for key in made}), name
 
 
 def test_verify_filtration_leaves_no_module_level_memo():
@@ -728,3 +756,146 @@ def test_character_values_are_algebraic_integers(l, n):
             assert value == CyclotomicNumber.from_powers(l, raw)
             folded |= any(raw[deg:])
     assert folded == (l > 1)
+
+
+# -- gamma in one orbit of the label symmetries share their report -----------
+
+
+def _twist(v, c):
+    # zeta^c v in Z[x]/(x^l - 1): the coefficient of zeta^t moves to t + c
+    return tuple(v[(t - c) % len(v)] for t in range(len(v)))
+
+
+def _galois(v, a):
+    # sigma_a: the coefficient of zeta^t moves to a*t
+    out = [0] * len(v)
+    for t, x in enumerate(v):
+        out[a * t % len(v)] += x
+    return tuple(out)
+
+
+@pytest.mark.parametrize("l,n", [(1, 5), (2, 4), (3, 3), (4, 3), (5, 3), (6, 2), (3, 4), (2, 6)])
+def test_label_actions_twist_the_characters(l, n):
+    # exactly in Z[x]/(x^l - 1), on every entry of the table:
+    # chi_(rot lam)(C) = zeta^(c(C)) chi_lam(C) with c(C) = sum_j j len(C_j),
+    # chi_lam'(C) = eps(C) chi_lam(C), and chi_(a lam) = sigma_a chi_lam
+    t = character_table(l, n)
+    rot, conj = label_action(l, 1, 1), label_action(l, conj=True)
+    units = [a for a in range(2, l) if gcd(a, l) == 1]
+    for lam, row in zip(t.labels, t.raw):
+        assert conj(lam) == conjugate_multi(lam)
+        rotated, conjugated = t.raw[t.index[rot(lam)]], t.raw[t.index[conj(lam)]]
+        for ctype, v, v_rot, v_conj in zip(t.classes, row, rotated, conjugated, strict=True):
+            assert v_rot == _twist(v, sum(j * len(comp) for j, comp in enumerate(ctype)))
+            assert v_conj == tuple(sign(ctype) * x for x in v)
+        for a in units:
+            assert t.raw[t.index[label_action(l, a)(lam)]] == tuple(_galois(v, a) for v in row)
+
+
+# the five wrong codims under which the orbit reports were first compared;
+# each makes some certificates nonempty
+SUBSTITUTED = {
+    "fixed-cycles": lambda ctype, n=None: len(ctype[0]),
+    "all-cycles": lambda ctype, n=None: msize(ctype) - sum(map(len, ctype)),
+    "plus-one": lambda ctype, n=None: codim(ctype, n) + 1,
+    "md5-mod-5": lambda ctype, n=None: int(hashlib.md5(repr(ctype).encode()).hexdigest(), 16) % 5,
+    "last-colour": lambda ctype, n=None: msize(ctype) - len(ctype[-1]),
+}
+
+
+def _recording_orbits(monkeypatch):
+    # the groupings verify_filtration makes, one per rank it searches
+    found, orbits = [], wreath._fibre_orbits
+    monkeypatch.setattr(wreath, "_fibre_orbits", lambda *args: found.append(orbits(*args)) or found[-1])
+    return found
+
+
+@pytest.mark.parametrize("l,n,k", [(3, 3, 2), (2, 5, 2), (2, 4, 2), (3, 4, 2), (3, 5, 2),
+                                   (4, 4, 2), (2, 6, 3), (3, 6, 2)])
+def test_an_orbit_shares_the_report_each_member_gets_alone(l, n, k, monkeypatch):
+    # under each wrong codim the call on every gamma gives each gamma the
+    # report a call on that gamma alone gives, and some gamma that took its
+    # orbit's report has certificates
+    gammas = enumerate_core_tuples(k, l, n)
+    found = _recording_orbits(monkeypatch)
+    shared = 0
+    for name, f in SUBSTITUTED.items():
+        monkeypatch.setattr(wreath, "codim", f)
+        found.clear()
+        reports = dict(zip(gammas, verify_filtration(l, n, k, gammas)))
+        assert tuple(reports.values()) == verify_filtration_per_gamma(l, n, k, gammas), name
+        shared += sum(bool(reports[g].certificates) for orbit in found
+                      for g, rho in orbit.items() if g != rho)
+    assert shared
+
+
+def _fibres_with(l, n, k, gamma, fibre):
+    fibres = core_fibres(l, n, k)
+    fibres[gamma] = fibre
+    return fibres
+
+
+def test_a_fibre_with_two_labels_swapped_is_not_shared(monkeypatch):
+    # at (2,5,2) the two gamma of rank 2 are one orbit; with the mu of the
+    # last two labels of the second one's fibre swapped, it is its own orbit,
+    # since its rows no longer have the first one's support
+    l, n, k = 2, 5, 2
+    first, second = [g for g in enumerate_core_tuples(k, l, n) if (n - msize(g)) // k == 2]
+    found = _recording_orbits(monkeypatch)
+    verify_filtration(l, n, k, [first, second])
+    assert found == [{first: first, second: first}]
+    fibre = dict(core_fibres(l, n, k)[second])
+    *_, x, y = fibre
+    fibre[x], fibre[y] = fibre[y], fibre[x]
+    monkeypatch.setattr(wreath, "core_fibres", lambda *args: _fibres_with(l, n, k, second, fibre))
+    differs = set()
+    for name, f in SUBSTITUTED.items():
+        monkeypatch.setattr(wreath, "codim", f)
+        found.clear()
+        reports = verify_filtration(l, n, k, [first, second])
+        assert found == [{first: first, second: second}], name
+        assert reports == verify_filtration_per_gamma(l, n, k, [first, second]), name
+        if reports[0].certificates != reports[1].certificates:
+            differs.add(name)
+    assert differs
+
+
+def test_a_fibre_carried_only_by_a_mismatched_galois_map_is_not_shared(monkeypatch):
+    # a fibre that tau = rotation by 1 and tau' = (x -> 5x) carry onto
+    # another has rows of another support: 5 = 2 mod 3, so the two maps act
+    # through different Galois automorphisms, and no pair of label maps with
+    # a' = a mod l carries it.  The search must not share its report.
+    l, n, k = 3, 3, 2
+    first, second = ((1,), (), ()), ((), (1,), ())
+    tau, tau2 = label_action(3, 1, 1), label_action(6, 5, 0)
+    fibre = {tau(lam): tau2(mu) for lam, mu in core_fibres(l, n, k)[first].items()}
+    monkeypatch.setattr(wreath, "core_fibres", lambda *args: _fibres_with(l, n, k, second, fibre))
+    found = _recording_orbits(monkeypatch)
+    differs = set()
+    for name, f in SUBSTITUTED.items():
+        monkeypatch.setattr(wreath, "codim", f)
+        found.clear()
+        reports = verify_filtration(l, n, k, [first, second])
+        # no search where the rank has no live class, as under all-cycles
+        assert [orbit[second] for orbit in found] in ([], [second]), name
+        assert reports == verify_filtration_per_gamma(l, n, k, [first, second]), name
+        if reports[0].certificates != reports[1].certificates:
+            differs.add(name)
+    assert differs
+
+
+@pytest.mark.parametrize("l,n,k,gammas,orbits", [
+    # gamma of positive rank, and their orbits
+    (3, 3, 2, 3, 2), (2, 5, 2, 4, 2), (2, 4, 2, 2, 2), (3, 6, 2, 10, 6), (4, 5, 2, 12, 6),
+    (3, 7, 3, 27, 15), (3, 8, 2, 16, 10), (2, 12, 2, 9, 6),
+])
+def test_orbit_counts(l, n, k, gammas, orbits):
+    fibres = core_fibres(l, n, k)
+    ranks = {}
+    for gamma in fibres:
+        ranks.setdefault((n - msize(gamma)) // k, []).append(gamma)
+    grouped = [wreath._fibre_orbits(l, k, fibres, asked) for r, asked in ranks.items() if r]
+    assert sum(map(len, grouped)) == gammas
+    assert sum(len(set(orbit.values())) for orbit in grouped) == orbits
+    for orbit in grouped:
+        assert all(orbit[rho] == rho for rho in orbit.values())
