@@ -70,12 +70,13 @@ columns chi_lam(C) are built once, for the largest top(r) asked for, and
 each rank keeps its rows, codim(C) < top(r).  The target columns
 chi_mu(D^-1) are built once per rank and freed before any row is summed,
 chi(1) comes from ``char_dimension``, and no character table is built.
-Each piece a call needs more than once is built once in it (``_Once``) and
-handed to every reader: each list of labels and its index, each
-standard-tableau count (``char_dimension`` and ``_largest_dimension``), each
-partition's rim hooks of each size (every hook table of every ``_columns``
-call) and each partition's k-abacus read (the gamma checks and
-``core_fibres``); each target's chi_mu(1) is built once per rank.
+Each piece a call needs more than once is built once in it and handed to
+every reader.  ``_Once`` holds each list of labels and its index, each
+standard-tableau count (``char_dimension`` and ``_largest_dimension``) and
+each partition's rim hooks of each size (every hook table of every
+``_columns`` call); one memo holds each partition's k-abacus read (the
+enumeration and checks of the gamma, and ``core_fibres``); and each
+target's chi_mu(1) is built once per rank.
 
 Gamma in one orbit of the label symmetries share a report.  Three kinds of
 map act on the labels of G(l,1,n), and likewise of W' = G(m,1,r).
@@ -591,7 +592,8 @@ def verify_filtration(l: int, n: int, k: int,
     codim(C).  Every gamma is validated before any column is built, and one
     report comes back per gamma, in the order given.  One pass
     serves them all (module docstring): the live columns once, the target
-    columns and digit blocks once per rank.  A class that is not live passes
+    columns and digit blocks once per rank, and the rows once per orbit of
+    the asked gamma of a rank.  A class that is not live passes
     by the codim bound and still counts in ``checked``.  Each live row is
     decoded only over the prefix of target slots it must check; each nonzero
     block there is a certificate.  Certificates run over the classes in

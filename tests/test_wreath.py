@@ -811,11 +811,11 @@ def _recording_orbits(monkeypatch):
 
 
 @pytest.mark.parametrize("l,n,k", [(3, 3, 2), (2, 5, 2), (2, 4, 2), (3, 4, 2), (3, 5, 2),
-                                   (4, 4, 2), (2, 6, 3), (3, 6, 2)])
+                                   (4, 4, 2), (2, 6, 3), (3, 6, 2), (1, 7, 3)])
 def test_an_orbit_shares_the_report_each_member_gets_alone(l, n, k, monkeypatch):
     # under each wrong codim the call on every gamma gives each gamma the
     # report a call on that gamma alone gives, and some gamma that took its
-    # orbit's report has certificates
+    # orbit's report has certificates; at l = 1 only conjugation merges
     gammas = enumerate_core_tuples(k, l, n)
     found = _recording_orbits(monkeypatch)
     shared = 0
